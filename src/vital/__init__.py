@@ -23,25 +23,18 @@ from .fec import (
     SafetyGrid,
     count_safe,
     erode_safe_set,
-    eval_fc,
     eval_fec,
-    eval_kf,
-    eval_lc,
     eval_tr,
 )
-from .vfa import FootholdDecision, VfaInput, adjust_trajectory, foothold_evaluation
+from .vfa import FootholdDecision, VfaInput, foothold_evaluation
 from .vpa import (
     HipHeightSet,
     PoseOptProblem,
     PoseOptResult,
     SafeFootholdFunction,
     SafeFootholdSamples,
-    cost_int,
-    cost_prod,
-    cost_smooth,
-    cost_sum,
     fit_rbf,
-    fit_rbf_per_leg,
+    objective_batch,
     optimize_pose_receding,
     optimize_pose_single,
     pose_evaluation,

@@ -103,9 +103,6 @@ class SafetyGrid:
     kf: np.ndarray
     fc: np.ndarray
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join("1" if v else "0" for v in row) for row in self.cells) + "\n"
-
 
 def count_safe(grid: SafetyGrid) -> int:
     """Number of safe candidate footholds (true cells after erosion)."""
@@ -321,7 +318,13 @@ class FecEvaluator:
         )
 
 
-def _evaluator_for(fec_input: FecInput, model: RobotModel, config: FecConfig, current_foot):
+def eval_fec(
+    fec_input: FecInput,
+    model: RobotModel,
+    config: FecConfig,
+    current_foot=None,
+) -> SafetyGrid:
+    """Evaluate all criteria, conjoin them, and apply the uncertainty erosion."""
     return FecEvaluator(
         fec_input.heightmap,
         fec_input.hip_world_xy,
@@ -330,60 +333,4 @@ def _evaluator_for(fec_input: FecInput, model: RobotModel, config: FecConfig, cu
         model,
         config,
         current_foot=current_foot,
-    )
-
-
-def eval_fec(
-    fec_input: FecInput,
-    model: RobotModel,
-    config: FecConfig,
-    current_foot=None,
-) -> SafetyGrid:
-    """Evaluate all criteria, conjoin them, and apply the uncertainty erosion."""
-    return _evaluator_for(fec_input, model, config, current_foot).evaluate(fec_input.hip_height)
-
-
-def _check_candidate(hm: Heightmap, candidate):
-    i, j = int(candidate[0]), int(candidate[1])
-    if not (0 <= i < hm.h_x and 0 <= j < hm.h_y):
-        raise ValueError("candidate outside heightmap")
-    return i, j
-
-
-def eval_lc(
-    fec_input: FecInput,
-    candidate,
-    model: RobotModel,
-    config: FecConfig,
-    current_foot=None,
-) -> bool:
-    """Leg-collision criterion for one candidate cell (i, j)."""
-    i, j = _check_candidate(fec_input.heightmap, candidate)
-    ev = _evaluator_for(fec_input, model, config, current_foot)
-    return bool(ev.lc_grid(fec_input.hip_height)[i, j])
-
-
-def eval_kf(
-    fec_input: FecInput,
-    candidate,
-    model: RobotModel,
-    config: FecConfig,
-    current_foot=None,
-) -> bool:
-    """Kinematic-feasibility criterion for one candidate cell (i, j)."""
-    i, j = _check_candidate(fec_input.heightmap, candidate)
-    ev = _evaluator_for(fec_input, model, config, current_foot)
-    return bool(ev.kf_grid(fec_input.hip_height)[i, j])
-
-
-def eval_fc(
-    fec_input: FecInput,
-    candidate,
-    current_foot,
-    model: RobotModel,
-    config: FecConfig,
-) -> bool:
-    """Foot-trajectory-collision criterion for one candidate cell (i, j)."""
-    i, j = _check_candidate(fec_input.heightmap, candidate)
-    ev = _evaluator_for(fec_input, model, config, current_foot)
-    return bool(ev.fc[i, j])
+    ).evaluate(fec_input.hip_height)

@@ -159,9 +159,10 @@ def hip_height_from(z_b, roll, pitch, hip_offset) -> np.ndarray:
 
     z_h = z_b - x*sin(pitch) + y*cos(pitch)*sin(roll) + z*cos(pitch)*cos(roll).
     Yaw does not appear: the hip height is yaw-independent.  Vectorized over
-    any broadcastable pose-component arrays.
+    any broadcastable pose-component arrays; offsets stacked as (n_legs, 3)
+    broadcast along the pose components' last axis.
     """
-    x, y, z = float(hip_offset[0]), float(hip_offset[1]), float(hip_offset[2])
+    x, y, z = np.asarray(hip_offset, dtype=np.float64).T
     sg, cg = np.sin(pitch), np.cos(pitch)
     sb, cb = np.sin(roll), np.cos(roll)
     return z_b - x * sg + y * cg * sb + z * cg * cb

@@ -43,6 +43,7 @@ from .vpa import (
     HipHeightSet,
     PoseOptProblem,
     SafeFootholdFunction,
+    check_cost,
     fit_rbf,
     optimize_pose_receding,
 )
@@ -132,6 +133,13 @@ class Scenario:
             raise ConfigError("duration must be > 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        try:
+            check_cost(self.cost, self.margin)
+            robot_preset(self.robot)
+            self.build_terrain()
+            HipHeightSet(self.zh_min, self.zh_max, self.zh_count)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, values: dict) -> "Scenario":
@@ -516,6 +524,7 @@ def run_scenario(
         planner_rows.append(
             dict(
                 time=float(t),
+                x=float(base[0]),
                 u_z=float(ref[0]),
                 u_roll=float(ref[1]),
                 u_pitch=float(ref[2]),
@@ -646,9 +655,7 @@ def run_scenario(
     mean_total_nsf = float(np.mean(total_nsf)) if rows else 0.0
     dz, dpitch = [], []
     for a, b in zip(planner_rows[:-1], planner_rows[1:]):
-        xa = _row_at(rows, a["time"]).x
-        xb = _row_at(rows, b["time"]).x
-        dx = xb - xa
+        dx = b["x"] - a["x"]
         if abs(dx) > 1e-9:
             dz.append(abs((b["u_z"] - a["u_z"]) / dx))
             dpitch.append(abs((b["u_pitch"] - a["u_pitch"]) / dx))
@@ -674,11 +681,6 @@ def run_scenario(
     if out_dir is not None:
         write_outputs(metrics, out_dir)
     return metrics
-
-
-def _row_at(rows: list[StepRow], t: float) -> StepRow:
-    idx = min(range(len(rows)), key=lambda i: abs(rows[i].time - t))
-    return rows[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,16 @@ class TerrainMap:
 def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     """Deterministic hash of integer lattice coordinates to [0, 1)."""
     seed_mix = np.uint64((seed * 0x9E3779B97F4A7C15) % (1 << 64))
-    h = ix.astype(np.int64).view(np.uint64) * _GOLDEN
-    h ^= iy.astype(np.int64).view(np.uint64) * _MIX1
-    h += seed_mix
-    h ^= h >> np.uint64(30)
-    h *= _MIX1
-    h ^= h >> np.uint64(27)
-    h *= _MIX2
-    h ^= h >> np.uint64(31)
+    # uint64 wrap-around is the hash; numpy warns about it on scalar inputs.
+    with np.errstate(over="ignore"):
+        h = ix.astype(np.int64).view(np.uint64) * _GOLDEN
+        h ^= iy.astype(np.int64).view(np.uint64) * _MIX1
+        h += seed_mix
+        h ^= h >> np.uint64(30)
+        h *= _MIX1
+        h ^= h >> np.uint64(27)
+        h *= _MIX2
+        h ^= h >> np.uint64(31)
     return h.astype(np.float64) / float(2**64)
 
 
@@ -100,10 +102,9 @@ def _rough_height(t: TerrainMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     fy = gy - iy
     ix = ix.astype(np.int64)
     iy = iy.astype(np.int64)
-    h00 = _hash01(ix, iy, t.seed)
-    h10 = _hash01(ix + 1, iy, t.seed)
-    h01 = _hash01(ix, iy + 1, t.seed)
-    h11 = _hash01(ix + 1, iy + 1, t.seed)
+    h00, h10, h01, h11 = _hash01(
+        np.stack([ix, ix + 1, ix, ix + 1]), np.stack([iy, iy, iy + 1, iy + 1]), t.seed
+    )
     top = h00 * (1.0 - fx) + h10 * fx
     bot = h01 * (1.0 - fx) + h11 * fx
     val = top * (1.0 - fy) + bot * fy

@@ -1,5 +1,6 @@
 """Vision-based foothold adaptation: pick the safe foothold closest to the
-nominal touchdown point and adjust the swing trajectory to it."""
+nominal touchdown point; the swing trajectory is then re-targeted at it
+with :func:`vital.robot.swing_trajectory`."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fec import FecConfig, FecInput, SafetyGrid, count_safe, eval_fec
-from .robot import BodyTwist, GaitParams, RobotModel, SwingTrajectory, swing_trajectory
+from .robot import BodyTwist, GaitParams, RobotModel
 from .terrain import Heightmap
 
 FALLBACK_SELECTED = "selected"
@@ -93,9 +94,3 @@ def foothold_evaluation(
     grid = eval_fec(fec_input, model, config, current_foot=current_foot)
     return select_closest_safe(grid, hm, nominal)
 
-
-def adjust_trajectory(
-    decision: FootholdDecision, current_foot, apex_height: float
-) -> SwingTrajectory:
-    """Re-target the swing arc at the decided foothold."""
-    return swing_trajectory(current_foot, decision.optimal, apex_height)

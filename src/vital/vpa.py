@@ -5,10 +5,23 @@ every leg (pose evaluation), fit a Gaussian radial-basis function per leg
 (function approximation), then maximize a cost built from those functions
 over the body pose (height, roll, pitch) inside box constraints, either for
 a single step or over a receding horizon.
+
+Every cost is one stencil over a leg's function F at its hip height z:
+s = sum_k w_k F(z + o_k).  The stage cost is q s^2 summed over the legs, or
+multiplied over the legs for ``prod``:
+
+    cost         offsets o_k (m)    weights w_k
+    sum, prod    0                  1
+    int          -m, +m             m, m          (m: margin)
+    smooth       -1, 0, +1          1/2, 1/2, 1/2
+
+:func:`objective_batch` evaluates the objective and its gradient for a batch
+of poses in one pass over poses, horizon steps, legs and offsets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +69,6 @@ class SafeFootholdSamples:
     heights: np.ndarray
     counts: np.ndarray
 
-    def pairs(self, leg: int) -> list[tuple[float, int]]:
-        return [(float(z), int(n)) for z, n in zip(self.heights, self.counts[leg])]
-
 
 def pose_evaluation(
     heightmaps,
@@ -103,11 +113,15 @@ def rbf_centers_and_width(n_basis: int, z_min: float, z_max: float) -> tuple[np.
 @dataclass
 class SafeFootholdFunction:
     """Gaussian RBF model of the safe-foothold count vs hip height:
-    F(z) = sum_e w_e * exp(-0.5 ((z - c_e) / sigma)^2)."""
+    F(z) = sum_e w_e * exp(-0.5 ((z - c_e) / sigma)^2).
+
+    The parameters may also stack many models: weights and centers of shape
+    (..., n_basis) and one width per model, shape (...).
+    """
 
     weights: np.ndarray
     centers: np.ndarray
-    width: float
+    width: float | np.ndarray
 
     def design_matrix(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=np.float64))
@@ -120,12 +134,13 @@ class SafeFootholdFunction:
             return float(out[0])
         return out
 
-    def value_and_slope(self, z: float) -> tuple[float, float]:
-        r = (z - self.centers) / self.width
-        g = np.exp(-0.5 * r * r)
-        value = float(g @ self.weights)
-        slope = float((g * (-r / self.width)) @ self.weights)
-        return value, slope
+    def value_and_slope(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """F(z) and dF/dz elementwise over ``z``.  For stacked models the
+        trailing axes of ``z`` broadcast against the stack's shape."""
+        width = np.asarray(self.width)
+        r = (np.asarray(z)[..., None] - self.centers) / width[..., None]
+        g = self.weights * np.exp(-0.5 * r * r)
+        return g.sum(axis=-1), -(g * r).sum(axis=-1) / width
 
 
 def fit_rbf(
@@ -150,71 +165,38 @@ def fit_rbf(
     return f
 
 
-def fit_rbf_per_leg(samples: SafeFootholdSamples, n_basis: int = 30) -> list[SafeFootholdFunction]:
-    z = samples.heights
-    return [
-        fit_rbf(z, samples.counts[l], n_basis=n_basis, z_min=float(z[0]), z_max=float(z[-1]))
-        for l in range(samples.counts.shape[0])
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Cost functions
-# ---------------------------------------------------------------------------
-
-
-def cost_sum(functions, z_hips, q: float = 1.0) -> float:
-    """Sum of the squared per-leg function values, weighted by q."""
-    return float(sum(q * functions[l](z) ** 2 for l, z in enumerate(z_hips)))
-
-
-def cost_prod(functions, z_hips, q: float = 1.0) -> float:
-    """Product of the squared per-leg function values; weights every leg
-    equally so one starved leg zeroes the cost."""
-    out = 1.0
-    for l, z in enumerate(z_hips):
-        out *= q * functions[l](z) ** 2
-    return float(out)
-
-
-def cost_int(functions, z_hips, margin: float, q: float = 1.0) -> float:
-    """Sum of squared two-point quadratures of the function over
-    [z - margin, z + margin]; rewards poses that stay safe under a
-    tracking error of +/- margin."""
-    total = 0.0
-    for l, z in enumerate(z_hips):
-        integral = margin * (functions[l](z - margin) + functions[l](z + margin))
-        total += q * integral**2
-    return float(total)
-
-
-def cost_smooth(functions, z_hips, epsilon: int = 1, q: float = 1.0) -> float:
-    """Moving-average smoothing cost: squared mean of the function over
-    integer offsets in [-epsilon, epsilon], scaled by 1/(2 epsilon)."""
-    if epsilon < 1:
-        raise ValueError("epsilon must be >= 1")
-    total = 0.0
-    for l, z in enumerate(z_hips):
-        acc = sum(functions[l](z + i) for i in range(-epsilon, epsilon + 1))
-        total += q * (acc / (2.0 * epsilon)) ** 2
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # Pose optimization
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def check_cost(cost: str, margin: float) -> None:
+    """Raise ValueError unless ``cost`` is a known kind with a usable margin."""
+    if cost not in COST_KINDS:
+        raise ValueError(f"unknown cost kind {cost!r}")
+    if cost == "int" and not margin > 0:
+        raise ValueError("cost 'int' needs margin > 0")
+
+
+@dataclass(frozen=True)
 class PoseOptProblem:
     """Box-constrained pose maximization problem.
 
     ``functions`` holds one SafeFootholdFunction per leg for each horizon
-    step: shape [n_horizons][4].  The feasible box is the intersection of
-    the global pose bounds with the rate box around ``u_prev``.
+    step: shape [n_horizons][4], every function with the same number of
+    basis functions.  The feasible box is the intersection of the global
+    pose bounds with the rate box around ``u_prev``.
+
+    ``cost`` picks the per-leg stencil s = sum_k w_k F(z_hip + o_k), given
+    as (offsets o_k in m; weights w_k): sum and prod (0; 1), int (-margin,
+    +margin; margin, margin), smooth (-1, 0, +1; 1/2, 1/2, 1/2).  The stage
+    cost is q s^2 summed over the legs, or multiplied over them for prod.
+
+    The problem is frozen because ``rbf`` stacks ``functions`` once; derive
+    variants with :func:`dataclasses.replace`.
     """
 
-    functions: list
+    functions: tuple
     hip_offsets: np.ndarray
     u_prev: Pose
     u_min: np.ndarray = field(default_factory=lambda: DEFAULT_U_MIN.copy())
@@ -225,22 +207,22 @@ class PoseOptProblem:
     margin: float = 0.025
     q: float = 1.0
     smooth_weight: float = 10.0
-    epsilon: int = 1
+    # weights and centers (n_horizons, 4, n_basis), widths (n_horizons, 4)
+    rbf: SafeFootholdFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.hip_offsets = np.asarray(self.hip_offsets, dtype=np.float64)
-        self.u_min = np.asarray(self.u_min, dtype=np.float64)
-        self.u_max = np.asarray(self.u_max, dtype=np.float64)
-        self.du_min = np.asarray(self.du_min, dtype=np.float64)
-        self.du_max = np.asarray(self.du_max, dtype=np.float64)
-        if self.cost not in COST_KINDS:
-            raise ValueError(f"unknown cost kind {self.cost!r}")
-        if self.cost == "int" and self.margin <= 0:
-            raise ValueError("cost 'int' needs margin > 0")
+        check_cost(self.cost, self.margin)
+        for name in ("hip_offsets", "u_min", "u_max", "du_min", "du_max"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.u_min > self.u_max):
             raise ValueError("u_min must be <= u_max")
-        if self.functions and not isinstance(self.functions[0], (list, tuple)):
-            self.functions = [list(self.functions)]
+        layers = tuple(tuple(layer) for layer in self.functions)
+        object.__setattr__(self, "functions", layers)
+        stack = [
+            np.array([[getattr(f, name) for f in layer] for layer in layers], dtype=np.float64)
+            for name in ("weights", "centers", "width")
+        ]
+        object.__setattr__(self, "rbf", SafeFootholdFunction(*stack))
 
     @property
     def n_horizons(self) -> int:
@@ -271,139 +253,57 @@ def feasible_box(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray, bool]
     return lo, hi, False
 
 
-def _stage_cost_batch(problem: PoseOptProblem, j: int, u: np.ndarray) -> np.ndarray:
-    """Cost of horizon step j for a batch of poses, shape (n, 3) -> (n,)."""
-    funcs = problem.functions[j]
-    z = np.stack(
-        [hip_height_from(u[:, 0], u[:, 1], u[:, 2], off) for off in problem.hip_offsets],
-        axis=1,
-    )
-    q = problem.q
-    if problem.cost == "sum":
-        vals = np.stack([funcs[l](z[:, l]) for l in range(len(funcs))], axis=1)
-        return q * (vals**2).sum(axis=1)
-    if problem.cost == "prod":
-        vals = np.stack([funcs[l](z[:, l]) for l in range(len(funcs))], axis=1)
-        return np.prod(q * vals**2, axis=1)
+def _stencil(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets o_k and weights w_k of the per-leg sum s = sum_k w_k F(z + o_k)."""
     if problem.cost == "int":
-        m = problem.margin
-        total = np.zeros(u.shape[0])
-        for l in range(len(funcs)):
-            integral = m * (funcs[l](z[:, l] - m) + funcs[l](z[:, l] + m))
-            total += q * integral**2
-        return total
-    # smooth
-    eps = problem.epsilon
-    total = np.zeros(u.shape[0])
-    for l in range(len(funcs)):
-        acc = np.zeros(u.shape[0])
-        for i in range(-eps, eps + 1):
-            acc += funcs[l](z[:, l] + i)
-        total += q * (acc / (2.0 * eps)) ** 2
-    return total
+        return problem.margin * np.array([-1.0, 1.0]), np.full(2, problem.margin)
+    if problem.cost == "smooth":
+        return np.array([-1.0, 0.0, 1.0]), np.full(3, 0.5)
+    return np.zeros(1), np.ones(1)
 
 
-def objective_batch(problem: PoseOptProblem, U: np.ndarray) -> np.ndarray:
-    """Full objective for a batch of stacked decision vectors (n, 3*N_h):
-    summed per-horizon costs minus the weighted squared deviation between
-    consecutive poses."""
+def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and its gradient for a batch of stacked pose vectors.
+
+    ``U`` has shape (n, 3*N_h): the poses (z_b, roll, pitch) of horizon
+    steps 0..N_h-1 side by side.  The objective is the summed stage costs
+    minus ``smooth_weight`` times the squared deviation between consecutive
+    poses.  Returns values (n,) and gradients (n, 3*N_h).
+    """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    n_h = problem.n_horizons
-    total = np.zeros(U.shape[0])
-    for j in range(n_h):
-        total += _stage_cost_batch(problem, j, U[:, 3 * j : 3 * j + 3])
-    for j in range(n_h - 1):
-        d = U[:, 3 * j : 3 * j + 3] - U[:, 3 * (j + 1) : 3 * (j + 1) + 3]
-        total -= problem.smooth_weight * (d**2).sum(axis=1)
-    return total
+    n, n_h = U.shape[0], problem.n_horizons
+    P = U.reshape(n, n_h, 3)
+    # Pose components (n, N_h, 1); the legs broadcast along the last axis.
+    z_b, roll, pitch = P[..., 0, None], P[..., 1, None], P[..., 2, None]
+    z = hip_height_from(z_b, roll, pitch, problem.hip_offsets)
 
-
-def _hip_heights_and_jac(problem: PoseOptProblem, u: np.ndarray):
-    """Per-leg hip heights and their gradients w.r.t. (z_b, roll, pitch)."""
-    z_b, roll, pitch = u
-    sb, cb = math.sin(roll), math.cos(roll)
-    sg, cg = math.sin(pitch), math.cos(pitch)
-    z = []
-    jac = []
-    for off in problem.hip_offsets:
-        x, y, zo = off
-        z.append(z_b - x * sg + y * cg * sb + zo * cg * cb)
-        jac.append(
-            (1.0, y * cg * cb - zo * cg * sb, -x * cg - y * sg * sb - zo * sg * cb)
-        )
-    return np.array(z), np.array(jac)
-
-
-def _stage_value_grad(problem: PoseOptProblem, j: int, u: np.ndarray):
-    """Stage cost and its 3-gradient at one pose."""
-    funcs = problem.functions[j]
-    z, jac = _hip_heights_and_jac(problem, u)
-    q = problem.q
-    n = len(funcs)
-    if problem.cost == "sum":
-        value = 0.0
-        grad = np.zeros(3)
-        for l in range(n):
-            f, df = funcs[l].value_and_slope(z[l])
-            value += q * f * f
-            grad += 2.0 * q * f * df * jac[l]
-        return value, grad
+    offsets, weights = _stencil(problem)
+    f, df = problem.rbf.value_and_slope(z + offsets[:, None, None, None])  # (K, n, N_h, 4)
+    s = (weights @ f.reshape(len(weights), -1)).reshape(z.shape)
+    ds = (weights @ df.reshape(len(weights), -1)).reshape(z.shape)
+    term = problem.q * s * s
+    dterm = 2.0 * problem.q * s * ds  # d term / d z_hip
     if problem.cost == "prod":
-        terms = np.empty(n)
-        dterms = np.empty(n)
-        for l in range(n):
-            f, df = funcs[l].value_and_slope(z[l])
-            terms[l] = q * f * f
-            dterms[l] = 2.0 * q * f * df
-        value = float(np.prod(terms))
-        grad = np.zeros(3)
-        for l in range(n):
-            others = float(np.prod(np.delete(terms, l)))
-            grad += others * dterms[l] * jac[l]
-        return value, grad
-    if problem.cost == "int":
-        m = problem.margin
-        value = 0.0
-        grad = np.zeros(3)
-        for l in range(n):
-            f1, d1 = funcs[l].value_and_slope(z[l] - m)
-            f2, d2 = funcs[l].value_and_slope(z[l] + m)
-            integral = m * (f1 + f2)
-            value += q * integral * integral
-            grad += 2.0 * q * integral * m * (d1 + d2) * jac[l]
-        return value, grad
-    # smooth
-    eps = problem.epsilon
-    value = 0.0
-    grad = np.zeros(3)
-    for l in range(n):
-        acc = 0.0
-        dacc = 0.0
-        for i in range(-eps, eps + 1):
-            f, df = funcs[l].value_and_slope(z[l] + i)
-            acc += f
-            dacc += df
-        s = acc / (2.0 * eps)
-        value += q * s * s
-        grad += 2.0 * q * s * (dacc / (2.0 * eps)) * jac[l]
-    return value, grad
+        others = np.where(np.eye(term.shape[-1], dtype=bool), 1.0, term[..., None, :])
+        dterm = dterm * others.prod(axis=-1)
+        stage = term.prod(axis=-1)
+    else:
+        stage = term.sum(axis=-1)
 
+    # Chain rule through the hip heights: dz/dz_b = 1, then roll and pitch.
+    x, y, zo = problem.hip_offsets.T
+    sb, cb, sg, cg = np.sin(roll), np.cos(roll), np.sin(pitch), np.cos(pitch)
+    grad = np.empty((n, n_h, 3))
+    grad[..., 0] = dterm.sum(axis=-1)
+    grad[..., 1] = (dterm * (y * cg * cb - zo * cg * sb)).sum(axis=-1)
+    grad[..., 2] = (dterm * (-x * cg - y * sg * sb - zo * sg * cb)).sum(axis=-1)
 
-def _negative_objective_and_grad(problem: PoseOptProblem, x: np.ndarray):
-    n_h = problem.n_horizons
-    value = 0.0
-    grad = np.zeros(3 * n_h)
-    for j in range(n_h):
-        v, g = _stage_value_grad(problem, j, x[3 * j : 3 * j + 3])
-        value += v
-        grad[3 * j : 3 * j + 3] += g
     lam = problem.smooth_weight
-    for j in range(n_h - 1):
-        d = x[3 * j : 3 * j + 3] - x[3 * (j + 1) : 3 * (j + 1) + 3]
-        value -= lam * float(d @ d)
-        grad[3 * j : 3 * j + 3] -= 2.0 * lam * d
-        grad[3 * (j + 1) : 3 * (j + 1) + 3] += 2.0 * lam * d
-    return -value, -grad
+    d = P[:, :-1] - P[:, 1:]
+    value = stage.sum(axis=-1) - lam * (d * d).sum(axis=(1, 2))
+    grad[:, :-1] -= 2.0 * lam * d
+    grad[:, 1:] += 2.0 * lam * d
+    return value, grad.reshape(n, 3 * n_h)
 
 
 def _coarse_grid(lo: np.ndarray, hi: np.ndarray, max_pts: int = 13) -> np.ndarray:
@@ -423,22 +323,18 @@ def _polish(problem: PoseOptProblem, seeds: np.ndarray, lo: np.ndarray, hi: np.n
     hi_full = np.tile(hi, n_h)
     bounds = list(zip(lo_full, hi_full))
 
-    best_x = None
-    best_f = -np.inf
-    for seed in seeds:
-        res = minimize(
-            lambda x: _negative_objective_and_grad(problem, x),
-            seed,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-        )
-        cand = np.clip(res.x, lo_full, hi_full)
-        val = float(objective_batch(problem, cand[None, :])[0])
-        if val > best_f + 1e-15:
-            best_f = val
-            best_x = cand
-    return best_x, best_f
+    def negative(x):
+        value, grad = objective_batch(problem, x[None, :])
+        return -value[0], -grad[0]
+
+    ends = [minimize(negative, seed, method="L-BFGS-B", jac=True, bounds=bounds).x for seed in seeds]
+    ends = np.clip(ends, lo_full, hi_full)
+    values = objective_batch(problem, ends)[0]
+    best = 0
+    for k in range(1, len(values)):
+        if values[k] > values[best] + 1e-15:
+            best = k
+    return ends[best], float(values[best])
 
 
 def optimize_pose_single(problem: PoseOptProblem) -> PoseOptResult:
@@ -452,7 +348,7 @@ def optimize_pose_single(problem: PoseOptProblem) -> PoseOptResult:
         raise ValueError("single-horizon problem expected")
     lo, hi, clamped = feasible_box(problem)
     grid = _coarse_grid(lo, hi)
-    vals = objective_batch(problem, grid)
+    vals = objective_batch(problem, grid)[0]
     order = np.argsort(vals)[::-1]
     seeds = [grid[k] for k in order[:6]]
     seeds.append(np.clip(problem.u_prev.as_array(), lo, hi))
@@ -471,29 +367,12 @@ def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
     lo, hi, clamped = feasible_box(problem)
 
     # Per-horizon solo optima seed the joint search.
-    solos = []
-    for j in range(n_h):
-        sub = PoseOptProblem(
-            functions=[problem.functions[j]],
-            hip_offsets=problem.hip_offsets,
-            u_prev=problem.u_prev,
-            u_min=problem.u_min,
-            u_max=problem.u_max,
-            du_min=problem.du_min,
-            du_max=problem.du_max,
-            cost=problem.cost,
-            margin=problem.margin,
-            q=problem.q,
-            smooth_weight=problem.smooth_weight,
-            epsilon=problem.epsilon,
-        )
-        solos.append(optimize_pose_single(sub).poses[0].as_array())
-
-    seeds = [np.concatenate(solos)]
-    for s in solos:
-        seeds.append(np.tile(s, n_h))
-    seeds.append(np.tile(np.clip(problem.u_prev.as_array(), lo, hi), n_h))
-    seeds.append(np.tile((lo + hi) / 2.0, n_h))
+    solos = [
+        optimize_pose_single(dataclasses.replace(problem, functions=[layer])).poses[0].as_array()
+        for layer in problem.functions
+    ]
+    seeds = [np.concatenate(solos), *(np.tile(s, n_h) for s in solos)]
+    seeds += [np.tile(np.clip(problem.u_prev.as_array(), lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
 
     best_x, best_f = _polish(problem, np.array(seeds), lo, hi)
     poses = [Pose.from_array(best_x[3 * j : 3 * j + 3]) for j in range(n_h)]

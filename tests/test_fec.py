@@ -7,10 +7,7 @@ from vital.fec import (
     FecInput,
     count_safe,
     erode_safe_set,
-    eval_fc,
     eval_fec,
-    eval_kf,
-    eval_lc,
     eval_tr,
 )
 from vital.robot import BodyTwist, GaitParams
@@ -22,6 +19,12 @@ from naive_fec import NaiveFec, naive_tr
 def make_input(terrain, center, z_h, twist, gait, h=33, yaw=0.0):
     hm = extract_heightmap(terrain, center, yaw, h_x=h, h_y=h)
     return FecInput(hm, z_h, center, twist, gait)
+
+
+def evaluator(inp, model, config, current_foot=None):
+    return FecEvaluator(
+        inp.heightmap, inp.hip_world_xy, inp.twist, inp.gait, model, config, current_foot=current_foot
+    )
 
 
 class TestTerrainRoughness:
@@ -78,16 +81,15 @@ class TestErosion:
 class TestCriteriaOnFlat:
     def test_lc_true_everywhere_nominal(self, flat, model, config, zero_twist, gait):
         inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
+        lc = evaluator(inp, model, config).lc_grid(inp.hip_height)
         for i in (0, 4, 8):
             for j in (0, 4, 8):
-                assert eval_lc(inp, (i, j), model, config)
+                assert lc[i, j]
 
     def test_lc_zero_clearance_flat(self, flat, model, zero_twist, gait):
         config = FecConfig(lc_clearance=0.0)
         inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
-        assert all(
-            eval_lc(inp, (i, j), model, config) for i in range(9) for j in range(9)
-        )
+        assert evaluator(inp, model, config).lc_grid(inp.hip_height).all()
 
     def test_lc_riser_lip_rejected(self, model, config):
         # candidate just before a riser; by the next lift-off the hip has
@@ -99,7 +101,8 @@ class TestCriteriaOnFlat:
         inp = FecInput(hm, 0.42, (-0.15, 0.0), twist, gait)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
-        ok = eval_lc(inp, (4, 4), model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
+        ev = evaluator(inp, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
+        ok = ev.lc_grid(inp.hip_height)[4, 4]
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + 0.6), 0.0, 0.42])
         foot = np.array([0.06, 0.0, 0.0])
@@ -118,13 +121,11 @@ class TestCriteriaOnFlat:
     def test_kf_under_hip_true(self, flat, model, config, zero_twist, gait):
         mid = (model.r_min + model.r_max) / 2
         inp = make_input(flat, (0.0, 0.0), mid, zero_twist, gait, h=9)
-        assert eval_kf(inp, (4, 4), model, config)
+        assert evaluator(inp, model, config).kf_grid(inp.hip_height)[4, 4]
 
     def test_kf_beyond_shell_false(self, flat, model, config, zero_twist, gait):
         inp = make_input(flat, (0.0, 0.0), 1.9, zero_twist, gait, h=9)
-        assert not any(
-            eval_kf(inp, (i, j), model, config) for i in range(9) for j in range(9)
-        )
+        assert not evaluator(inp, model, config).kf_grid(inp.hip_height).any()
 
     def test_kf_sunken_tread_out_of_reach(self, model, config, zero_twist, gait):
         # a tread 0.10 m below the surroundings pushes touchdown past r_max
@@ -135,14 +136,12 @@ class TestCriteriaOnFlat:
         assert len(low) > 0
         inp = FecInput(hm, 0.74, (-9.8, 0.0), zero_twist, gait)
         i, j = low[0]
-        assert not eval_kf(inp, (int(i), int(j)), model, config)
+        assert not evaluator(inp, model, config).kf_grid(inp.hip_height)[i, j]
 
     def test_fc_flat_all_clear(self, flat, model, config, zero_twist, gait):
         inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
         foot = np.array([0.0, 0.0, 0.0])
-        assert all(
-            eval_fc(inp, (i, j), foot, model, config) for i in range(9) for j in range(9)
-        )
+        assert evaluator(inp, model, config, foot).fc.all()
 
     def test_fc_tall_riser_blocks_arc(self, model, config, zero_twist, gait):
         # a wall taller than the arc apex between the foot and the candidate
@@ -153,17 +152,11 @@ class TestCriteriaOnFlat:
         foot = np.array([-0.06, 0.0, 0.0])
         # candidate on ground level beyond the wall: the arc must cross it
         assert hm.cells[31, 16] == 0.0
-        assert not eval_fc(inp, (31, 16), foot, model, config)
+        fc = evaluator(inp, model, config, foot).fc
+        assert not fc[31, 16]
         # a nearby candidate on the same side as the foot stays clear
         assert hm.cells[14, 16] == 0.0
-        assert eval_fc(inp, (14, 16), foot, model, config)
-
-    def test_candidate_bounds_checked(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
-        with pytest.raises(ValueError, match="candidate outside heightmap"):
-            eval_kf(inp, (9, 0), model, config)
-        with pytest.raises(ValueError, match="candidate outside heightmap"):
-            eval_lc(inp, (-1, 0), model, config)
+        assert fc[14, 16]
 
 
 class TestEvalFec:

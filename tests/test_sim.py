@@ -176,6 +176,16 @@ class TestCli:
         cfg.write_text("nonsense=1\n")
         assert cli_main(["run", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "values",
+        ["cost=max", "cost=int\nmargin=0", "robot=spot", "terrain_kind=lava", "zh_count=1"],
+    )
+    def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(values + "\nduration=1\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_compare_cli(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from vital.fec import SafetyGrid
-from vital.robot import BodyTwist, GaitParams
+from vital.robot import BodyTwist, GaitParams, swing_trajectory
 from vital.terrain import extract_heightmap
 from vital.vfa import (
     FALLBACK_NO_SAFE_CELL,
     FALLBACK_SELECTED,
     VfaInput,
-    adjust_trajectory,
     foothold_evaluation,
     select_closest_safe,
 )
@@ -143,20 +142,9 @@ class TestAdjustTrajectory:
 
         d = FootholdDecision(np.array([0.3, 0.1, 0.05]), 10, FALLBACK_SELECTED, (1, 2))
         foot = np.array([0.1, 0.1, 0.0])
-        traj = adjust_trajectory(d, foot, 0.12)
+        traj = swing_trajectory(foot, d.optimal, 0.12)
         np.testing.assert_array_equal(traj.p_lo, foot)
         np.testing.assert_array_equal(traj.p_td, d.optimal)
-
-    def test_unchanged_nominal_same_trajectory(self):
-        from vital.robot import swing_trajectory
-        from vital.vfa import FootholdDecision
-
-        nominal = np.array([0.25, 0.0, 0.0])
-        foot = np.array([0.05, 0.0, 0.0])
-        d = FootholdDecision(nominal, 5, FALLBACK_SELECTED, (4, 4))
-        a = adjust_trajectory(d, foot, 0.12).samples(9)
-        b = swing_trajectory(foot, nominal, 0.12).samples(9)
-        np.testing.assert_array_equal(a, b)
 
     def test_shifted_touchdown_shifts_endpoint_only(self):
         from vital.vfa import FootholdDecision
@@ -164,7 +152,7 @@ class TestAdjustTrajectory:
         foot = np.array([0.0, 0.0, 0.0])
         d1 = FootholdDecision(np.array([0.3, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
         d2 = FootholdDecision(np.array([0.32, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
-        t1 = adjust_trajectory(d1, foot, 0.12)
-        t2 = adjust_trajectory(d2, foot, 0.12)
+        t1 = swing_trajectory(foot, d1.optimal, 0.12)
+        t2 = swing_trajectory(foot, d2.optimal, 0.12)
         assert t2.p_td[0] - t1.p_td[0] == pytest.approx(0.02)
         assert t1.point_at(0.5)[2] == pytest.approx(t2.point_at(0.5)[2])

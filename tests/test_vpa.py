@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,6 @@ from vital.vpa import (
     HipHeightSet,
     PoseOptProblem,
     SafeFootholdFunction,
-    cost_int,
-    cost_prod,
-    cost_smooth,
-    cost_sum,
     fit_rbf,
     objective_batch,
     optimize_pose_receding,
@@ -51,7 +48,10 @@ def dense_grid_best(problem, step=0.005):
         axes.append(ax)
     zz, bb, gg = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([zz.ravel(), bb.ravel(), gg.ravel()], axis=1)
-    vals = objective_batch(problem, pts)
+    # in chunks, to bound the kernel's per-row temporaries
+    vals = np.concatenate(
+        [objective_batch(problem, pts[i : i + 65536])[0] for i in range(0, len(pts), 65536)]
+    )
     k = int(np.argmax(vals))
     return float(vals[k]), pts[k]
 
@@ -129,38 +129,61 @@ class TestFitRbf:
             assert f(0.5 - dz) == pytest.approx(f(0.5 + dz), abs=1e-12)
 
 
+def stage_cost(funcs, cost="sum", **kw):
+    """Objective of one horizon step at the level pose that puts every hip
+    at 0.5 m (hip z-offset -0.1)."""
+    prob = PoseOptProblem(
+        functions=[funcs], hip_offsets=HIP_OFFSETS, u_prev=Pose(0.6), cost=cost, **kw
+    )
+    return float(objective_batch(prob, [0.6, 0.0, 0.0])[0][0])
+
+
 class TestCosts:
     def test_sum_of_unit_functions(self):
         funcs = [constant(1.0) for _ in range(4)]
-        z = [0.5, 0.5, 0.5, 0.5]
-        assert cost_sum(funcs, z) == pytest.approx(4.0, abs=1e-6)
+        assert stage_cost(funcs, "sum") == pytest.approx(4.0, abs=1e-6)
 
     def test_int_two_point_quadrature(self):
         funcs = [constant(1.0) for _ in range(4)]
-        z = [0.5] * 4
         # per-leg integral ~ m * (1 + 1) = 0.05, squared = 0.0025, x4 legs
-        assert cost_int(funcs, z, margin=0.025) == pytest.approx(0.01, abs=1e-6)
+        assert stage_cost(funcs, "int", margin=0.025) == pytest.approx(0.01, abs=1e-6)
 
     def test_prod_zeroes_on_starved_leg(self):
         one = constant(1.0)
         zero = constant(0.0)
         funcs = [zero, one, one, one]
-        z = [0.5] * 4
-        assert cost_prod(funcs, z) == pytest.approx(0.0, abs=1e-9)
-        assert cost_sum(funcs, z) == pytest.approx(3.0, abs=1e-6)
+        assert stage_cost(funcs, "prod") == pytest.approx(0.0, abs=1e-9)
+        assert stage_cost(funcs, "sum") == pytest.approx(3.0, abs=1e-6)
 
     def test_smooth_moving_average(self):
         # a bump so narrow the +-1 m offsets contribute nothing
         funcs = [bump(0.5, height=1.0, width=0.05) for _ in range(4)]
-        z = [0.5] * 4
-        val = cost_smooth(funcs, z, epsilon=1)
         expected = 4 * ((1.0 / 2.0) ** 2)
-        assert val == pytest.approx(expected, rel=1e-6)
+        assert stage_cost(funcs, "smooth") == pytest.approx(expected, rel=1e-6)
 
     def test_q_scales(self):
         funcs = [constant(1.0) for _ in range(4)]
-        z = [0.5] * 4
-        assert cost_sum(funcs, z, q=2.0) == pytest.approx(8.0, abs=1e-5)
+        assert stage_cost(funcs, "sum", q=2.0) == pytest.approx(8.0, abs=1e-5)
+
+    @pytest.mark.parametrize("n_h", [1, 2])
+    @pytest.mark.parametrize("cost", ["sum", "prod", "int", "smooth"])
+    def test_gradient_matches_central_differences(self, cost, n_h):
+        rng = np.random.default_rng(11)
+        centers, width = rbf_centers_and_width(10, 0.2, 0.8)
+        layers = [
+            [SafeFootholdFunction(rng.uniform(0.5, 3.0, 10), centers, width) for _ in range(4)]
+            for _ in range(n_h)
+        ]
+        prob = PoseOptProblem(
+            functions=layers, hip_offsets=HIP_OFFSETS, u_prev=Pose(0.5), cost=cost
+        )
+        u = np.tile([0.55, 0.0, 0.0], n_h) + rng.uniform(-0.1, 0.1, 3 * n_h)
+        _, grad = objective_batch(prob, u)
+        h = 1e-6
+        steps = h * np.eye(3 * n_h)
+        numeric = (objective_batch(prob, u + steps)[0] - objective_batch(prob, u - steps)[0]) / (2 * h)
+        assert np.abs(numeric).max() > 0
+        np.testing.assert_allclose(grad[0], numeric, rtol=1e-5, atol=1e-6 * np.abs(numeric).max())
 
 
 class TestPoseEvaluation:
@@ -318,17 +341,19 @@ class TestOptimizeReceding:
             b = [bump(rng.uniform(0.4, 0.6), height=rng.uniform(80, 300)) for _ in range(4)]
             prev = Pose(0.5, 0.0, 0.0)
             prob = self.make([a, b], u_prev=prev, du=0.03, smooth=10.0, cost="int")
-            prob.margin = 0.025
+            prob = dataclasses.replace(prob, margin=0.025)
             res = optimize_pose_receding(prob)
             # oracle: dense grid over pose pairs using precomputed stage costs
-            from vital.vpa import _stage_cost_batch, feasible_box
+            from vital.vpa import feasible_box
 
             lo, hi, _ = feasible_box(prob)
             axes = [lo[d] + 0.005 * np.arange(int((hi[d] - lo[d]) / 0.005) + 1) for d in range(3)]
             zz, bb, gg = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([zz.ravel(), bb.ravel(), gg.ravel()], axis=1)
-            c1 = _stage_cost_batch(prob, 0, pts)
-            c2 = _stage_cost_batch(prob, 1, pts)
+            c1, c2 = (
+                objective_batch(dataclasses.replace(prob, functions=[layer]), pts)[0]
+                for layer in prob.functions
+            )
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
             total = c1[:, None] + c2[None, :] - prob.smooth_weight * d2
             best = float(total.max())
