@@ -25,7 +25,6 @@ class RobotModel:
     r_min: float = 0.30
     r_max: float = 0.75
     foot_radius: float = 0.02
-    leg_clearance: float = 0.02
     default_step_height: float = 0.12
 
     def __post_init__(self):
@@ -36,8 +35,8 @@ class RobotModel:
             raise ValueError("hip_offsets must be a 4x3 array (LF, RF, LH, RH)")
         if not (0 < self.r_min < self.r_max):
             raise ValueError("workspace shell needs 0 < r_min < r_max")
-        if self.foot_radius <= 0 or self.leg_clearance < 0:
-            raise ValueError("foot_radius > 0 and leg_clearance >= 0 required")
+        if self.foot_radius <= 0:
+            raise ValueError("foot_radius must be > 0")
         y = self.hip_offsets[:, 1]
         if not (
             math.isclose(abs(y[0]), abs(y[1]), abs_tol=1e-9)
@@ -59,7 +58,6 @@ _PRESETS = {
         r_min=0.30,
         r_max=0.75,
         foot_radius=0.02,
-        leg_clearance=0.02,
         default_step_height=0.12,
     ),
     "hyqreal-like": dict(
@@ -72,7 +70,6 @@ _PRESETS = {
         r_min=0.32,
         r_max=0.85,
         foot_radius=0.025,
-        leg_clearance=0.02,
         default_step_height=0.14,
     ),
 }
@@ -220,21 +217,14 @@ class SwingTrajectory:
             raise ValueError("apex_height must be >= 0")
 
     def point_at(self, s: float) -> np.ndarray:
+        """The arc point at swing phase ``s`` in [0, 1]; the ends are p_lo
+        and p_td exactly."""
         s = float(np.clip(s, 0.0, 1.0))
+        if s == 1.0:
+            return self.p_td.copy()
         xy = self.p_lo[:2] + (self.p_td[:2] - self.p_lo[:2]) * s
         z = swing_arc_z(self.p_lo[2], self.p_td[2], s, self.apex_height)
         return np.array([xy[0], xy[1], float(z)])
-
-    def samples(self, n: int) -> np.ndarray:
-        """n points along the arc; first is p_lo exactly, last is p_td exactly."""
-        if n < 2:
-            raise ValueError("need at least 2 samples")
-        s = np.linspace(0.0, 1.0, n)
-        pts = self.p_lo[None, :] + (self.p_td - self.p_lo)[None, :] * s[:, None]
-        pts[:, 2] = swing_arc_z(self.p_lo[2], self.p_td[2], s, self.apex_height)
-        pts[0] = self.p_lo
-        pts[-1] = self.p_td
-        return pts
 
 
 def swing_trajectory(p_lo, p_td, apex_height: float) -> SwingTrajectory:

@@ -1,11 +1,19 @@
 """Quasi-kinematic gait simulator and experiment driver.
 
-The loop schedules trot/crawl gaits, advances the base under a commanded
-twist, tracks planner pose references through a first-order lag, runs the
-foothold adaptation at every lift-off and the active pose planner at the
-planner rate, and logs the per-tick metrics used by the paired-run
-comparisons.  No contact dynamics: stance feet are world-fixed and the base
-height equals the tracked pose.
+:func:`run_scenario` is a plain tick loop over small functions.  Each tick
+it schedules the trot/crawl gait, picks a touchdown target at every
+lift-off (:func:`foothold_decision`), moves the swing feet along their
+arcs, runs the planner update at the planner rate (:func:`planner_update`),
+tracks the pose reference through a first-order lag, runs the collision and
+workspace detectors (:func:`detect_events`) and logs one step row;
+:func:`aggregate` turns the logs into the run metrics.  No contact
+dynamics: stance feet are world-fixed and the base height equals the
+tracked pose.
+
+Pose evaluation sweeps the hip-height set relative to the ground under the
+centre cell of each leg's heightmap (:func:`vital.vpa.pose_evaluation`).
+The planner uses that per-leg ground for the RBF range, the held NSF and
+the shift of the pose box.
 """
 
 from __future__ import annotations
@@ -14,10 +22,13 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .fec import FecConfig, FecEvaluator, eval_fec, FecInput
+# eval_fec is not called here; it stays importable as vital.sim.eval_fec
+# because perfbench/tracer.py wraps that name.
+from .fec import FecConfig, SafetyGrid, eval_fec  # noqa: F401
 from .robot import (
     BodyTwist,
     GaitParams,
@@ -32,20 +43,22 @@ from .robot import (
     swing_trajectory,
 )
 from .tbr import tbr_pose
-from .terrain import TerrainMap, extract_heightmap, sample_height
+from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
 from .vfa import (
     FALLBACK_KEPT_NOMINAL_UNSAFE,
     FALLBACK_NO_SAFE_CELL,
+    FootholdDecision,
     VfaInput,
     foothold_evaluation,
 )
 from .vpa import (
     HipHeightSet,
     PoseOptProblem,
-    SafeFootholdFunction,
     check_cost,
     fit_rbf,
     optimize_pose_receding,
+    pose_evaluation,
+    rbf_centers_and_width,
 )
 
 GAITS = ("trot", "crawl")
@@ -127,17 +140,22 @@ class Scenario:
             raise ConfigError(f"unknown gait {self.gait!r}")
         if self.planner not in PLANNERS:
             raise ConfigError(f"unknown planner {self.planner!r}")
-        if self.planner_rate <= 0 or self.tick_rate <= 0:
-            raise ConfigError("planner_rate and tick_rate must be > 0")
-        if self.duration <= 0:
-            raise ConfigError("duration must be > 0")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{f.name} is NaN")
+        for name in ("duration", "planner_rate", "tick_rate"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         try:
             check_cost(self.cost, self.margin)
             robot_preset(self.robot)
             self.build_terrain()
+            check_patch_shape(self.map_cells, self.map_cells, self.map_resolution)
             HipHeightSet(self.zh_min, self.zh_max, self.zh_count)
+            rbf_centers_and_width(self.rbf_count, self.zh_min, self.zh_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -150,9 +168,7 @@ class Scenario:
                 raise ConfigError(f"unknown scenario key {key!r}")
             default = known[key].default
             try:
-                if isinstance(default, bool):
-                    kwargs[key] = raw in ("1", "true", "yes")
-                elif isinstance(default, int):
+                if isinstance(default, int):
                     kwargs[key] = int(raw)
                 elif isinstance(default, float):
                     kwargs[key] = float(raw)
@@ -253,18 +269,243 @@ def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float, tau: float)
     return reference + (actual - reference) * alpha
 
 
+class RunSetup:
+    """What a run derives once from its scenario."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.terrain = scenario.build_terrain()
+        self.model = robot_preset(scenario.robot)
+        self.fec_config = FecConfig()
+        duty = scenario.duty_factor if scenario.duty_factor > 0 else _GAIT_DUTY[scenario.gait]
+        freq = scenario.step_frequency
+        # t_remaining is set per use
+        self.gait = GaitParams(math.hypot(scenario.vx, scenario.vy) / freq, freq, duty)
+        self.heights = HipHeightSet(scenario.zh_min, scenario.zh_max, scenario.zh_count)
+        self.apex = scenario.step_height if scenario.step_height > 0 else self.model.default_step_height
+        self.u_min = np.array([scenario.u_z_min, -scenario.u_roll_max, -scenario.u_pitch_max])
+        self.u_max = np.array([scenario.u_z_max, scenario.u_roll_max, scenario.u_pitch_max])
+        self.du = np.array([scenario.du_z, scenario.du_roll, scenario.du_pitch])
+        extent = scenario.map_cells * scenario.map_resolution
+        self.delta_h = scenario.delta_h if scenario.delta_h > 0 else extent / 2.0
+
+    def twist(self, yaw: float) -> BodyTwist:
+        """The commanded body twist in the world frame at heading ``yaw``."""
+        sc = self.scenario
+        c, s = math.cos(yaw), math.sin(yaw)
+        vw = np.array([c * sc.vx - s * sc.vy, s * sc.vx + c * sc.vy, 0.0])
+        return BodyTwist(vw, np.array([0.0, 0.0, sc.yaw_rate]))
+
+    def heightmap(self, center, yaw: float) -> Heightmap:
+        cells = self.scenario.map_cells
+        return extract_heightmap(
+            self.terrain,
+            (center[0], center[1]),
+            yaw=yaw,
+            h_x=cells,
+            h_y=cells,
+            resolution=self.scenario.map_resolution,
+        )
+
+    def hips_world(self, base: np.ndarray, pose: np.ndarray, yaw: float) -> np.ndarray:
+        rot = rotation_matrix(pose[1], pose[2], yaw)
+        origin = np.array([base[0], base[1], pose[0]])
+        return origin[None, :] + (rot @ self.model.hip_offsets.T).T
+
+
 class _LegState:
-    __slots__ = ("foot", "stance", "trajectory", "target")
+    __slots__ = ("foot", "trajectory", "target")
 
     def __init__(self, foot: np.ndarray):
         self.foot = foot
-        self.stance = True
         self.trajectory: SwingTrajectory | None = None
         self.target = foot.copy()
 
 
-def _leg_phases(t: float, phase0: float, freq: float, offsets) -> np.ndarray:
-    return np.mod(phase0 + t * freq + np.asarray(offsets), 1.0)
+def foothold_decision(
+    setup: RunSetup, leg: int, t: float, hip: np.ndarray, foot: np.ndarray, yaw: float, t_remaining: float
+) -> tuple[FootholdDecision, dict]:
+    """VFA at one lift-off: the decision and its ``footholds.csv`` row."""
+    twist = setup.twist(yaw)
+    gait = dataclasses.replace(setup.gait, t_remaining=t_remaining)
+    nominal = nominal_foothold(hip, twist, gait, setup.terrain)
+    hm = setup.heightmap(nominal, yaw)
+    vfa_in = VfaInput(hm, float(hip[2]), twist, gait, nominal)
+    decision = foothold_evaluation(vfa_in, setup.model, setup.fec_config, current_foot=foot)
+    row = dict(
+        time=float(t),
+        leg=LEG_NAMES[leg],
+        nominal_x=float(nominal[0]),
+        nominal_y=float(nominal[1]),
+        nominal_z=float(nominal[2]),
+        optimal_x=float(decision.optimal[0]),
+        optimal_y=float(decision.optimal[1]),
+        optimal_z=float(decision.optimal[2]),
+        n_sf=decision.safe_count,
+        fallback=decision.fallback,
+    )
+    return decision, row
+
+
+class PlannerUpdate(NamedTuple):
+    ref: np.ndarray  # pose reference (z_b, roll, pitch)
+    row: dict  # planner.csv row
+    nsf: tuple  # per-leg safe-foothold count at the tracked pose, held until the next update
+    envelope_error: float
+    functions: list  # fitted SafeFootholdFunction per horizon step and leg
+
+
+def planner_update(
+    setup: RunSetup,
+    t: float,
+    base: np.ndarray,
+    yaw: float,
+    actual: np.ndarray,
+    ref: np.ndarray,
+    hips: np.ndarray,
+    legs: list,
+    stance: np.ndarray,
+) -> PlannerUpdate:
+    """One planner tick: pose evaluation and one RBF fit per leg and horizon
+    step, then the VPA or TBR pose reference (``none`` keeps ``ref``)."""
+    sc, model = setup.scenario, setup.model
+    twist = setup.twist(yaw)
+    gait = dataclasses.replace(setup.gait, t_remaining=setup.gait.swing_duration)
+    n_h = sc.horizon if sc.planner == "vpa" else 1
+    speed = float(np.hypot(twist.planar[0], twist.planar[1]))
+    direction = twist.planar / speed if speed > 1e-9 else np.zeros(2)
+    # The prospective step starts from the leg's ground contact: the
+    # current foot in stance, the touchdown target in swing.
+    contacts = [leg.foot if s else leg.target for leg, s in zip(legs, stance)]
+
+    samples = [
+        pose_evaluation(
+            [setup.heightmap(c, yaw) for c in hips[:, :2] + direction * (j * setup.delta_h)],
+            twist,
+            gait,
+            setup.heights,
+            model,
+            setup.fec_config,
+            current_feet=contacts if j == 0 else None,
+        )
+        for j in range(n_h)
+    ]
+    functions = [
+        [
+            fit_rbf(s.heights + g, counts, n_basis=sc.rbf_count, z_min=sc.zh_min + g, z_max=sc.zh_max + g)
+            for counts, g in zip(s.counts, s.ground)
+        ]
+        for s in samples
+    ]
+    now = samples[0]
+    z_actual = hip_height_from(actual[0], actual[1], actual[2], model.hip_offsets)
+    nsf = tuple(float(np.interp(z - g, now.heights, c)) for z, g, c in zip(z_actual, now.ground, now.counts))
+
+    shift = np.array([float(np.mean(now.ground)), 0.0, 0.0])
+    objective = float("nan")
+    cost_label = sc.planner
+    if sc.planner == "vpa":
+        problem = PoseOptProblem(
+            functions=functions,
+            hip_offsets=model.hip_offsets,
+            u_prev=Pose.from_array(ref),
+            u_min=setup.u_min + shift,
+            u_max=setup.u_max + shift,
+            du_min=-setup.du,
+            du_max=setup.du,
+            cost=sc.cost,
+            margin=sc.margin,
+            q=sc.q,
+            smooth_weight=sc.smooth_weight,
+        )
+        result = optimize_pose_receding(problem)
+        ref = result.poses[0].as_array()
+        objective = result.objective
+        cost_label = sc.cost
+    elif sc.planner == "tbr":
+        try:
+            tref = tbr_pose(np.array([leg.target for leg in legs]), height_offset=sc.d_ref)
+            ref = np.clip([tref.z_b, tref.roll, tref.pitch], setup.u_min + shift, setup.u_max + shift)
+        except ValueError:
+            pass  # degenerate support: keep the previous reference
+
+    z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets)
+    m = sc.margin
+    envelope = sum(abs(f(z + m) - f(z - m)) for f, z in zip(functions[0], z_ref))
+    row = dict(
+        time=float(t),
+        x=float(base[0]),
+        u_z=float(ref[0]),
+        u_roll=float(ref[1]),
+        u_pitch=float(ref[2]),
+        **{f"nsf_{name.lower()}": float(f(z)) for name, f, z in zip(LEG_NAMES, functions[0], z_ref)},
+        cost=cost_label,
+        objective=float(objective),
+        horizon=n_h,
+    )
+    return PlannerUpdate(ref, row, nsf, float(envelope), functions)
+
+
+def detect_events(setup: RunSetup, feet, hips: np.ndarray, stance, swing_s: np.ndarray) -> tuple[int, int]:
+    """Collision and workspace events of one tick.
+
+    A collision event is a foot, or a point of the hip-to-foot shin segment,
+    deeper in the terrain than the corresponding criterion clearance; swing
+    feet count only away from their arc ends.  A workspace event is a stance
+    foot outside the leg's spherical shell.
+    """
+    terrain, model, config = setup.terrain, setup.model, setup.fec_config
+    collisions = workspace = 0
+    for foot, hip, in_stance, s in zip(feet, hips, stance, swing_s):
+        if in_stance or 0.02 < s < 0.98:
+            if foot[2] < sample_height(terrain, foot[0], foot[1]) - config.fc_clearance:
+                collisions += 1
+        if in_stance:
+            d = float(np.linalg.norm(hip - foot))
+            if d < model.r_min - 1e-9 or d > model.r_max + 1e-9:
+                workspace += 1
+        # shin segment clearance (points near the foot are the foot)
+        g = np.linspace(0.0, 1.0, 9)[1:]
+        seg = foot[None, :] + (hip - foot)[None, :] * g[:, None]
+        planar = g * math.hypot(hip[0] - foot[0], hip[1] - foot[1])
+        keep = planar > model.foot_radius
+        if np.any(keep):
+            ground = sample_height(terrain, seg[keep, 0], seg[keep, 1])
+            if np.any(seg[keep, 2] < ground - config.lc_clearance):
+                collisions += 1
+    return collisions, workspace
+
+
+def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_errors: list, final_x: float) -> RunMetrics:
+    """Run metrics from the step, planner and foothold logs."""
+    collisions = sum(r.collisions for r in rows)
+    workspace = sum(r.workspace_violations for r in rows)
+    dz, dpitch = [], []
+    for a, b in zip(planner_rows[:-1], planner_rows[1:]):
+        dx = b["x"] - a["x"]
+        if abs(dx) > 1e-9:
+            dz.append(abs((b["u_z"] - a["u_z"]) / dx))
+            dpitch.append(abs((b["u_pitch"] - a["u_pitch"]) / dx))
+
+    def mean(values) -> float:
+        return float(np.mean(values)) if len(values) else 0.0
+
+    return RunMetrics(
+        success=(collisions == 0 and workspace == 0),
+        collision_events=collisions,
+        workspace_events=workspace,
+        mean_total_nsf=mean([sum(r.nsf) for r in rows]),
+        mean_abs_dz_dx=mean(dz),
+        mean_abs_dpitch_dx=mean(dpitch),
+        tracking_mae_z=mean([abs(r.act_z - r.cmd_z) for r in rows]),
+        tracking_mae_pitch=mean([abs(r.act_pitch - r.cmd_pitch) for r in rows]),
+        mean_envelope_error=mean(envelope_errors),
+        final_x=float(rows[-1].x) if rows else final_x,
+        rows=rows,
+        planner_rows=planner_rows,
+        foothold_rows=foothold_rows,
+        envelope_errors=envelope_errors,
+    )
 
 
 def run_scenario(
@@ -279,405 +520,88 @@ def run_scenario(
     gait phase and start position so repeated seeds give distinct but
     reproducible runs.
     """
-    terrain = scenario.build_terrain()
-    model = robot_preset(scenario.robot)
-    fec_config = FecConfig()
-    duty = scenario.duty_factor if scenario.duty_factor > 0 else _GAIT_DUTY[scenario.gait]
-    apex = scenario.step_height if scenario.step_height > 0 else model.default_step_height
-    freq = scenario.step_frequency
-    swing_time = (1.0 - duty) / freq
-    offsets = _GAIT_OFFSETS[scenario.gait]
-    heights = HipHeightSet(scenario.zh_min, scenario.zh_max, scenario.zh_count)
-    u_min = np.array([scenario.u_z_min, -scenario.u_roll_max, -scenario.u_pitch_max])
-    u_max = np.array([scenario.u_z_max, scenario.u_roll_max, scenario.u_pitch_max])
-    du = np.array([scenario.du_z, scenario.du_roll, scenario.du_pitch])
-    map_extent = scenario.map_cells * scenario.map_resolution
-    delta_h = scenario.delta_h if scenario.delta_h > 0 else map_extent / 2.0
+    setup = RunSetup(scenario)
+    duty, freq = setup.gait.duty_factor, setup.gait.step_frequency
+    swing_time = setup.gait.swing_duration
+    offsets = np.asarray(_GAIT_OFFSETS[scenario.gait])
 
     rng = np.random.default_rng(scenario.seed)
     phase0 = float(rng.uniform(0.0, 1.0))
-    base = np.array(
-        [scenario.start_x0 + float(rng.uniform(-0.05, 0.05)), scenario.start_y0]
-    )
+    base = np.array([scenario.start_x0 + float(rng.uniform(-0.05, 0.05)), scenario.start_y0])
     yaw = scenario.start_yaw
-
-    ref = np.array([float(np.clip(scenario.d_ref, u_min[0], u_max[0])), 0.0, 0.0])
+    ref = np.array([float(np.clip(scenario.d_ref, setup.u_min[0], setup.u_max[0])), 0.0, 0.0])
     actual = ref.copy()
 
     dt = 1.0 / scenario.tick_rate
     n_ticks = int(round(scenario.duration * scenario.tick_rate))
     planner_every = max(1, int(round(scenario.tick_rate / scenario.planner_rate)))
 
-    def hips_world() -> np.ndarray:
-        rot = rotation_matrix(actual[1], actual[2], yaw)
-        origin = np.array([base[0], base[1], actual[0]])
-        return origin[None, :] + (rot @ model.hip_offsets.T).T
-
-    def world_twist() -> BodyTwist:
-        c, s = math.cos(yaw), math.sin(yaw)
-        vw = np.array(
-            [c * scenario.vx - s * scenario.vy, s * scenario.vx + c * scenario.vy, 0.0]
-        )
-        return BodyTwist(vw, np.array([0.0, 0.0, scenario.yaw_rate]))
-
     # Feet start on the terrain under the hips.
-    hips0 = hips_world()
-    legs = []
-    for l in range(4):
-        gx, gy = hips0[l, 0], hips0[l, 1]
-        legs.append(_LegState(np.array([gx, gy, sample_height(terrain, gx, gy)])))
-
+    legs = [
+        _LegState(np.array([x, y, sample_height(setup.terrain, x, y)]))
+        for x, y, _ in setup.hips_world(base, actual, yaw)
+    ]
     rows: list[StepRow] = []
     planner_rows: list[dict] = []
     foothold_rows: list[dict] = []
     envelope_errors: list[float] = []
-    collisions_total = 0
-    workspace_total = 0
-
-    # Latest pose-evaluation products for per-tick metrics.  The per-leg
-    # safe-foothold count at the tracked pose is refreshed from the fresh
-    # count grids at every planner tick and held in between.
-    rel_heights = heights.values
-    nsf_counts = np.zeros((4, len(rel_heights)))
-    nsf_funcs: list[SafeFootholdFunction] | None = None
-    nsf_hold = [0.0, 0.0, 0.0, 0.0]
-    dump_index = 0
-
+    nsf = (0.0, 0.0, 0.0, 0.0)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    def vfa_for_leg(l: int, t: float, hips: np.ndarray, t_remaining: float):
-        nonlocal dump_index
-        twist = world_twist()
-        gait_now = GaitParams(
-            step_length=math.hypot(scenario.vx, scenario.vy) / freq,
-            step_frequency=freq,
-            duty_factor=duty,
-            t_remaining=t_remaining,
-        )
-        hip = hips[l]
-        nominal = nominal_foothold(hip, twist, gait_now, terrain)
-        hm = extract_heightmap(
-            terrain,
-            (nominal[0], nominal[1]),
-            yaw=yaw,
-            h_x=scenario.map_cells,
-            h_y=scenario.map_cells,
-            resolution=scenario.map_resolution,
-        )
-        vfa_in = VfaInput(hm, float(hip[2]), twist, gait_now, nominal)
-        decision = foothold_evaluation(vfa_in, model, fec_config, current_foot=legs[l].foot)
-        foothold_rows.append(
-            dict(
-                time=float(t),
-                leg=LEG_NAMES[l],
-                nominal_x=float(nominal[0]),
-                nominal_y=float(nominal[1]),
-                nominal_z=float(nominal[2]),
-                optimal_x=float(decision.optimal[0]),
-                optimal_y=float(decision.optimal[1]),
-                optimal_z=float(decision.optimal[2]),
-                n_sf=decision.safe_count,
-                fallback=decision.fallback,
-            )
-        )
-        if dump_criteria and out_dir is not None:
-            fec_in = FecInput(
-                hm, float(hip[2]), (float(hip[0]), float(hip[1])), twist, gait_now
-            )
-            grid = eval_fec(fec_in, model, fec_config, current_foot=legs[l].foot)
-            base_name = f"fec_{dump_index:05d}_{LEG_NAMES[l]}"
-            for tag, arr in (
-                ("tr", grid.tr),
-                ("lc", grid.lc),
-                ("kf", grid.kf),
-                ("fc", grid.fc),
-                ("mu", grid.cells),
-            ):
-                path = os.path.join(out_dir, f"{base_name}_{tag}.csv")
-                with open(path, "w") as fh:
-                    for row in arr:
-                        fh.write(",".join("1" if v else "0" for v in row) + "\n")
-            dump_index += 1
-        return decision
-
-    def planner_tick(t: float, hips: np.ndarray, stance_now) -> None:
-        nonlocal ref, nsf_counts, nsf_funcs, nsf_hold
-        twist = world_twist()
-        gait_now = GaitParams(
-            step_length=math.hypot(scenario.vx, scenario.vy) / freq,
-            step_frequency=freq,
-            duty_factor=duty,
-            t_remaining=swing_time,
-        )
-        n_h = scenario.horizon if scenario.planner == "vpa" else 1
-        v_planar = twist.planar
-        speed = float(np.hypot(v_planar[0], v_planar[1]))
-        direction = v_planar / speed if speed > 1e-9 else np.zeros(2)
-
-        funcs: list[list[SafeFootholdFunction]] = []
-        ground_refs = np.zeros((n_h, 4))
-        counts0 = None
-        for j in range(n_h):
-            layer = []
-            counts_j = np.zeros((4, len(rel_heights)))
-            for l in range(4):
-                center = hips[l, :2] + direction * (j * delta_h)
-                hm = extract_heightmap(
-                    terrain,
-                    (center[0], center[1]),
-                    yaw=yaw,
-                    h_x=scenario.map_cells,
-                    h_y=scenario.map_cells,
-                    resolution=scenario.map_resolution,
-                )
-                ground = float(hm.cells[hm.h_x // 2, hm.h_y // 2])
-                ground_refs[j, l] = ground
-                z_grid = rel_heights + ground
-                # The prospective step starts from the leg's ground contact:
-                # the current foot in stance, the touchdown target in swing.
-                foot = None
-                if j == 0:
-                    foot = legs[l].foot if stance_now[l] else legs[l].target
-                ev = FecEvaluator(
-                    hm, center, twist, gait_now, model, fec_config, current_foot=foot
-                )
-                counts_j[l] = ev.sweep_counts(z_grid)
-                layer.append(
-                    fit_rbf(
-                        z_grid,
-                        counts_j[l],
-                        n_basis=scenario.rbf_count,
-                        z_min=scenario.zh_min + ground,
-                        z_max=scenario.zh_max + ground,
-                    )
-                )
-            funcs.append(layer)
-            if j == 0:
-                counts0 = counts_j
-        nsf_counts = counts0
-        nsf_funcs = funcs[0]
-        base_ground = float(np.mean(ground_refs[0]))
-        nsf_hold = [
-            float(
-                np.interp(
-                    hip_height_from(actual[0], actual[1], actual[2], model.hip_offsets[l])
-                    - ground_refs[0, l],
-                    rel_heights,
-                    nsf_counts[l],
-                )
-            )
-            for l in range(4)
-        ]
-
-        if dump_rbf and out_dir is not None:
-            path = os.path.join(out_dir, "rbf.csv")
-            new = not os.path.exists(path)
-            with open(path, "a") as fh:
-                if new:
-                    fh.write("time,leg,horizon,weights\n")
-                for j, layer in enumerate(funcs):
-                    for l, fn in enumerate(layer):
-                        w = ";".join(repr(v) for v in fn.weights)
-                        fh.write(f"{t!r},{LEG_NAMES[l]},{j},{w}\n")
-
-        objective = float("nan")
-        cost_label = scenario.planner
-        if scenario.planner == "vpa":
-            shift = np.array([base_ground, 0.0, 0.0])
-            problem = PoseOptProblem(
-                functions=funcs,
-                hip_offsets=model.hip_offsets,
-                u_prev=Pose.from_array(ref),
-                u_min=u_min + shift,
-                u_max=u_max + shift,
-                du_min=-du,
-                du_max=du,
-                cost=scenario.cost,
-                margin=scenario.margin,
-                q=scenario.q,
-                smooth_weight=scenario.smooth_weight,
-            )
-            result = optimize_pose_receding(problem)
-            ref = result.poses[0].as_array()
-            objective = result.objective
-            cost_label = scenario.cost
-        elif scenario.planner == "tbr":
-            pts = [legs[l].target for l in range(4)]
-            try:
-                tref = tbr_pose(np.array(pts), height_offset=scenario.d_ref)
-                cand = np.array([tref.z_b, tref.roll, tref.pitch])
-                shift = np.array([base_ground, 0.0, 0.0])
-                ref = np.clip(cand, u_min + shift, u_max + shift)
-            except ValueError:
-                pass  # degenerate support: keep the previous reference
-
-        z_ref = [
-            float(hip_height_from(ref[0], ref[1], ref[2], off)) for off in model.hip_offsets
-        ]
-        nsf_at_ref = [float(nsf_funcs[l](z_ref[l])) for l in range(4)]
-        m = scenario.margin
-        env = sum(
-            abs(nsf_funcs[l](z_ref[l] + m) - nsf_funcs[l](z_ref[l] - m)) for l in range(4)
-        )
-        envelope_errors.append(float(env))
-        planner_rows.append(
-            dict(
-                time=float(t),
-                x=float(base[0]),
-                u_z=float(ref[0]),
-                u_roll=float(ref[1]),
-                u_pitch=float(ref[2]),
-                nsf_lf=nsf_at_ref[0],
-                nsf_rf=nsf_at_ref[1],
-                nsf_lh=nsf_at_ref[2],
-                nsf_rh=nsf_at_ref[3],
-                cost=cost_label,
-                objective=float(objective),
-                horizon=n_h,
-            )
-        )
-
-    prev_stance = [True] * 4
+    prev_stance = np.ones(4, dtype=bool)
     for k in range(n_ticks):
         t = k * dt
-        phases = _leg_phases(t, phase0, freq, offsets)
-        stance_now = phases < duty
-        hips = hips_world()
+        phases = np.mod(phase0 + t * freq + offsets, 1.0)
+        stance = phases < duty
+        swing_s = (phases - duty) / (1.0 - duty)
+        hips = setup.hips_world(base, actual, yaw)
 
-        decisions_this_tick = ["", "", "", ""]
-        for l in range(4):
-            leg = legs[l]
-            if k == 0:
-                leg.stance = bool(stance_now[l])
-                if not leg.stance:
-                    s = (phases[l] - duty) / (1.0 - duty)
-                    decision = vfa_for_leg(l, t, hips, t_remaining=(1.0 - s) * swing_time)
-                    leg.target = decision.optimal
-                    leg.trajectory = swing_trajectory(leg.foot, leg.target, apex)
-                    decisions_this_tick[l] = (
-                        FALLBACK_KEPT_NOMINAL_UNSAFE
-                        if decision.fallback == FALLBACK_NO_SAFE_CELL
-                        else decision.fallback
-                    )
-                continue
-            if prev_stance[l] and not stance_now[l]:
-                # lift-off: pick the touchdown target now
-                decision = vfa_for_leg(l, t, hips, t_remaining=swing_time)
+        decisions = ["", "", "", ""]
+        for l, leg in enumerate(legs):
+            if prev_stance[l] and not stance[l]:
+                # Lift-off: pick the touchdown target now.  A run that
+                # starts mid-swing plans the rest of that swing.
+                t_remaining = swing_time if k > 0 else (1.0 - swing_s[l]) * swing_time
+                decision, row = foothold_decision(setup, l, t, hips[l], leg.foot, yaw, t_remaining)
+                if dump_criteria and out_dir is not None:
+                    dump_criteria_grids(out_dir, len(foothold_rows), l, decision.grid)
+                foothold_rows.append(row)
                 leg.target = decision.optimal
-                leg.trajectory = swing_trajectory(leg.foot, leg.target, apex)
-                leg.stance = False
-                decisions_this_tick[l] = (
-                    FALLBACK_KEPT_NOMINAL_UNSAFE
-                    if decision.fallback == FALLBACK_NO_SAFE_CELL
-                    else decision.fallback
-                )
-            elif (not prev_stance[l]) and stance_now[l]:
+                leg.trajectory = swing_trajectory(leg.foot, leg.target, setup.apex)
+                fallback = decision.fallback
+                decisions[l] = FALLBACK_KEPT_NOMINAL_UNSAFE if fallback == FALLBACK_NO_SAFE_CELL else fallback
+            elif stance[l] and not prev_stance[l]:
                 # touchdown: the foot is world-fixed at the target
                 leg.foot = leg.target.copy()
-                leg.stance = True
-                leg.trajectory = None
-
-        # Swing feet follow their arc.
-        for l in range(4):
-            leg = legs[l]
-            if not stance_now[l] and leg.trajectory is not None:
-                s = (phases[l] - duty) / (1.0 - duty)
-                leg.foot = leg.trajectory.point_at(float(s))
+        for l, leg in enumerate(legs):
+            if not stance[l]:
+                leg.foot = leg.trajectory.point_at(float(swing_s[l]))
 
         if k % planner_every == 0:
-            planner_tick(t, hips, stance_now)
+            update = planner_update(setup, t, base, yaw, actual, ref, hips, legs, stance)
+            ref, nsf = update.ref, update.nsf
+            planner_rows.append(update.row)
+            envelope_errors.append(update.envelope_error)
+            if dump_rbf and out_dir is not None:
+                rbf_rows = (
+                    (t, LEG_NAMES[l], j, ";".join(map(_cell, f.weights)))
+                    for j, layer in enumerate(update.functions)
+                    for l, f in enumerate(layer)
+                )
+                write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=True)
 
         actual = track_pose(actual, ref, dt, scenario.tau_track)
-        hips = hips_world()
+        hips = setup.hips_world(base, actual, yaw)
+        collisions, workspace = detect_events(setup, [leg.foot for leg in legs], hips, stance, swing_s)
+        rows.append(StepRow(t, base[0], base[1], yaw, *ref, *actual, nsf, tuple(decisions), collisions, workspace))
 
-        # Detectors: a collision event is a foot or shin point penetrating
-        # the terrain deeper than the corresponding criterion clearance; a
-        # workspace event is a stance foot outside the shell.
-        tick_collisions = 0
-        tick_workspace = 0
-        for l in range(4):
-            leg = legs[l]
-            foot = leg.foot
-            hip = hips[l]
-            if not stance_now[l]:
-                s = (phases[l] - duty) / (1.0 - duty)
-                if 0.02 < s < 0.98:
-                    if foot[2] < sample_height(terrain, foot[0], foot[1]) - fec_config.fc_clearance:
-                        tick_collisions += 1
-            else:
-                if foot[2] < sample_height(terrain, foot[0], foot[1]) - fec_config.fc_clearance:
-                    tick_collisions += 1
-                d = float(np.linalg.norm(hip - foot))
-                if d < model.r_min - 1e-9 or d > model.r_max + 1e-9:
-                    tick_workspace += 1
-            # shin segment clearance (points near the foot are the foot)
-            g = np.linspace(0.0, 1.0, 9)[1:]
-            seg = foot[None, :] + (hip - foot)[None, :] * g[:, None]
-            planar = g * math.hypot(hip[0] - foot[0], hip[1] - foot[1])
-            keep = planar > model.foot_radius
-            if np.any(keep):
-                ground = sample_height(terrain, seg[keep, 0], seg[keep, 1])
-                if np.any(seg[keep, 2] < ground - fec_config.lc_clearance):
-                    tick_collisions += 1
-
-        collisions_total += tick_collisions
-        workspace_total += tick_workspace
-
-        nsf_now = tuple(nsf_hold)
-        rows.append(
-            StepRow(
-                time=t,
-                x=base[0],
-                y=base[1],
-                yaw=yaw,
-                cmd_z=ref[0],
-                cmd_roll=ref[1],
-                cmd_pitch=ref[2],
-                act_z=actual[0],
-                act_roll=actual[1],
-                act_pitch=actual[2],
-                nsf=nsf_now,
-                decisions=tuple(decisions_this_tick),
-                collisions=tick_collisions,
-                workspace_violations=tick_workspace,
-            )
-        )
-
-        prev_stance = [bool(v) for v in stance_now]
+        prev_stance = stance
         # Base advances at the commanded twist.
-        tw = world_twist()
-        base = base + tw.planar * dt
+        base = base + setup.twist(yaw).planar * dt
         yaw += scenario.yaw_rate * dt
 
-    # Aggregates -----------------------------------------------------------
-    total_nsf = [sum(r.nsf) for r in rows]
-    mean_total_nsf = float(np.mean(total_nsf)) if rows else 0.0
-    dz, dpitch = [], []
-    for a, b in zip(planner_rows[:-1], planner_rows[1:]):
-        dx = b["x"] - a["x"]
-        if abs(dx) > 1e-9:
-            dz.append(abs((b["u_z"] - a["u_z"]) / dx))
-            dpitch.append(abs((b["u_pitch"] - a["u_pitch"]) / dx))
-    mae_z = float(np.mean([abs(r.act_z - r.cmd_z) for r in rows])) if rows else 0.0
-    mae_p = float(np.mean([abs(r.act_pitch - r.cmd_pitch) for r in rows])) if rows else 0.0
-
-    metrics = RunMetrics(
-        success=(collisions_total == 0 and workspace_total == 0),
-        collision_events=collisions_total,
-        workspace_events=workspace_total,
-        mean_total_nsf=mean_total_nsf,
-        mean_abs_dz_dx=float(np.mean(dz)) if dz else 0.0,
-        mean_abs_dpitch_dx=float(np.mean(dpitch)) if dpitch else 0.0,
-        tracking_mae_z=mae_z,
-        tracking_mae_pitch=mae_p,
-        mean_envelope_error=float(np.mean(envelope_errors)) if envelope_errors else 0.0,
-        final_x=float(rows[-1].x) if rows else float(base[0]),
-        rows=rows,
-        planner_rows=planner_rows,
-        foothold_rows=foothold_rows,
-        envelope_errors=envelope_errors,
-    )
+    metrics = aggregate(rows, planner_rows, foothold_rows, envelope_errors, float(base[0]))
     if out_dir is not None:
         write_outputs(metrics, out_dir)
     return metrics
@@ -687,63 +611,70 @@ def run_scenario(
 # Output files
 # ---------------------------------------------------------------------------
 
-STEPLOG_HEADER = (
+STEPLOG_COLUMNS = (
     "time,x,y,yaw,cmd_z,cmd_roll,cmd_pitch,act_z,act_roll,act_pitch,"
     "nsf_lf,nsf_rf,nsf_lh,nsf_rh,dec_lf,dec_rf,dec_lh,dec_rh,"
     "collisions,workspace_violations"
-)
+).split(",")
+PLANNER_COLUMNS = "time,u_z,u_roll,u_pitch,nsf_lf,nsf_rf,nsf_lh,nsf_rh,cost,objective,horizon".split(",")
+FOOTHOLD_COLUMNS = "time,leg,nominal_x,nominal_y,nominal_z,optimal_x,optimal_y,optimal_z,n_sf,fallback".split(",")
+RBF_COLUMNS = ("time", "leg", "horizon", "weights")
+CRITERIA = ("tr", "lc", "kf", "fc", "mu")
+
+
+def _cell(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of ``columns`` (none if empty), then one line per row;
+    floats are written as ``repr(float(v))``, everything else as ``str(v)``."""
+    lines = [",".join(columns)] if columns else []
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def write_csv(path: str, columns, rows, append: bool = False) -> None:
+    """Write :func:`csv_text` to ``path``; with ``append``, add the rows to
+    an existing file without repeating its header."""
+    header = columns if not (append and os.path.exists(path)) else ()
+    with open(path, "a" if append else "w") as fh:
+        fh.write(csv_text(header, rows))
+
+
+def _dict_rows(columns, rows):
+    return ([row[c] for c in columns] for row in rows)
+
+
+def _step_values(row: StepRow) -> list:
+    """The step row's fields in order, with the per-leg tuples spread out."""
+    values = []
+    for f in dataclasses.fields(row):
+        value = getattr(row, f.name)
+        values.extend(value if isinstance(value, tuple) else (value,))
+    return values
 
 
 def steplog_csv(metrics: RunMetrics) -> str:
-    lines = [STEPLOG_HEADER]
-    for r in metrics.rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.time)),
-                    repr(float(r.x)),
-                    repr(float(r.y)),
-                    repr(float(r.yaw)),
-                    repr(float(r.cmd_z)),
-                    repr(float(r.cmd_roll)),
-                    repr(float(r.cmd_pitch)),
-                    repr(float(r.act_z)),
-                    repr(float(r.act_roll)),
-                    repr(float(r.act_pitch)),
-                    *[repr(float(v)) for v in r.nsf],
-                    *[d for d in r.decisions],
-                    str(r.collisions),
-                    str(r.workspace_violations),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(STEPLOG_COLUMNS, map(_step_values, metrics.rows))
+
+
+def dump_criteria_grids(out_dir: str, index: int, leg: int, grid: SafetyGrid) -> None:
+    """Write the criterion grids and the safe set of one foothold decision."""
+    for tag, cells in zip(CRITERIA, (grid.tr, grid.lc, grid.kf, grid.fc, grid.cells)):
+        path = os.path.join(out_dir, f"fec_{index:05d}_{LEG_NAMES[leg]}_{tag}.csv")
+        write_csv(path, (), cells.astype(int).tolist())
 
 
 def write_outputs(metrics: RunMetrics, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "steplog.csv"), "w") as fh:
-        fh.write(steplog_csv(metrics))
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write("metric,value\n")
-        for key, val in metrics.aggregates().items():
-            fh.write(f"{key},{val!r}\n")
-    with open(os.path.join(out_dir, "planner.csv"), "w") as fh:
-        fh.write("time,u_z,u_roll,u_pitch,nsf_lf,nsf_rf,nsf_lh,nsf_rh,cost,objective,horizon\n")
-        for row in metrics.planner_rows:
-            fh.write(
-                f"{row['time']!r},{row['u_z']!r},{row['u_roll']!r},{row['u_pitch']!r},"
-                f"{row['nsf_lf']!r},{row['nsf_rf']!r},{row['nsf_lh']!r},{row['nsf_rh']!r},"
-                f"{row['cost']},{row['objective']!r},{row['horizon']}\n"
-            )
-    with open(os.path.join(out_dir, "footholds.csv"), "w") as fh:
-        fh.write("time,leg,nominal_x,nominal_y,nominal_z,optimal_x,optimal_y,optimal_z,n_sf,fallback\n")
-        for row in metrics.foothold_rows:
-            fh.write(
-                f"{row['time']!r},{row['leg']},{row['nominal_x']!r},{row['nominal_y']!r},"
-                f"{row['nominal_z']!r},{row['optimal_x']!r},{row['optimal_y']!r},"
-                f"{row['optimal_z']!r},{row['n_sf']},{row['fallback']}\n"
-            )
+    for name, columns, rows in (
+        ("steplog.csv", STEPLOG_COLUMNS, map(_step_values, metrics.rows)),
+        ("metrics.csv", ("metric", "value"), metrics.aggregates().items()),
+        ("planner.csv", PLANNER_COLUMNS, _dict_rows(PLANNER_COLUMNS, metrics.planner_rows)),
+        ("footholds.csv", FOOTHOLD_COLUMNS, _dict_rows(FOOTHOLD_COLUMNS, metrics.foothold_rows)),
+    ):
+        write_csv(os.path.join(out_dir, name), columns, rows)
 
 
 COMPARED_METRICS = (
@@ -775,7 +706,4 @@ def compare_scenarios(a: Scenario, b: Scenario, factor: str) -> list[tuple]:
 
 
 def comparison_csv(table: list[tuple]) -> str:
-    lines = ["metric,a,b,delta"]
-    for name, va, vb, dv in table:
-        lines.append(f"{name},{va!r},{vb!r},{dv!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("metric", "a", "b", "delta"), table)

@@ -8,7 +8,6 @@ base yaw).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -53,10 +52,6 @@ class TerrainMap:
                 raise ValueError("stairs need rise > 0, going > 0, n_steps >= 1")
         if self.kind == "rough" and (self.cell <= 0 or self.amplitude < 0):
             raise ValueError("rough terrain needs cell > 0 and amplitude >= 0")
-
-    def height(self, x, y):
-        """Vectorized alias for :func:`sample_height`."""
-        return sample_height(self, x, y)
 
 
 def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
@@ -204,36 +199,14 @@ class Heightmap:
         i, j = self.point_to_index(x, y)
         return bool((0 <= i < self.h_x) and (0 <= j < self.h_y))
 
-    def candidate(self, i: int, j: int) -> np.ndarray:
-        """World (x, y, z) of the candidate foothold at cell (i, j)."""
-        if not (0 <= i < self.h_x and 0 <= j < self.h_y):
-            raise IndexError("candidate outside heightmap")
-        wx, wy = self.world_points()
-        return np.array([wx[i, j], wy[i, j], self.cells[i, j]])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("h_x,h_y,resolution,center_x,center_y,yaw\n")
-        buf.write(
-            f"{self.h_x},{self.h_y},{float(self.resolution)!r},"
-            f"{float(self.center[0])!r},{float(self.center[1])!r},{float(self.yaw)!r}\n"
-        )
-        for row in self.cells:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Heightmap":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) < 3 or not lines[0].startswith("h_x"):
-            raise ValueError("malformed heightmap CSV")
-        hx, hy, res, cx, cy, yaw = lines[1].split(",")
-        cells = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[2:]], dtype=np.float64
-        )
-        if cells.shape != (int(hx), int(hy)):
-            raise ValueError("heightmap CSV shape mismatch")
-        return cls(cells, float(res), (float(cx), float(cy)), float(yaw))
+def check_patch_shape(h_x: int, h_y: int, resolution: float) -> None:
+    """Raise ValueError unless a (h_x, h_y) patch has odd positive sides,
+    so a unique center cell exists, and a finite resolution > 0."""
+    if min(h_x, h_y) < 1 or h_x % 2 == 0 or h_y % 2 == 0:
+        raise ValueError("heightmap dimensions must be odd and >= 1")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and > 0")
 
 
 def extract_heightmap(
@@ -246,13 +219,10 @@ def extract_heightmap(
 ) -> Heightmap:
     """Sample a (h_x, h_y) patch around ``center``, rotated by ``yaw``.
 
-    h_x and h_y must be odd so a unique center cell exists; the center cell
+    See :func:`check_patch_shape` for the valid shapes; the center cell
     equals sample_height(center).
     """
-    if h_x % 2 == 0 or h_y % 2 == 0:
-        raise ValueError("heightmap dimensions must be odd")
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
+    check_patch_shape(h_x, h_y, resolution)
     hm = Heightmap(np.zeros((h_x, h_y)), resolution, (float(center[0]), float(center[1])), yaw)
     wx, wy = hm.world_points()
     hm.cells = sample_height(terrain, wx, wy)

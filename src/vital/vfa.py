@@ -4,7 +4,7 @@ with :func:`vital.robot.swing_trajectory`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,14 @@ class VfaInput:
 
 @dataclass(frozen=True)
 class FootholdDecision:
+    """The chosen foothold, the safe-cell count and fallback label, the
+    chosen cell, and the criteria grid the choice was made on."""
+
     optimal: np.ndarray
     safe_count: int
     fallback: str
     cell: tuple[int, int] | None = None
+    grid: SafetyGrid | None = field(default=None, repr=False, compare=False)
 
 
 def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> FootholdDecision:
@@ -49,7 +53,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     mu = grid.cells
     n_safe = count_safe(grid)
     if n_safe == 0:
-        return FootholdDecision(nominal.copy(), 0, FALLBACK_NO_SAFE_CELL, None)
+        return FootholdDecision(nominal.copy(), 0, FALLBACK_NO_SAFE_CELL, None, grid)
     wx, wy = heightmap.world_points()
     dx = np.abs(wx - nominal[0])
     dy = np.abs(wy - nominal[1])
@@ -60,7 +64,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     order = np.lexsort((ti * heightmap.h_y + tj, dy[ti, tj], dx[ti, tj]))
     i, j = int(ti[order[0]]), int(tj[order[0]])
     optimal = np.array([wx[i, j], wy[i, j], heightmap.cells[i, j]])
-    return FootholdDecision(optimal, n_safe, FALLBACK_SELECTED, (i, j))
+    return FootholdDecision(optimal, n_safe, FALLBACK_SELECTED, (i, j), grid)
 
 
 def foothold_evaluation(

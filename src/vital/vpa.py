@@ -62,12 +62,14 @@ class HipHeightSet:
 class SafeFootholdSamples:
     """Per-leg safe-foothold counts over the hip-height set.
 
-    counts[l, i] is the count for leg l at heights[i]; legs are ordered
-    LF, RF, LH, RH.
+    counts[l, i] is the count for leg l with its hip heights[i] above
+    ground[l], the terrain height under the centre cell of leg l's
+    heightmap; legs are ordered LF, RF, LH, RH.
     """
 
     heights: np.ndarray
     counts: np.ndarray
+    ground: np.ndarray
 
 
 def pose_evaluation(
@@ -82,16 +84,19 @@ def pose_evaluation(
     """Count safe footholds for every leg at every hip height.
 
     One heightmap per leg, centered on the leg hip's ground projection.
+    The hip heights of ``heights`` are relative to the ground under the
+    heightmap's centre cell, which is returned per leg as ``ground``.
     ``current_feet`` optionally gives each leg's lift-off foot; by default
     the foot is assumed under the hip (the heightmap center cell).
     """
     z_values = heights.values
+    ground = np.array([hm.cells[hm.h_x // 2, hm.h_y // 2] for hm in heightmaps])
     counts = np.zeros((len(heightmaps), len(z_values)), dtype=np.int64)
     for l, hm in enumerate(heightmaps):
         foot = None if current_feet is None else current_feet[l]
         ev = FecEvaluator(hm, hm.center, twist, gait, model, config, current_foot=foot)
-        counts[l] = ev.sweep_counts(z_values)
-    return SafeFootholdSamples(np.array(z_values), counts)
+        counts[l] = ev.sweep_counts(z_values + ground[l])
+    return SafeFootholdSamples(z_values, counts, ground)
 
 
 # ---------------------------------------------------------------------------

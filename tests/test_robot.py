@@ -86,9 +86,8 @@ class TestSwingTrajectory:
 
     def test_endpoints_exact(self):
         traj = swing_trajectory((0.1, 0.2, 0.05), (0.4, -0.1, 0.15), 0.12)
-        pts = traj.samples(9)
-        np.testing.assert_array_equal(pts[0], [0.1, 0.2, 0.05])
-        np.testing.assert_array_equal(pts[-1], [0.4, -0.1, 0.15])
+        np.testing.assert_array_equal(traj.point_at(0.0), [0.1, 0.2, 0.05])
+        np.testing.assert_array_equal(traj.point_at(1.0), [0.4, -0.1, 0.15])
 
     def test_midpoint_height_formula(self):
         traj = swing_trajectory((0, 0, 0), (0.2, 0, 0.1), 0.12)
@@ -96,13 +95,13 @@ class TestSwingTrajectory:
 
     def test_symmetric_profile_for_level_endpoints(self):
         traj = swing_trajectory((0, 0, 0.3), (0.4, 0, 0.3), 0.1)
-        pts = traj.samples(21)
-        np.testing.assert_allclose(pts[:, 2], pts[::-1, 2], atol=1e-12)
+        z = np.array([traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 21)])
+        np.testing.assert_allclose(z, z[::-1], atol=1e-12)
 
     def test_apex_above_endpoints(self):
         traj = swing_trajectory((0, 0, 0.0), (0.3, 0, 0.1), 0.08)
-        pts = traj.samples(41)
-        assert pts[:, 2].max() >= 0.1
+        z = [traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 41)]
+        assert max(z) >= 0.1
 
     def test_negative_apex_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import pytest
 
 import vital.sim as sim
 from vital.cli import main as cli_main
+from vital.fec import FecEvaluator
 from vital.sim import (
+    PLANNERS,
     ConfigError,
     Scenario,
     compare_scenarios,
@@ -15,6 +17,7 @@ from vital.sim import (
     steplog_csv,
     track_pose,
 )
+from vital.terrain import TERRAIN_KINDS
 
 
 def short_flat(**overrides):
@@ -134,16 +137,62 @@ class TestRunScenario:
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         run_scenario(short_flat(duration=1.0, planner="vpa"), out_dir=str(out), dump_rbf=True)
+        labels = {"leg", "cost", "fallback", "metric", "dec_lf", "dec_rf", "dec_lh", "dec_rh"}
         for name in ("steplog.csv", "metrics.csv", "planner.csv", "footholds.csv", "rbf.csv"):
-            assert (out / name).exists(), name
+            header, *lines = (out / name).read_text().splitlines()
+            columns = header.split(",")
+            assert lines, name
+            for line in lines:
+                cells = line.split(",")
+                assert len(cells) == len(columns), name
+                for column, cell in zip(columns, cells):
+                    if column not in labels:
+                        for value in cell.split(";"):  # rbf.csv weights
+                            float(value)
         header = (out / "steplog.csv").read_text().splitlines()[0]
         assert header.startswith("time,x,y,yaw,cmd_z")
 
-    def test_dump_criteria_writes_grids(self, tmp_path):
-        out = tmp_path / "dumps"
-        run_scenario(short_flat(duration=1.5, planner="none"), out_dir=str(out), dump_criteria=True)
+    def test_dump_criteria_writes_grids(self, tmp_path, monkeypatch):
+        # The dump writes the grids each decision was made on; it builds no
+        # evaluator of its own.
+        builds = []
+        init = FecEvaluator.__init__
+
+        def spy(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FecEvaluator, "__init__", spy)
+        counts = []
+        for dump in (False, True):
+            builds.clear()
+            out = tmp_path / f"dump_{dump}"
+            m = run_scenario(short_flat(duration=1.5, planner="none"), out_dir=str(out), dump_criteria=dump)
+            counts.append(len(builds))
         names = os.listdir(out)
+        assert sum(n.startswith("fec_") for n in names) == 5 * len(m.foothold_rows) > 0
         assert any(n.startswith("fec_") and n.endswith("_mu.csv") for n in names)
+        assert counts[0] == counts[1] > 0
+
+
+# The stepped terrains start under the robot, so the two planner ticks see
+# their edges.  gapped_stairs then has the front hips over a gap: the centre
+# cell of a heightmap lies at the bottom of the gap, and hip heights swept
+# relative to it leave the (0, 2] m bound.
+@pytest.mark.parametrize("planner", PLANNERS)
+@pytest.mark.parametrize(
+    "terrain",
+    [
+        pytest.param(kind, marks=pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 2"))
+        if kind == "gapped_stairs"
+        else kind
+        for kind in TERRAIN_KINDS
+    ],
+)
+def test_every_terrain_and_planner_completes(terrain, planner):
+    m = run_scenario(Scenario(terrain_kind=terrain, terrain_start_x=-0.08, planner=planner, duration=0.4, seed=1))
+    assert len(m.rows) == 40 and len(m.planner_rows) == 2
+    assert all(math.isfinite(v) for v in m.aggregates().values())
 
 
 class TestCompare:
@@ -178,11 +227,27 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "values",
-        ["cost=max", "cost=int\nmargin=0", "robot=spot", "terrain_kind=lava", "zh_count=1"],
+        [
+            "cost=max",
+            "cost=int\nmargin=0",
+            "robot=spot",
+            "terrain_kind=lava",
+            "zh_count=1",
+            "map_cells=32",
+            "map_cells=0",
+            "map_cells=-1",
+            "map_resolution=0",
+            "rbf_count=1",
+            "duration=nan",
+            "duration=inf",
+            "tick_rate=nan",
+            "planner_rate=inf",
+            "vx=nan",
+        ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(values + "\nduration=1\n")
+        cfg.write_text("duration=1\n" + values + "\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import TerrainMap, extract_heightmap, sample_height
 
 
 class TestSampleHeight:
@@ -108,22 +108,3 @@ class TestExtractHeightmap:
         wx, wy = hm.world_points()
         i, j = hm.point_to_index(wx[5, 21], wy[5, 21])
         assert (i, j) == (5, 21)
-
-    def test_csv_roundtrip(self, stairs):
-        hm = extract_heightmap(stairs, (0.3, -0.2), 0.4, h_x=9, h_y=9)
-        text = hm.to_csv()
-        assert text.splitlines()[0] == "h_x,h_y,resolution,center_x,center_y,yaw"
-        back = Heightmap.from_csv(text)
-        np.testing.assert_array_equal(back.cells, hm.cells)
-        assert back.resolution == hm.resolution
-        assert back.center == hm.center
-        assert back.yaw == hm.yaw
-
-    def test_candidate_world_point(self, stairs):
-        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0, h_x=9, h_y=9)
-        p = hm.candidate(4, 4)
-        assert p[0] == pytest.approx(0.3)
-        assert p[1] == pytest.approx(0.0)
-        assert p[2] == hm.cells[4, 4]
-        with pytest.raises(IndexError):
-            hm.candidate(9, 0)

@@ -3,7 +3,7 @@ import pytest
 
 from vital.fec import SafetyGrid
 from vital.robot import BodyTwist, GaitParams, swing_trajectory
-from vital.terrain import extract_heightmap
+from vital.terrain import extract_heightmap, sample_height
 from vital.vfa import (
     FALLBACK_NO_SAFE_CELL,
     FALLBACK_SELECTED,
@@ -110,10 +110,10 @@ class TestFootholdEvaluation:
     def test_selection_survives_erosion(self, stairs, model, config, forward_twist, gait):
         from vital.fec import FecInput, eval_fec
 
-        nominal = np.array([0.3, 0.0, stairs.height(0.3, 0.0)])
+        nominal = np.array([0.3, 0.0, sample_height(stairs, 0.3, 0.0)])
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
         vin = VfaInput(hm, 0.65, forward_twist, gait, nominal)
-        foot = np.array([0.2, 0.0, stairs.height(0.2, 0.0)])
+        foot = np.array([0.2, 0.0, sample_height(stairs, 0.2, 0.0)])
         d = foothold_evaluation(vin, model, config, current_foot=foot)
         if d.fallback == FALLBACK_SELECTED:
             lookahead = gait.t_remaining + 0.5 * gait.duty_factor / gait.step_frequency
@@ -125,9 +125,10 @@ class TestFootholdEvaluation:
                 current_foot=foot,
             )
             assert grid.cells[d.cell]
+            np.testing.assert_array_equal(d.grid.cells, grid.cells)
 
     def test_determinism(self, stairs, model, config, forward_twist, gait):
-        nominal = np.array([0.31, 0.02, stairs.height(0.31, 0.02)])
+        nominal = np.array([0.31, 0.02, sample_height(stairs, 0.31, 0.02)])
         hm = extract_heightmap(stairs, (0.31, 0.02), 0.2)
         vin = VfaInput(hm, 0.6, forward_twist, gait, nominal)
         a = foothold_evaluation(vin, model, config)

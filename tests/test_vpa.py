@@ -207,7 +207,8 @@ class TestPoseEvaluation:
         samples = pose_evaluation(hms, forward_twist, gait, heights, model, config)
         for l, hm in enumerate(hms):
             ev = FecEvaluator(hm, hm.center, forward_twist, gait, model, config)
-            np.testing.assert_array_equal(samples.counts[l], ev.sweep_counts(heights.values))
+            assert samples.ground[l] == hm.cells[16, 16]
+            np.testing.assert_array_equal(samples.counts[l], ev.sweep_counts(heights.values + samples.ground[l]))
 
     def test_extreme_heights_zero(self, model, config, zero_twist, gait, flat):
         hms = [extract_heightmap(flat, (off[0], off[1]), 0.0) for off in model.hip_offsets]
