@@ -20,11 +20,13 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
 The safe set is the element-wise AND of the four criteria, shrunk by a
 Chebyshev erosion of ``erosion_radius`` cells as an uncertainty margin.
 
-The evaluator caches everything that does not depend on the hip height, so
-sweeping many hip heights over one heightmap (pose evaluation) costs little
-more than a single evaluation.  In particular the LC clearance is monotone
-increasing in hip height, which reduces LC to a per-cell hip-height
-threshold grid.
+The evaluator caches everything that does not depend on the hip height.
+The LC clearance grows with the hip height, which reduces LC to a per-cell
+hip-height threshold grid.  It is built with the swing and stance
+instants stacked on one axis and one pass per segment sample; height
+lookups read a copy of the map with a one-cell -inf border, so points off
+the map are exempt without a mask.  A sweep over many hip heights (pose
+evaluation) stacks their conjunctions and erodes them in one call.
 """
 
 from __future__ import annotations
@@ -38,16 +40,7 @@ from scipy import ndimage
 from .robot import BodyTwist, GaitParams, RobotModel, swing_arc_z
 from .terrain import Heightmap
 
-_NEIGHBOR_OFFSETS = (
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-)
+_NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,13 @@ class FecInput:
     gait: GaitParams
 
     def __post_init__(self):
-        if not (0.0 < self.hip_height <= 2.0):
-            raise ValueError("hip_height outside the (0, 2] m sanity bound")
+        check_hip_height(self.hip_height)
+
+
+def check_hip_height(z_h) -> None:
+    """Raise ValueError unless every hip height is in (0, 2] m."""
+    if not np.all((z_h > 0.0) & (z_h <= 2.0)):
+        raise ValueError("hip_height outside the (0, 2] m sanity bound")
 
 
 @dataclass
@@ -110,14 +108,14 @@ def count_safe(grid: SafetyGrid) -> int:
 
 
 def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Chebyshev erosion: a true cell within ``radius`` of a false cell
-    becomes false.  Cells outside the grid do not erode the border."""
+    """Chebyshev erosion over the last two axes, so a stack of grids erodes
+    grid by grid: a true cell within ``radius`` of a false cell becomes
+    false.  Cells outside the grid do not erode the border."""
     if radius == 0:
         return mask.copy()
     size = 2 * radius + 1
-    return ndimage.binary_erosion(
-        mask, structure=np.ones((size, size), dtype=bool), border_value=1
-    )
+    structure = np.ones((1,) * (mask.ndim - 2) + (size, size), dtype=bool)
+    return ndimage.binary_erosion(mask, structure=structure, border_value=1)
 
 
 def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
@@ -147,7 +145,8 @@ def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
 
 class FecEvaluator:
     """Evaluates the criteria for one (heightmap, twist, gait) tuple at any
-    hip height.  Build once, then call :meth:`evaluate` per hip height.
+    hip height.  Build once, then call :meth:`evaluate` per hip height, or
+    :meth:`sweep_counts` for the safe-foothold counts of many.
 
     ``current_foot`` is the swing lift-off point; when omitted, the foot is
     assumed to rest on the center cell of the heightmap.
@@ -173,15 +172,16 @@ class FecEvaluator:
         hm = heightmap
         self.GX, self.GY = hm.grid_offsets()
         self.Z = hm.cells
+        # Row-major heights with a one-cell -inf border, for _cell_index.
+        self._bordered = np.pad(self.Z, 1, constant_values=-np.inf).ravel()
         self._i0 = 0.5 + (hm.h_x - 1) / 2.0
         self._j0 = 0.5 + (hm.h_y - 1) / 2.0
 
         if current_foot is None:
-            ci, cj = hm.h_x // 2, hm.h_y // 2
-            current_foot = np.array([hm.center[0], hm.center[1], hm.cells[ci, cj]])
-        self.p_lo = np.asarray(current_foot, dtype=np.float64)
-        lo_g = self._to_grid(self.p_lo[:2])
-        self._lo_gx, self._lo_gy, self._lo_z = lo_g[0], lo_g[1], self.p_lo[2]
+            current_foot = (hm.center[0], hm.center[1], hm.cells[hm.h_x // 2, hm.h_y // 2])
+        foot = np.asarray(current_foot, dtype=np.float64)
+        self._lo_gx, self._lo_gy = self._to_grid(foot[:2])
+        self._lo_z = foot[2]
 
         hip_now = np.asarray(hip_world_xy, dtype=np.float64)
         v = twist.planar
@@ -192,8 +192,6 @@ class FecEvaluator:
 
         self.tr = eval_tr(hm, config)
         self._build_arc_tables(config.fc_arc_samples)
-        self._build_fc()
-        self._build_kf_tables()
         self._build_lc_threshold(config.lc_time_samples)
 
     def _to_grid(self, p_xy) -> np.ndarray:
@@ -203,44 +201,42 @@ class FecEvaluator:
         dy = p_xy[1] - hm.center[1]
         return np.array([c * dx + s * dy, -s * dx + c * dy])
 
-    def _heights_at(self, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-cell heights under grid-frame points; flags in-grid."""
+    def _cell_index(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """Flat index, into the -inf-bordered map, of the nearest cell under
+        each grid-frame point.  Off-map points index the border, so they
+        read -inf and pass every clearance test."""
         hm = self.heightmap
-        gi = np.floor(gx / hm.resolution + self._i0)
-        gj = np.floor(gy / hm.resolution + self._j0)
-        ingrid = (gi >= 0) & (gi < hm.h_x) & (gj >= 0) & (gj < hm.h_y)
-        ii = gi.astype(np.intp)
-        jj = gj.astype(np.intp)
-        np.clip(ii, 0, hm.h_x - 1, out=ii)
-        np.clip(jj, 0, hm.h_y - 1, out=jj)
-        return self.Z[ii, jj], ingrid
+        gi = gx / hm.resolution
+        gi += self._i0
+        gj = gy / hm.resolution
+        gj += self._j0
+        np.clip(np.floor(gi, out=gi), -1, hm.h_x, out=gi)
+        np.clip(np.floor(gj, out=gj), -1, hm.h_y, out=gj)
+        gi *= hm.h_y + 2
+        gj += hm.h_y + 3
+        gi += gj
+        return gi.astype(np.intp)
 
     # -- static tables -------------------------------------------------
 
     def _build_arc_tables(self, n: int):
-        # Swing arc from the lift-off foot to every candidate cell.
+        """FC, and the KF tables: planar distances from the candidate to the
+        hip at touchdown and at the next lift-off, and from each interior
+        sample of the swing arc (lift-off foot to candidate) to the hip
+        interpolated over swing time.  The arc endpoints are the
+        candidate-independent current state and the touchdown check."""
         s = np.linspace(0.0, 1.0, n)[:, None, None]
-        self.arc_s = s
-        self.arc_x = self._lo_gx + (self.GX[None] - self._lo_gx) * s
-        self.arc_y = self._lo_gy + (self.GY[None] - self._lo_gy) * s
-        self.arc_z = swing_arc_z(self._lo_z, self.Z[None], s, self.apex)
+        arc_x = (self._lo_gx + (self.GX - self._lo_gx) * s)[1:-1]
+        arc_y = (self._lo_gy + (self.GY - self._lo_gy) * s)[1:-1]
+        self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.apex)[1:-1]
+        hq = self._bordered.take(self._cell_index(arc_x, arc_y))
+        self.fc = np.all(self.arc_z - hq >= self.config.fc_clearance, axis=0)
 
-    def _build_fc(self):
-        c = self.config
-        hq, ingrid = self._heights_at(self.arc_x[1:-1], self.arc_y[1:-1])
-        ok = ~ingrid | (self.arc_z[1:-1] - hq >= c.fc_clearance)
-        self.fc = np.all(ok, axis=0)
-
-    def _build_kf_tables(self):
         self.td_planar2 = (self.GX - self.hip_td[0]) ** 2 + (self.GY - self.hip_td[1]) ** 2
         self.lo2_planar2 = (self.GX - self.hip_lo2[0]) ** 2 + (self.GY - self.hip_lo2[1]) ** 2
-        # Hip interpolated over swing time against the interior arc samples;
-        # the endpoints are the (candidate-independent) current state and
-        # the touchdown check above.
-        hip_x = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * self.arc_s[1:-1]
-        hip_y = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * self.arc_s[1:-1]
-        self.arc_planar2 = (self.arc_x[1:-1] - hip_x) ** 2 + (self.arc_y[1:-1] - hip_y) ** 2
-        self.arc_z_kf = self.arc_z[1:-1]
+        hip_x = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * s[1:-1]
+        hip_y = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * s[1:-1]
+        self.arc_planar2 = (arc_x - hip_x) ** 2 + (arc_y - hip_y) ** 2
 
     def _build_lc_threshold(self, n_t: int):
         """Per-cell hip-height threshold above which the leg segment keeps
@@ -249,59 +245,60 @@ class FecEvaluator:
         threshold comparison."""
         c = self.config
         frac = np.linspace(0.0, 1.0, n_t)
+        s = frac[1:, None, None]
+        stance = (n_t,) + self.Z.shape
+        # The instants, stacked on axis 0: n_t - 1 of the swing (foot on the
+        # arc, hip advancing toward touchdown; the s = 0 instant is the
+        # candidate-independent current state), then n_t of the stance
+        # (foot at the candidate, hip advancing to the next lift-off).
+        hip = [
+            np.concatenate([now + (td - now) * frac[1:], td + (lo2 - td) * frac])[:, None, None]
+            for now, td, lo2 in zip(self.hip_now, self.hip_td, self.hip_lo2)
+        ]
+        fx = np.concatenate([self._lo_gx + (self.GX - self._lo_gx) * s, np.broadcast_to(self.GX, stance)])
+        fy = np.concatenate([self._lo_gy + (self.GY - self._lo_gy) * s, np.broadcast_to(self.GY, stance)])
+        fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.apex), np.broadcast_to(self.Z, stance)])
+        dhx = hip[0] - fx
+        dhy = hip[1] - fy
+        span = np.hypot(dhx, dhy)
+        clear = c.lc_clearance - fz
+        thresh = np.full(fx.shape, -np.inf)
         # Skip g = 0: the foot endpoint is always inside its own exemption.
-        g = np.linspace(0.0, 1.0, c.lc_segment_samples)[1:][:, None, None]
-        d_min = c.lc_clearance
-        r_f = self.model.foot_radius
-        thresh = np.full(self.Z.shape, -np.inf)
-
-        instants = []
-        for k in range(1, n_t):
-            # swing: foot on the arc, hip advancing toward touchdown; the
-            # s = 0 instant is the candidate-independent current state.
-            s = frac[k]
-            hip = self.hip_now + (self.hip_td - self.hip_now) * s
-            fx = self._lo_gx + (self.GX - self._lo_gx) * s
-            fy = self._lo_gy + (self.GY - self._lo_gy) * s
-            fz = swing_arc_z(self._lo_z, self.Z, s, self.apex)
-            instants.append((hip, fx, fy, fz))
-        for k in range(n_t):
-            # stance: foot at the candidate, hip advancing to next lift-off
-            hip = self.hip_td + (self.hip_lo2 - self.hip_td) * frac[k]
-            instants.append((hip, self.GX, self.GY, self.Z))
-
-        for hip, fx, fy, fz in instants:
-            dhx = hip[0] - fx
-            dhy = hip[1] - fy
-            qx = fx + dhx * g
-            qy = fy + dhy * g
-            planar = np.hypot(dhx, dhy) * g
-            hq, ingrid = self._heights_at(qx, qy)
-            constrained = ingrid & (planar > r_f)
-            z_star = hq + (d_min - fz) + g * fz
+        for g in np.linspace(0.0, 1.0, c.lc_segment_samples)[1:]:
+            idx = self._cell_index(fx + dhx * g, fy + dhy * g)
+            # Points within the foot radius (planar) of the foot are exempt:
+            # index 0 is a border cell, so they read -inf like the points
+            # off the map, and their z* is -inf.
+            idx *= span * g > self.model.foot_radius
+            z_star = self._bordered.take(idx)
+            z_star += clear
+            z_star += g * fz
             z_star /= g
-            z_star[~constrained] = -np.inf
-            np.maximum(thresh, z_star.max(axis=0), out=thresh)
-        self.lc_threshold = thresh
+            np.maximum(thresh, z_star, out=thresh)
+        self.lc_threshold = thresh.max(axis=0)
 
     # -- evaluation ------------------------------------------------------
 
-    def lc_grid(self, z_h: float) -> np.ndarray:
+    def lc_grid(self, z_h) -> np.ndarray:
         return z_h >= self.lc_threshold
 
-    def kf_grid(self, z_h: float) -> np.ndarray:
+    def kf_grid(self, z_h) -> np.ndarray:
+        """KF at hip height ``z_h``: a float, or an (n, 1, 1) array of
+        heights for an (n, h_x, h_y) stack of grids."""
         lo2, hi2 = self.model.r_min**2, self.model.r_max**2
-        d2 = self.td_planar2 + (z_h - self.Z) ** 2
-        ok = (d2 >= lo2) & (d2 <= hi2)
-        d2 = self.lo2_planar2 + (z_h - self.Z) ** 2
-        ok &= (d2 >= lo2) & (d2 <= hi2)
-        d2 = self.arc_planar2 + (z_h - self.arc_z_kf) ** 2
-        ok &= np.all((d2 >= lo2) & (d2 <= hi2), axis=0)
+
+        def inside(d2):
+            return (d2 >= lo2) & (d2 <= hi2)
+
+        dz2 = (z_h - self.Z) ** 2
+        ok = inside(self.td_planar2 + dz2) & inside(self.lo2_planar2 + dz2)
+        # One arc sample at a time keeps each temporary the size of ``ok``.
+        for planar2, arc_z in zip(self.arc_planar2, self.arc_z):
+            ok &= inside(planar2 + (z_h - arc_z) ** 2)
         return ok
 
     def evaluate(self, z_h: float) -> SafetyGrid:
-        if not (0.0 < z_h <= 2.0):
-            raise ValueError("hip_height outside the (0, 2] m sanity bound")
+        check_hip_height(z_h)
         lc = self.lc_grid(z_h)
         kf = self.kf_grid(z_h)
         raw = self.tr & lc & kf & self.fc
@@ -311,11 +308,13 @@ class FecEvaluator:
         )
 
     def sweep_counts(self, z_values) -> np.ndarray:
-        """Safe-foothold count for each hip height in ``z_values``."""
-        return np.array(
-            [np.count_nonzero(self.evaluate(float(z)).cells) for z in z_values],
-            dtype=np.int64,
-        )
+        """Safe-foothold count for each hip height in ``z_values``: the
+        conjunctions of all heights as one stack and one erosion."""
+        z = np.asarray(z_values, dtype=np.float64)[:, None, None]
+        check_hip_height(z)
+        raw = self.lc_grid(z) & self.kf_grid(z) & (self.tr & self.fc)
+        cells = erode_safe_set(raw, self.config.erosion_radius)
+        return np.count_nonzero(cells, axis=(1, 2)).astype(np.int64)
 
 
 def eval_fec(

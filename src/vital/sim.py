@@ -19,6 +19,7 @@ the shift of the pose box.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ from .vpa import (
     HipHeightSet,
     PoseOptProblem,
     check_cost,
+    check_pose_box,
     fit_rbf,
     optimize_pose_receding,
     pose_evaluation,
@@ -156,6 +158,9 @@ class Scenario:
             check_patch_shape(self.map_cells, self.map_cells, self.map_resolution)
             HipHeightSet(self.zh_min, self.zh_max, self.zh_count)
             rbf_centers_and_width(self.rbf_count, self.zh_min, self.zh_max)
+            self.gait_params()
+            BodyTwist(np.array([self.vx, self.vy, 0.0]), np.array([0.0, 0.0, self.yaw_rate]))
+            check_pose_box(*self.pose_box())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -194,6 +199,20 @@ class Scenario:
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(values)
+
+    def gait_params(self) -> GaitParams:
+        """The gait at the commanded speed; ``t_remaining`` is set per use."""
+        duty = self.duty_factor if self.duty_factor > 0 else _GAIT_DUTY[self.gait]
+        # Checks the frequency before it divides the speed.
+        gait = GaitParams(step_frequency=self.step_frequency, duty_factor=duty)
+        return dataclasses.replace(gait, step_length=math.hypot(self.vx, self.vy) / gait.step_frequency)
+
+    def pose_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the pose (z_b, roll, pitch)."""
+        return (
+            np.array([self.u_z_min, -self.u_roll_max, -self.u_pitch_max]),
+            np.array([self.u_z_max, self.u_roll_max, self.u_pitch_max]),
+        )
 
     def build_terrain(self) -> TerrainMap:
         return TerrainMap(
@@ -277,14 +296,10 @@ class RunSetup:
         self.terrain = scenario.build_terrain()
         self.model = robot_preset(scenario.robot)
         self.fec_config = FecConfig()
-        duty = scenario.duty_factor if scenario.duty_factor > 0 else _GAIT_DUTY[scenario.gait]
-        freq = scenario.step_frequency
-        # t_remaining is set per use
-        self.gait = GaitParams(math.hypot(scenario.vx, scenario.vy) / freq, freq, duty)
+        self.gait = scenario.gait_params()
         self.heights = HipHeightSet(scenario.zh_min, scenario.zh_max, scenario.zh_count)
         self.apex = scenario.step_height if scenario.step_height > 0 else self.model.default_step_height
-        self.u_min = np.array([scenario.u_z_min, -scenario.u_roll_max, -scenario.u_pitch_max])
-        self.u_max = np.array([scenario.u_z_max, scenario.u_roll_max, scenario.u_pitch_max])
+        self.u_min, self.u_max = scenario.pose_box()
         self.du = np.array([scenario.du_z, scenario.du_roll, scenario.du_pitch])
         extent = scenario.map_cells * scenario.map_resolution
         self.delta_h = scenario.delta_h if scenario.delta_h > 0 else extent / 2.0
@@ -548,6 +563,9 @@ def run_scenario(
     nsf = (0.0, 0.0, 0.0, 0.0)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        if dump_criteria:
+            for path in glob.glob(os.path.join(out_dir, "fec_*.csv")):
+                os.remove(path)  # grids of an earlier run
 
     prev_stance = np.ones(4, dtype=bool)
     for k in range(n_ticks):
@@ -589,7 +607,7 @@ def run_scenario(
                     for j, layer in enumerate(update.functions)
                     for l, f in enumerate(layer)
                 )
-                write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=True)
+                write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=k > 0)
 
         actual = track_pose(actual, ref, dt, scenario.tau_track)
         hips = setup.hips_world(base, actual, yaw)

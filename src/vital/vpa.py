@@ -183,6 +183,12 @@ def check_cost(cost: str, margin: float) -> None:
         raise ValueError("cost 'int' needs margin > 0")
 
 
+def check_pose_box(u_min, u_max) -> None:
+    """Raise ValueError unless every lower pose bound is <= its upper one."""
+    if np.any(np.asarray(u_min) > np.asarray(u_max)):
+        raise ValueError("u_min must be <= u_max")
+
+
 @dataclass(frozen=True)
 class PoseOptProblem:
     """Box-constrained pose maximization problem.
@@ -219,8 +225,7 @@ class PoseOptProblem:
         check_cost(self.cost, self.margin)
         for name in ("hip_offsets", "u_min", "u_max", "du_min", "du_max"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if np.any(self.u_min > self.u_max):
-            raise ValueError("u_min must be <= u_max")
+        check_pose_box(self.u_min, self.u_max)
         layers = tuple(tuple(layer) for layer in self.functions)
         object.__setattr__(self, "functions", layers)
         stack = [

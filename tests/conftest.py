@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vital.fec import FecConfig
 from vital.robot import BodyTwist, GaitParams, robot_preset
 from vital.terrain import TerrainMap
+
+# Property tests draw the same examples on every run and keep no example
+# database, so every run of the suite checks the same cases.
+settings.register_profile("vital", derandomize=True, database=None, deadline=None, max_examples=40)
+settings.load_profile("vital")
 
 
 @pytest.fixture

@@ -1,11 +1,15 @@
 """Independent brute-force re-implementation of the foothold evaluation
 criteria, written as plain per-cell loops from the documented definitions.
 Used as the oracle for bit-identical comparison against the fast evaluator.
+The reference loops at the end recompute FecEvaluator's FC, LC threshold
+and sweep tables one instant and one hip height at a time.
 """
 
 import math
 
 import numpy as np
+
+from vital.robot import swing_arc_z
 
 NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -182,3 +186,66 @@ class NaiveFec:
                         break
                 out[i, j] = ok
         return out
+
+
+# ---------------------------------------------------------------------------
+# Reference loops for the stacked FecEvaluator tables
+# ---------------------------------------------------------------------------
+#
+# FecEvaluator stacks the LC instants, reads heights from a map with a
+# -inf border and sweeps all hip heights in one pass.  These are the
+# per-instant and per-height loops with in-grid masks that it replaced,
+# with the same arithmetic, so the comparison is exact.
+
+
+def _heights_in_grid(ev, gx, gy):
+    """Nearest-cell heights under grid-frame points; flags in-grid."""
+    hm = ev.heightmap
+    gi = np.floor(gx / hm.resolution + (0.5 + (hm.h_x - 1) / 2.0))
+    gj = np.floor(gy / hm.resolution + (0.5 + (hm.h_y - 1) / 2.0))
+    ingrid = (gi >= 0) & (gi < hm.h_x) & (gj >= 0) & (gj < hm.h_y)
+    ii = np.clip(gi.astype(np.intp), 0, hm.h_x - 1)
+    jj = np.clip(gj.astype(np.intp), 0, hm.h_y - 1)
+    return ev.Z[ii, jj], ingrid
+
+
+def loop_fc(ev):
+    """FC of an evaluator's swing arcs; off-map arc samples are exempt."""
+    s = np.linspace(0.0, 1.0, ev.config.fc_arc_samples)[:, None, None]
+    arc_x = ev._lo_gx + (ev.GX[None] - ev._lo_gx) * s
+    arc_y = ev._lo_gy + (ev.GY[None] - ev._lo_gy) * s
+    arc_z = swing_arc_z(ev._lo_z, ev.Z[None], s, ev.apex)
+    hq, ingrid = _heights_in_grid(ev, arc_x[1:-1], arc_y[1:-1])
+    return np.all(~ingrid | (arc_z[1:-1] - hq >= ev.config.fc_clearance), axis=0)
+
+
+def loop_lc_threshold(ev):
+    """Per-cell LC hip-height threshold of an evaluator, one instant at a
+    time; off-map segment points are exempt."""
+    c = ev.config
+    frac = np.linspace(0.0, 1.0, c.lc_time_samples)
+    g = np.linspace(0.0, 1.0, c.lc_segment_samples)[1:][:, None, None]
+    thresh = np.full(ev.Z.shape, -np.inf)
+    instants = []
+    for s in frac[1:]:
+        hip = ev.hip_now + (ev.hip_td - ev.hip_now) * s
+        fx = ev._lo_gx + (ev.GX - ev._lo_gx) * s
+        fy = ev._lo_gy + (ev.GY - ev._lo_gy) * s
+        instants.append((hip, fx, fy, swing_arc_z(ev._lo_z, ev.Z, s, ev.apex)))
+    for s in frac:
+        instants.append((ev.hip_td + (ev.hip_lo2 - ev.hip_td) * s, ev.GX, ev.GY, ev.Z))
+    for hip, fx, fy, fz in instants:
+        dhx = hip[0] - fx
+        dhy = hip[1] - fy
+        planar = np.hypot(dhx, dhy) * g
+        hq, ingrid = _heights_in_grid(ev, fx + dhx * g, fy + dhy * g)
+        z_star = hq + (c.lc_clearance - fz) + g * fz
+        z_star /= g
+        z_star[~(ingrid & (planar > ev.model.foot_radius))] = -np.inf
+        np.maximum(thresh, z_star.max(axis=0), out=thresh)
+    return thresh
+
+
+def loop_sweep_counts(ev, z_values):
+    """Safe-foothold count per hip height, one evaluation and erosion each."""
+    return np.array([np.count_nonzero(ev.evaluate(float(z)).cells) for z in z_values], dtype=np.int64)

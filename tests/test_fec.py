@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vital.fec import (
     FecConfig,
@@ -10,10 +11,11 @@ from vital.fec import (
     eval_fec,
     eval_tr,
 )
-from vital.robot import BodyTwist, GaitParams
-from vital.terrain import Heightmap, TerrainMap, extract_heightmap
+from vital.robot import BodyTwist, GaitParams, robot_preset
+from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
+from vital.vpa import HipHeightSet
 
-from naive_fec import NaiveFec, naive_tr
+from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
 
 
 def make_input(terrain, center, z_h, twist, gait, h=33, yaw=0.0):
@@ -244,3 +246,80 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(fast.lc, naive["lc"])
         np.testing.assert_array_equal(fast.raw, naive["raw"])
         np.testing.assert_array_equal(fast.cells, naive["cells"])
+
+
+class TestOracleProperties:
+    """The fast evaluator against the per-cell oracle on 9x9 patches."""
+
+    @given(
+        kind=st.sampled_from(["flat", "stairs", "gapped_stairs", "rough", "composite"]),
+        terrain_seed=st.integers(0, 1000),
+        center=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 0.5)),
+        yaw=st.floats(-np.pi, np.pi),
+        twist=st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2), st.floats(-0.5, 0.5)),
+        t_remaining=st.floats(0.05, 0.4),
+        hip_offset=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        dz_h=st.floats(0.3, 0.8),
+        foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    )
+    def test_matches_naive(self, kind, terrain_seed, center, yaw, twist, t_remaining, hip_offset, dz_h, foot_offset):
+        model, config = robot_preset("hyq-like"), FecConfig()
+        start_x = terrain_seed / 1000.0 - 0.2
+        terrain = TerrainMap(kind=kind, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
+        hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
+        z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
+        hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
+        body = BodyTwist(np.array([twist[0], twist[1], 0.0]), np.array([0.0, 0.0, twist[2]]))
+        gait = GaitParams(0.14, 1.4, 0.5, t_remaining)
+        foot = None
+        if foot_offset is not None:
+            xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
+            foot = np.array([*xy, sample_height(terrain, *xy)])
+        ev = FecEvaluator(hm, hip, body, gait, model, config, current_foot=foot)
+        fast = ev.evaluate(z_h)
+        naive = NaiveFec(hm, hip, body, gait, model, config, current_foot=foot).evaluate(z_h)
+        for name in ("tr", "lc", "kf", "fc", "raw", "cells"):
+            np.testing.assert_array_equal(getattr(fast, name), naive[name], err_msg=name)
+        z = z_h + np.linspace(-0.25, 0.25, 11)
+        np.testing.assert_array_equal(ev.sweep_counts(z), loop_sweep_counts(ev, z))
+
+
+class TestReferenceLoops:
+    """The stacked LC instants, the -inf-bordered lookups and the one-pass
+    sweep give exactly what the per-instant and per-height loops give."""
+
+    TERRAINS = {
+        "stairs": dict(kind="stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.2),
+        "rough": dict(kind="rough", cell=0.2, amplitude=0.15, seed=4),
+        "composite": dict(kind="composite", rise=0.12, going=0.2, n_steps=3, start_x=0.1, plateau=0.3),
+        "gapped_stairs": dict(kind="gapped_stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.1,
+                              gap_width=0.08, gap_depth=1.0),
+    }
+
+    @pytest.mark.parametrize("kind", TERRAINS)
+    # The hip on the map, then the hip and the lift-off foot off it.
+    @pytest.mark.parametrize("hip_dx, foot_dx", [(0.03, -0.06), (-0.45, -0.4)])
+    def test_full_map_bit_identical(self, kind, hip_dx, foot_dx, model, config):
+        terrain = TerrainMap(**self.TERRAINS[kind])
+        center = (0.42, 0.05)
+        hm = extract_heightmap(terrain, center, 0.3)
+        twist = BodyTwist(np.array([0.3, 0.08, 0.0]), np.array([0.0, 0.0, 0.2]))
+        gait = GaitParams(0.14, 1.4, 0.5, 0.3)
+        foot_xy = (center[0] + foot_dx, center[1] - 0.04)
+        foot = np.array([*foot_xy, sample_height(terrain, *foot_xy)])
+        ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), twist, gait, model, config, foot)
+        lc = ev.lc_threshold
+        assert np.isfinite(lc).any()
+        np.testing.assert_array_equal(lc, loop_lc_threshold(ev))
+        np.testing.assert_array_equal(ev.fc, loop_fc(ev))
+        z = HipHeightSet().values + hm.cells[16, 16]
+        counts = ev.sweep_counts(z)
+        assert counts.any()
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    def test_sweep_outside_sanity_bound_raises(self, stairs, model, config, forward_twist, gait):
+        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0, h_x=9, h_y=9)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_twist, gait, model, config)
+        for z in ([0.5, 0.0], [2.1, 0.5], [-0.3, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="sanity bound"):
+                ev.sweep_counts(np.array(z))

@@ -174,6 +174,21 @@ class TestRunScenario:
         assert any(n.startswith("fec_") and n.endswith("_mu.csv") for n in names)
         assert counts[0] == counts[1] > 0
 
+    def test_dumps_start_fresh_per_run(self, tmp_path):
+        # A longer run, then a shorter one into the same directory: the
+        # second run's dumps replace the first run's.
+        out = tmp_path / "out"
+        runs = [
+            run_scenario(short_flat(planner="vpa", duration=d), out_dir=str(out), dump_criteria=True, dump_rbf=True)
+            for d in (1.2, 0.6)
+        ]
+        assert len(runs[0].foothold_rows) > len(runs[1].foothold_rows) > 0
+        m = runs[1]
+        rbf_rows = (out / "rbf.csv").read_text().splitlines()[1:]
+        assert len(rbf_rows) == len(m.planner_rows) * 4 * 2
+        grids = [n for n in os.listdir(out) if n.startswith("fec_")]
+        assert len(grids) == 5 * len(m.foothold_rows)
+
 
 # The stepped terrains start under the robot, so the two planner ticks see
 # their edges.  gapped_stairs then has the front hips over a gap: the centre
@@ -243,6 +258,10 @@ class TestCli:
             "tick_rate=nan",
             "planner_rate=inf",
             "vx=nan",
+            "vx=inf",
+            "duty_factor=1.5",
+            "step_frequency=0",
+            "u_z_min=0.9",
         ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):
