@@ -7,26 +7,22 @@ from .robot import (
     BodyTwist,
     GaitParams,
     LEG_NAMES,
-    Pose,
     RobotModel,
     SwingTrajectory,
-    hip_height,
+    hip_height_from,
     nominal_foothold,
     robot_preset,
-    swing_trajectory,
-    workspace_contains,
 )
 from .fec import (
     FecConfig,
     FecEvaluator,
-    FecInput,
     SafetyGrid,
     count_safe,
     erode_safe_set,
     eval_fec,
     eval_tr,
 )
-from .vfa import FootholdDecision, VfaInput, foothold_evaluation
+from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
     HipHeightSet,
     PoseOptProblem,

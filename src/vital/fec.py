@@ -69,21 +69,6 @@ class FecConfig:
             raise ValueError("erosion_radius must be >= 0")
 
 
-@dataclass(frozen=True)
-class FecInput:
-    """Input tuple for one evaluation: heightmap, hip height (world),
-    planar hip position, base twist, and gait parameters."""
-
-    heightmap: Heightmap
-    hip_height: float
-    hip_world_xy: tuple[float, float]
-    twist: BodyTwist
-    gait: GaitParams
-
-    def __post_init__(self):
-        check_hip_height(self.hip_height)
-
-
 def check_hip_height(z_h) -> None:
     """Raise ValueError unless every hip height is in (0, 2] m."""
     if not np.all((z_h > 0.0) & (z_h <= 2.0)):
@@ -318,18 +303,14 @@ class FecEvaluator:
 
 
 def eval_fec(
-    fec_input: FecInput,
+    heightmap: Heightmap,
+    hip,
+    twist: BodyTwist,
+    gait: GaitParams,
     model: RobotModel,
     config: FecConfig,
     current_foot=None,
 ) -> SafetyGrid:
-    """Evaluate all criteria, conjoin them, and apply the uncertainty erosion."""
-    return FecEvaluator(
-        fec_input.heightmap,
-        fec_input.hip_world_xy,
-        fec_input.twist,
-        fec_input.gait,
-        model,
-        config,
-        current_foot=current_foot,
-    ).evaluate(fec_input.hip_height)
+    """Evaluate all criteria, conjoin them, and apply the uncertainty erosion,
+    for the world (x, y, z) hip at lift-off."""
+    return FecEvaluator(heightmap, hip[:2], twist, gait, model, config, current_foot).evaluate(hip[2])

@@ -86,10 +86,9 @@ def robot_preset(name: str) -> RobotModel:
 
 @dataclass(frozen=True)
 class GaitParams:
-    """Gait descriptors: step length, frequency, duty factor, and the time
-    remaining until the swinging leg touches down."""
+    """Gait descriptors: step frequency, duty factor, and the time remaining
+    until the swinging leg touches down."""
 
-    step_length: float = 0.14
     step_frequency: float = 1.4
     duty_factor: float = 0.5
     t_remaining: float = 0.0
@@ -101,10 +100,6 @@ class GaitParams:
             raise ValueError("duty_factor must be in (0, 1)")
         if self.t_remaining < 0:
             raise ValueError("t_remaining must be >= 0")
-
-    @property
-    def cycle_duration(self) -> float:
-        return 1.0 / self.step_frequency
 
     @property
     def stance_duration(self) -> float:
@@ -134,23 +129,6 @@ class BodyTwist:
         return self.linear[:2]
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Body height plus roll/pitch: the pose-planner decision variables."""
-
-    z_b: float
-    roll: float = 0.0
-    pitch: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z_b, self.roll, self.pitch])
-
-    @classmethod
-    def from_array(cls, u) -> "Pose":
-        u = np.asarray(u, dtype=np.float64)
-        return cls(float(u[0]), float(u[1]), float(u[2]))
-
-
 def hip_height_from(z_b, roll, pitch, hip_offset) -> np.ndarray:
     """World hip height for pose components and a base-frame hip offset.
 
@@ -163,10 +141,6 @@ def hip_height_from(z_b, roll, pitch, hip_offset) -> np.ndarray:
     sg, cg = np.sin(pitch), np.cos(pitch)
     sb, cb = np.sin(roll), np.cos(roll)
     return z_b - x * sg + y * cg * sb + z * cg * cb
-
-
-def hip_height(pose: Pose, hip_offset) -> float:
-    return float(hip_height_from(pose.z_b, pose.roll, pose.pitch, hip_offset))
 
 
 def rotation_matrix(roll: float, pitch: float, yaw: float = 0.0) -> np.ndarray:
@@ -225,13 +199,3 @@ class SwingTrajectory:
         xy = self.p_lo[:2] + (self.p_td[:2] - self.p_lo[:2]) * s
         z = swing_arc_z(self.p_lo[2], self.p_td[2], s, self.apex_height)
         return np.array([xy[0], xy[1], float(z)])
-
-
-def swing_trajectory(p_lo, p_td, apex_height: float) -> SwingTrajectory:
-    return SwingTrajectory(p_lo, p_td, apex_height)
-
-
-def workspace_contains(hip_world, foot, model: RobotModel) -> bool:
-    """True iff the foot lies inside the spherical-shell leg workspace."""
-    d = np.linalg.norm(np.asarray(foot, dtype=np.float64) - np.asarray(hip_world, dtype=np.float64))
-    return bool(model.r_min <= d <= model.r_max)

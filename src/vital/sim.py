@@ -34,14 +34,11 @@ from .robot import (
     BodyTwist,
     GaitParams,
     LEG_NAMES,
-    Pose,
-    RobotModel,
     SwingTrajectory,
     hip_height_from,
     nominal_foothold,
     robot_preset,
     rotation_matrix,
-    swing_trajectory,
 )
 from .tbr import tbr_pose
 from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
@@ -49,7 +46,6 @@ from .vfa import (
     FALLBACK_KEPT_NOMINAL_UNSAFE,
     FALLBACK_NO_SAFE_CELL,
     FootholdDecision,
-    VfaInput,
     foothold_evaluation,
 )
 from .vpa import (
@@ -201,11 +197,9 @@ class Scenario:
         return cls.from_dict(values)
 
     def gait_params(self) -> GaitParams:
-        """The gait at the commanded speed; ``t_remaining`` is set per use."""
+        """The gait's frequency and duty factor; ``t_remaining`` is set per use."""
         duty = self.duty_factor if self.duty_factor > 0 else _GAIT_DUTY[self.gait]
-        # Checks the frequency before it divides the speed.
-        gait = GaitParams(step_frequency=self.step_frequency, duty_factor=duty)
-        return dataclasses.replace(gait, step_length=math.hypot(self.vx, self.vy) / gait.step_frequency)
+        return GaitParams(step_frequency=self.step_frequency, duty_factor=duty)
 
     def pose_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds of the pose (z_b, roll, pitch)."""
@@ -345,8 +339,7 @@ def foothold_decision(
     gait = dataclasses.replace(setup.gait, t_remaining=t_remaining)
     nominal = nominal_foothold(hip, twist, gait, setup.terrain)
     hm = setup.heightmap(nominal, yaw)
-    vfa_in = VfaInput(hm, float(hip[2]), twist, gait, nominal)
-    decision = foothold_evaluation(vfa_in, setup.model, setup.fec_config, current_foot=foot)
+    decision = foothold_evaluation(hm, hip, twist, gait, setup.model, setup.fec_config, current_foot=foot)
     row = dict(
         time=float(t),
         leg=LEG_NAMES[leg],
@@ -423,7 +416,7 @@ def planner_update(
         problem = PoseOptProblem(
             functions=functions,
             hip_offsets=model.hip_offsets,
-            u_prev=Pose.from_array(ref),
+            u_prev=ref,
             u_min=setup.u_min + shift,
             u_max=setup.u_max + shift,
             du_min=-setup.du,
@@ -434,7 +427,7 @@ def planner_update(
             smooth_weight=sc.smooth_weight,
         )
         result = optimize_pose_receding(problem)
-        ref = result.poses[0].as_array()
+        ref = result.poses[0]
         objective = result.objective
         cost_label = sc.cost
     elif sc.planner == "tbr":
@@ -586,7 +579,7 @@ def run_scenario(
                     dump_criteria_grids(out_dir, len(foothold_rows), l, decision.grid)
                 foothold_rows.append(row)
                 leg.target = decision.optimal
-                leg.trajectory = swing_trajectory(leg.foot, leg.target, setup.apex)
+                leg.trajectory = SwingTrajectory(leg.foot, leg.target, setup.apex)
                 fallback = decision.fallback
                 decisions[l] = FALLBACK_KEPT_NOMINAL_UNSAFE if fallback == FALLBACK_NO_SAFE_CELL else fallback
             elif stance[l] and not prev_stance[l]:

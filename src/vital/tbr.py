@@ -16,7 +16,6 @@ class TbrReference:
     pitch: float
     z_b: float
     normal: np.ndarray
-    centroid: np.ndarray
 
 
 def tbr_pose(footholds, height_offset: float = 0.55) -> TbrReference:
@@ -41,6 +40,5 @@ def tbr_pose(footholds, height_offset: float = 0.55) -> TbrReference:
     # n = (sin(pitch)cos(roll), -sin(roll), cos(pitch)cos(roll)).
     roll = -math.asin(float(np.clip(normal[1], -1.0, 1.0)))
     pitch = math.atan2(float(normal[0]), float(normal[2]))
-    centroid = pts.mean(axis=0)
-    z_b = float(centroid[2] + height_offset)
-    return TbrReference(roll, pitch, z_b, normal, centroid)
+    z_b = float(pts[:, 2].mean() + height_offset)
+    return TbrReference(roll, pitch, z_b, normal)

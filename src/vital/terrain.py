@@ -9,7 +9,7 @@ base yaw).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,21 +183,6 @@ class Heightmap:
         wx = self.center[0] + c * gx - s * gy
         wy = self.center[1] + s * gx + c * gy
         return wx, wy
-
-    def point_to_index(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest cell index of world (x, y); may fall outside the grid."""
-        dx = np.asarray(x, dtype=np.float64) - self.center[0]
-        dy = np.asarray(y, dtype=np.float64) - self.center[1]
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        gx = c * dx + s * dy
-        gy = -s * dx + c * dy
-        i = np.floor(gx / self.resolution + 0.5 + (self.h_x - 1) / 2.0)
-        j = np.floor(gy / self.resolution + 0.5 + (self.h_y - 1) / 2.0)
-        return i.astype(np.int64), j.astype(np.int64)
-
-    def contains_point(self, x: float, y: float) -> bool:
-        i, j = self.point_to_index(x, y)
-        return bool((0 <= i < self.h_x) and (0 <= j < self.h_y))
 
 
 def check_patch_shape(h_x: int, h_y: int, resolution: float) -> None:

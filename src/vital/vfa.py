@@ -1,6 +1,8 @@
 """Vision-based foothold adaptation: pick the safe foothold closest to the
-nominal touchdown point; the swing trajectory is then re-targeted at it
-with :func:`vital.robot.swing_trajectory`."""
+nominal touchdown point.  The heightmap is centred on the nominal, so the
+nominal is the map's centre point and centre cell; the swing trajectory is
+then re-targeted at the chosen foothold with
+:class:`vital.robot.SwingTrajectory`."""
 
 from __future__ import annotations
 
@@ -8,29 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fec import FecConfig, FecInput, SafetyGrid, count_safe, eval_fec
+from .fec import FecConfig, SafetyGrid, count_safe, eval_fec
 from .robot import BodyTwist, GaitParams, RobotModel
 from .terrain import Heightmap
 
 FALLBACK_SELECTED = "selected"
 FALLBACK_KEPT_NOMINAL_UNSAFE = "kept_nominal_unsafe"
 FALLBACK_NO_SAFE_CELL = "no_safe_cell"
-
-
-@dataclass(frozen=True)
-class VfaInput:
-    """Heightmap centered on the nominal foothold plus the evaluation tuple."""
-
-    heightmap: Heightmap
-    hip_height: float
-    twist: BodyTwist
-    gait: GaitParams
-    nominal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nominal", np.asarray(self.nominal, dtype=np.float64))
-        if self.nominal.shape != (3,):
-            raise ValueError("nominal must be an (x, y, z) point")
 
 
 @dataclass(frozen=True)
@@ -68,33 +54,22 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
 
 
 def foothold_evaluation(
-    vfa_input: VfaInput,
+    heightmap: Heightmap,
+    hip,
+    twist: BodyTwist,
+    gait: GaitParams,
     model: RobotModel,
     config: FecConfig,
     current_foot=None,
 ) -> FootholdDecision:
-    """Run the evaluation criteria on the nominal-centered heightmap and
-    select the optimal foothold.
+    """Run the evaluation criteria on the heightmap centred on the nominal
+    foothold, for the world (x, y, z) hip at lift-off, and select the
+    optimal foothold.
 
     With no safe cell the nominal is kept and flagged, so callers can count
     unsafe-step events instead of aborting.
     """
-    hm = vfa_input.heightmap
-    nominal = vfa_input.nominal
-    if not hm.contains_point(float(nominal[0]), float(nominal[1])):
-        raise ValueError("nominal not in heightmap")
-    # The nominal is the hip projection advanced by the velocity lookahead,
-    # so the hip planar position is recovered by undoing that advance.
-    gait = vfa_input.gait
-    lookahead = gait.t_remaining + 0.5 * gait.duty_factor / gait.step_frequency
-    hip_xy = nominal[:2] - vfa_input.twist.planar * lookahead
-    fec_input = FecInput(
-        heightmap=hm,
-        hip_height=vfa_input.hip_height,
-        hip_world_xy=(float(hip_xy[0]), float(hip_xy[1])),
-        twist=vfa_input.twist,
-        gait=gait,
-    )
-    grid = eval_fec(fec_input, model, config, current_foot=current_foot)
-    return select_closest_safe(grid, hm, nominal)
-
+    x, y = heightmap.center
+    nominal = np.array([x, y, heightmap.cells[heightmap.h_x // 2, heightmap.h_y // 2]])
+    grid = eval_fec(heightmap, hip, twist, gait, model, config, current_foot=current_foot)
+    return select_closest_safe(grid, heightmap, nominal)

@@ -29,8 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fec import FecConfig, FecEvaluator
-from .robot import BodyTwist, GaitParams, Pose, RobotModel, hip_height_from
-from .terrain import Heightmap
+from .robot import BodyTwist, GaitParams, RobotModel, hip_height_from
 
 COST_KINDS = ("sum", "prod", "int", "smooth")
 
@@ -195,8 +194,9 @@ class PoseOptProblem:
 
     ``functions`` holds one SafeFootholdFunction per leg for each horizon
     step: shape [n_horizons][4], every function with the same number of
-    basis functions.  The feasible box is the intersection of the global
-    pose bounds with the rate box around ``u_prev``.
+    basis functions.  Poses are (z_b, roll, pitch) arrays.  The feasible
+    box is the intersection of the global pose bounds with the rate box
+    around ``u_prev``.
 
     ``cost`` picks the per-leg stencil s = sum_k w_k F(z_hip + o_k), given
     as (offsets o_k in m; weights w_k): sum and prod (0; 1), int (-margin,
@@ -209,7 +209,7 @@ class PoseOptProblem:
 
     functions: tuple
     hip_offsets: np.ndarray
-    u_prev: Pose
+    u_prev: np.ndarray
     u_min: np.ndarray = field(default_factory=lambda: DEFAULT_U_MIN.copy())
     u_max: np.ndarray = field(default_factory=lambda: DEFAULT_U_MAX.copy())
     du_min: np.ndarray = field(default_factory=lambda: -DEFAULT_DU.copy())
@@ -223,7 +223,7 @@ class PoseOptProblem:
 
     def __post_init__(self):
         check_cost(self.cost, self.margin)
-        for name in ("hip_offsets", "u_min", "u_max", "du_min", "du_max"):
+        for name in ("hip_offsets", "u_prev", "u_min", "u_max", "du_min", "du_max"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         check_pose_box(self.u_min, self.u_max)
         layers = tuple(tuple(layer) for layer in self.functions)
@@ -241,19 +241,15 @@ class PoseOptProblem:
 
 @dataclass
 class PoseOptResult:
-    poses: list
+    poses: np.ndarray  # (N_h, 3); the first pose is the one to execute
     objective: float
     rate_box_clamped: bool
-
-    @property
-    def pose(self) -> Pose:
-        return self.poses[0]
 
 
 def feasible_box(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray, bool]:
     """Intersect the global bounds with the rate box.  A disjoint rate box
     is clamped into the global bounds and flagged."""
-    prev = problem.u_prev.as_array()
+    prev = problem.u_prev
     lo = np.maximum(problem.u_min, prev + problem.du_min)
     hi = np.minimum(problem.u_max, prev + problem.du_max)
     if np.any(lo > hi):
@@ -361,10 +357,10 @@ def optimize_pose_single(problem: PoseOptProblem) -> PoseOptResult:
     vals = objective_batch(problem, grid)[0]
     order = np.argsort(vals)[::-1]
     seeds = [grid[k] for k in order[:6]]
-    seeds.append(np.clip(problem.u_prev.as_array(), lo, hi))
+    seeds.append(np.clip(problem.u_prev, lo, hi))
     seeds.append((lo + hi) / 2.0)
     best_x, best_f = _polish(problem, np.array(seeds), lo, hi)
-    return PoseOptResult([Pose.from_array(best_x)], best_f, clamped)
+    return PoseOptResult(best_x.reshape(1, 3), best_f, clamped)
 
 
 def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
@@ -378,12 +374,11 @@ def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
 
     # Per-horizon solo optima seed the joint search.
     solos = [
-        optimize_pose_single(dataclasses.replace(problem, functions=[layer])).poses[0].as_array()
+        optimize_pose_single(dataclasses.replace(problem, functions=[layer])).poses[0]
         for layer in problem.functions
     ]
     seeds = [np.concatenate(solos), *(np.tile(s, n_h) for s in solos)]
-    seeds += [np.tile(np.clip(problem.u_prev.as_array(), lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
+    seeds += [np.tile(np.clip(problem.u_prev, lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
 
     best_x, best_f = _polish(problem, np.array(seeds), lo, hi)
-    poses = [Pose.from_array(best_x[3 * j : 3 * j + 3]) for j in range(n_h)]
-    return PoseOptResult(poses, best_f, clamped)
+    return PoseOptResult(best_x.reshape(n_h, 3), best_f, clamped)

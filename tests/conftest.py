@@ -44,4 +44,4 @@ def forward_twist():
 
 @pytest.fixture
 def gait():
-    return GaitParams(step_length=0.14, step_frequency=1.4, duty_factor=0.5, t_remaining=0.357)
+    return GaitParams(step_frequency=1.4, duty_factor=0.5, t_remaining=0.357)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from vital.fec import (
     FecConfig,
     FecEvaluator,
-    FecInput,
     count_safe,
     erode_safe_set,
     eval_fec,
@@ -18,15 +17,10 @@ from vital.vpa import HipHeightSet
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
 
 
-def make_input(terrain, center, z_h, twist, gait, h=33, yaw=0.0):
-    hm = extract_heightmap(terrain, center, yaw, h_x=h, h_y=h)
-    return FecInput(hm, z_h, center, twist, gait)
-
-
-def evaluator(inp, model, config, current_foot=None):
-    return FecEvaluator(
-        inp.heightmap, inp.hip_world_xy, inp.twist, inp.gait, model, config, current_foot=current_foot
-    )
+def origin_evaluator(terrain, twist, gait, model, config, h=9, current_foot=None):
+    """An evaluator on an h x h map centred at the origin, hip above it."""
+    hm = extract_heightmap(terrain, (0.0, 0.0), 0.0, h_x=h, h_y=h)
+    return FecEvaluator(hm, (0.0, 0.0), twist, gait, model, config, current_foot=current_foot)
 
 
 class TestTerrainRoughness:
@@ -82,29 +76,26 @@ class TestErosion:
 
 class TestCriteriaOnFlat:
     def test_lc_true_everywhere_nominal(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
-        lc = evaluator(inp, model, config).lc_grid(inp.hip_height)
+        lc = origin_evaluator(flat, zero_twist, gait, model, config).lc_grid(0.55)
         for i in (0, 4, 8):
             for j in (0, 4, 8):
                 assert lc[i, j]
 
     def test_lc_zero_clearance_flat(self, flat, model, zero_twist, gait):
         config = FecConfig(lc_clearance=0.0)
-        inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
-        assert evaluator(inp, model, config).lc_grid(inp.hip_height).all()
+        assert origin_evaluator(flat, zero_twist, gait, model, config).lc_grid(0.55).all()
 
     def test_lc_riser_lip_rejected(self, model, config):
         # candidate just before a riser; by the next lift-off the hip has
         # advanced well past the lip and the shin cuts through it
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=3, start_x=0.1)
         twist = BodyTwist(np.array([0.6, 0.0, 0.0]), np.zeros(3))
-        gait = GaitParams(0.2, 1.0, 0.6, 0.2)
+        gait = GaitParams(1.0, 0.6, 0.2)
         hm = extract_heightmap(stairs, (0.06, 0.0), 0.0, h_x=9, h_y=9)
-        inp = FecInput(hm, 0.42, (-0.15, 0.0), twist, gait)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
-        ev = evaluator(inp, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
-        ok = ev.lc_grid(inp.hip_height)[4, 4]
+        ev = FecEvaluator(hm, (-0.15, 0.0), twist, gait, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
+        ok = ev.lc_grid(0.42)[4, 4]
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + 0.6), 0.0, 0.42])
         foot = np.array([0.06, 0.0, 0.0])
@@ -113,21 +104,20 @@ class TestCriteriaOnFlat:
             q = foot + (hip_end - foot) * s
             if np.hypot(q[0] - foot[0], q[1] - foot[1]) <= model.foot_radius:
                 continue
-            if hm.contains_point(q[0], q[1]):
-                i, j = hm.point_to_index(q[0], q[1])
-                if q[2] - hm.cells[int(i), int(j)] < config.lc_clearance:
-                    grazed = True
-                    break
+            # nearest cell of the yaw-0 map centred at (0.06, 0)
+            i = int(np.floor((q[0] - 0.06) / hm.resolution + 0.5 + 4))
+            j = int(np.floor(q[1] / hm.resolution + 0.5 + 4))
+            if 0 <= i < 9 and 0 <= j < 9 and q[2] - hm.cells[i, j] < config.lc_clearance:
+                grazed = True
+                break
         assert grazed and not ok
 
     def test_kf_under_hip_true(self, flat, model, config, zero_twist, gait):
         mid = (model.r_min + model.r_max) / 2
-        inp = make_input(flat, (0.0, 0.0), mid, zero_twist, gait, h=9)
-        assert evaluator(inp, model, config).kf_grid(inp.hip_height)[4, 4]
+        assert origin_evaluator(flat, zero_twist, gait, model, config).kf_grid(mid)[4, 4]
 
     def test_kf_beyond_shell_false(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 1.9, zero_twist, gait, h=9)
-        assert not evaluator(inp, model, config).kf_grid(inp.hip_height).any()
+        assert not origin_evaluator(flat, zero_twist, gait, model, config).kf_grid(1.9).any()
 
     def test_kf_sunken_tread_out_of_reach(self, model, config, zero_twist, gait):
         # a tread 0.10 m below the surroundings pushes touchdown past r_max
@@ -136,25 +126,33 @@ class TestCriteriaOnFlat:
         hm = extract_heightmap(terrain, (-9.8, 0.0), 0.0, h_x=9, h_y=9)
         low = np.argwhere(hm.cells < -0.5)
         assert len(low) > 0
-        inp = FecInput(hm, 0.74, (-9.8, 0.0), zero_twist, gait)
         i, j = low[0]
-        assert not evaluator(inp, model, config).kf_grid(inp.hip_height)[i, j]
+        assert not FecEvaluator(hm, (-9.8, 0.0), zero_twist, gait, model, config).kf_grid(0.74)[i, j]
+
+    def test_kf_last_arc_sample_inside_r_min(self, flat, model, config, zero_twist, gait):
+        # Touchdown is 0.3005 m from the hip and arc sample 9/11 is 0.3011 m,
+        # both inside the shell; only the last interior sample, 10/11, comes
+        # within r_min (0.2994 m), so it alone rejects the centre cell.
+        foot = np.array([0.0, 0.0, -0.36])
+        ev = origin_evaluator(flat, zero_twist, gait, model, config, current_foot=foot)
+        assert not ev.kf_grid(0.3005)[4, 4]
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_twist, gait, model, config, current_foot=foot)
+        assert not naive.kf_cell(4, 4, 0.3005)
 
     def test_fc_flat_all_clear(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 0.55, zero_twist, gait, h=9)
         foot = np.array([0.0, 0.0, 0.0])
-        assert evaluator(inp, model, config, foot).fc.all()
+        assert origin_evaluator(flat, zero_twist, gait, model, config, current_foot=foot).fc.all()
 
     def test_fc_tall_riser_blocks_arc(self, model, config, zero_twist, gait):
         # a wall taller than the arc apex between the foot and the candidate
         terrain = TerrainMap(kind="composite", rise=0.40, going=0.14, n_steps=1,
                              start_x=0.07, plateau=0.0)
-        hm = extract_heightmap(terrain, (0.0, 0.0), 0.0)
-        inp = FecInput(hm, 0.75, (0.0, 0.0), zero_twist, gait)
         foot = np.array([-0.06, 0.0, 0.0])
+        ev = origin_evaluator(terrain, zero_twist, gait, model, config, h=33, current_foot=foot)
+        hm = ev.heightmap
         # candidate on ground level beyond the wall: the arc must cross it
         assert hm.cells[31, 16] == 0.0
-        fc = evaluator(inp, model, config, foot).fc
+        fc = ev.fc
         assert not fc[31, 16]
         # a nearby candidate on the same side as the foot stays clear
         assert hm.cells[14, 16] == 0.0
@@ -163,29 +161,28 @@ class TestCriteriaOnFlat:
 
 class TestEvalFec:
     def test_flat_nominal_all_true(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 0.50, zero_twist, gait)
-        grid = eval_fec(inp, model, config)
+        hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
+        grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_twist, gait, model, config)
         assert grid.cells.all()
         assert count_safe(grid) == 33 * 33
 
     def test_conjunction_invariant(self, stairs, model, config, forward_twist, gait):
-        inp = make_input(stairs, (0.3, 0.0), 0.6, forward_twist, gait)
-        grid = eval_fec(inp, model, config)
+        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
+        grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_twist, gait, model, config)
         np.testing.assert_array_equal(grid.raw, grid.tr & grid.lc & grid.kf & grid.fc)
         # erosion only removes
         assert not np.any(grid.cells & ~grid.raw)
 
     def test_hip_height_extremes_empty(self, flat, model, config, zero_twist, gait):
+        hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         for z_h in (0.05, 1.9):
-            inp = make_input(flat, (0.0, 0.0), z_h, zero_twist, gait)
-            assert count_safe(eval_fec(inp, model, config)) == 0
+            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_twist, gait, model, config)) == 0
 
-    def test_input_sanity_bound(self, flat, zero_twist, gait):
+    def test_input_sanity_bound(self, flat, model, config, zero_twist, gait):
         hm = extract_heightmap(flat, (0, 0), 0.0, h_x=9, h_y=9)
-        with pytest.raises(ValueError):
-            FecInput(hm, 2.5, (0.0, 0.0), zero_twist, gait)
-        with pytest.raises(ValueError):
-            FecInput(hm, 0.0, (0.0, 0.0), zero_twist, gait)
+        for z_h in (2.5, 0.0):
+            with pytest.raises(ValueError, match="sanity bound"):
+                eval_fec(hm, (0.0, 0.0, z_h), zero_twist, gait, model, config)
 
     def test_count_safe_examples(self):
         grid_true = np.ones((33, 33), dtype=bool)
@@ -197,9 +194,8 @@ class TestEvalFec:
         assert count_safe(g2) == 0
 
     def test_single_false_cell_erodes_block(self, flat, model, config, zero_twist, gait):
-        inp = make_input(flat, (0.0, 0.0), 0.50, zero_twist, gait)
-        ev = FecEvaluator(inp.heightmap, inp.hip_world_xy, zero_twist, gait, model, config)
-        grid = ev.evaluate(0.50)
+        hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
+        grid = FecEvaluator(hm, (0.0, 0.0), zero_twist, gait, model, config).evaluate(0.50)
         assert count_safe(grid) == 1089
         forced = grid.raw.copy()
         forced[10, 10] = False
@@ -215,9 +211,9 @@ class TestEvalFec:
             assert count_safe(ev.evaluate(float(z))) == n
 
     def test_deterministic(self, stairs, model, config, forward_twist, gait):
-        inp = make_input(stairs, (0.41, 0.07), 0.57, forward_twist, gait, yaw=0.3)
-        a = eval_fec(inp, model, config)
-        b = eval_fec(inp, model, config)
+        hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)
+        a = eval_fec(hm, (0.41, 0.07, 0.57), forward_twist, gait, model, config)
+        b = eval_fec(hm, (0.41, 0.07, 0.57), forward_twist, gait, model, config)
         np.testing.assert_array_equal(a.cells, b.cells)
 
 
@@ -234,11 +230,10 @@ class TestOracleEquivalence:
         yaw = rng.uniform(-np.pi, np.pi)
         z_h = rng.uniform(0.4, 0.75)
         twist = BodyTwist(np.array([rng.uniform(-0.3, 0.5), rng.uniform(-0.2, 0.2), 0]), np.zeros(3))
-        gait = GaitParams(0.14, 1.4, 0.5, rng.uniform(0.05, 0.4))
+        gait = GaitParams(1.4, 0.5, rng.uniform(0.05, 0.4))
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         hip = (center[0] + rng.uniform(-0.05, 0.05), center[1] + rng.uniform(-0.05, 0.05))
-        inp = FecInput(hm, z_h, hip, twist, gait)
-        fast = eval_fec(inp, model, config)
+        fast = eval_fec(hm, (*hip, z_h), twist, gait, model, config)
         naive = NaiveFec(hm, hip, twist, gait, model, config).evaluate(z_h)
         np.testing.assert_array_equal(fast.tr, naive["tr"])
         np.testing.assert_array_equal(fast.fc, naive["fc"])
@@ -270,7 +265,7 @@ class TestOracleProperties:
         z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
         hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
         body = BodyTwist(np.array([twist[0], twist[1], 0.0]), np.array([0.0, 0.0, twist[2]]))
-        gait = GaitParams(0.14, 1.4, 0.5, t_remaining)
+        gait = GaitParams(1.4, 0.5, t_remaining)
         foot = None
         if foot_offset is not None:
             xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
@@ -304,7 +299,7 @@ class TestReferenceLoops:
         center = (0.42, 0.05)
         hm = extract_heightmap(terrain, center, 0.3)
         twist = BodyTwist(np.array([0.3, 0.08, 0.0]), np.array([0.0, 0.0, 0.2]))
-        gait = GaitParams(0.14, 1.4, 0.5, 0.3)
+        gait = GaitParams(1.4, 0.5, 0.3)
         foot_xy = (center[0] + foot_dx, center[1] - 0.04)
         foot = np.array([*foot_xy, sample_height(terrain, *foot_xy)])
         ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), twist, gait, model, config, foot)

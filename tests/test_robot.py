@@ -6,13 +6,11 @@ import pytest
 from vital.robot import (
     BodyTwist,
     GaitParams,
-    Pose,
     RobotModel,
-    hip_height,
+    SwingTrajectory,
+    hip_height_from,
     nominal_foothold,
     robot_preset,
-    swing_trajectory,
-    workspace_contains,
 )
 
 
@@ -29,16 +27,16 @@ def rotation_oracle(roll, pitch, yaw):
 
 class TestHipHeight:
     def test_level_pose_collapses_to_sum(self):
-        assert hip_height(Pose(0.6, 0.0, 0.0), (0.4, 0.3, -0.1)) == pytest.approx(0.5)
+        assert hip_height_from(0.6, 0.0, 0.0, (0.4, 0.3, -0.1)) == pytest.approx(0.5)
 
     def test_pitch_only(self):
-        z = hip_height(Pose(0.6, 0.0, 0.1), (0.4, 0.3, -0.1))
+        z = hip_height_from(0.6, 0.0, 0.1, (0.4, 0.3, -0.1))
         expect = 0.6 - 0.4 * math.sin(0.1) - 0.1 * math.cos(0.1)
         assert z == pytest.approx(expect, abs=1e-12)
         assert z == pytest.approx(0.46057, abs=1e-4)
 
     def test_roll_only(self):
-        z = hip_height(Pose(0.6, 0.1, 0.0), (0.4, 0.3, -0.1))
+        z = hip_height_from(0.6, 0.1, 0.0, (0.4, 0.3, -0.1))
         expect = 0.6 + 0.3 * math.sin(0.1) - 0.1 * math.cos(0.1)
         assert z == pytest.approx(expect, abs=1e-12)
 
@@ -49,11 +47,11 @@ class TestHipHeight:
             z_b = rng.uniform(0.2, 0.9)
             offset = rng.uniform(-0.5, 0.5, size=3)
             fk = z_b + (rotation_oracle(roll, pitch, yaw) @ offset)[2]
-            assert hip_height(Pose(z_b, roll, pitch), offset) == pytest.approx(fk, abs=1e-12)
+            assert hip_height_from(z_b, roll, pitch, offset) == pytest.approx(fk, abs=1e-12)
 
     def test_monotone_in_base_height(self):
         offsets = (0.37, 0.21, 0.0)
-        zs = [hip_height(Pose(z, 0.2, -0.1), offsets) for z in np.linspace(0.2, 0.8, 13)]
+        zs = [hip_height_from(z, 0.2, -0.1, offsets) for z in np.linspace(0.2, 0.8, 13)]
         assert np.all(np.diff(zs) > 0)
 
 
@@ -64,7 +62,7 @@ class TestNominalFoothold:
         np.testing.assert_allclose(p, [1.0, 0.5, 0.0])
 
     def test_velocity_lookahead_offset(self, flat):
-        gait = GaitParams(step_length=0.2, step_frequency=1.0, duty_factor=0.5, t_remaining=0.25)
+        gait = GaitParams(step_frequency=1.0, duty_factor=0.5, t_remaining=0.25)
         twist = BodyTwist(np.array([0.2, 0.0, 0.0]), np.zeros(3))
         p = nominal_foothold((0.0, 0.0, 0.6), twist, gait, flat)
         # lookahead = t_remaining + half the stance = 0.25 + 0.25
@@ -81,53 +79,31 @@ class TestNominalFoothold:
 
 class TestSwingTrajectory:
     def test_apex_at_midpoint_for_degenerate_arc(self):
-        traj = swing_trajectory((0, 0, 0), (0, 0, 0), 0.12)
+        traj = SwingTrajectory((0, 0, 0), (0, 0, 0), 0.12)
         assert traj.point_at(0.5)[2] == pytest.approx(0.12)
 
     def test_endpoints_exact(self):
-        traj = swing_trajectory((0.1, 0.2, 0.05), (0.4, -0.1, 0.15), 0.12)
+        traj = SwingTrajectory((0.1, 0.2, 0.05), (0.4, -0.1, 0.15), 0.12)
         np.testing.assert_array_equal(traj.point_at(0.0), [0.1, 0.2, 0.05])
         np.testing.assert_array_equal(traj.point_at(1.0), [0.4, -0.1, 0.15])
 
     def test_midpoint_height_formula(self):
-        traj = swing_trajectory((0, 0, 0), (0.2, 0, 0.1), 0.12)
+        traj = SwingTrajectory((0, 0, 0), (0.2, 0, 0.1), 0.12)
         assert traj.point_at(0.5)[2] == pytest.approx(0.05 + 0.12)
 
     def test_symmetric_profile_for_level_endpoints(self):
-        traj = swing_trajectory((0, 0, 0.3), (0.4, 0, 0.3), 0.1)
+        traj = SwingTrajectory((0, 0, 0.3), (0.4, 0, 0.3), 0.1)
         z = np.array([traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 21)])
         np.testing.assert_allclose(z, z[::-1], atol=1e-12)
 
     def test_apex_above_endpoints(self):
-        traj = swing_trajectory((0, 0, 0.0), (0.3, 0, 0.1), 0.08)
+        traj = SwingTrajectory((0, 0, 0.0), (0.3, 0, 0.1), 0.08)
         z = [traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 41)]
         assert max(z) >= 0.1
 
     def test_negative_apex_rejected(self):
         with pytest.raises(ValueError):
-            swing_trajectory((0, 0, 0), (1, 0, 0), -0.01)
-
-
-class TestWorkspace:
-    def test_mid_shell_inside(self, model):
-        mid = (model.r_min + model.r_max) / 2
-        assert workspace_contains((0, 0, 1.0), (0, 0, 1.0 - mid), model)
-
-    def test_coincident_violates_inner_radius(self, model):
-        assert not workspace_contains((0, 0, 1.0), (0, 0, 1.0), model)
-
-    def test_just_beyond_outer_radius(self, model):
-        assert not workspace_contains((0, 0, 1.0), (0, 0, 1.0 - model.r_max - 0.001), model)
-
-    def test_rotation_invariance(self, model):
-        rng = np.random.default_rng(99)
-        hip = np.array([0.5, -0.2, 0.9])
-        for _ in range(50):
-            d = rng.uniform(0.1, 0.9)
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            foot = hip + d * direction
-            assert workspace_contains(hip, foot, model) == (model.r_min <= d <= model.r_max)
+            SwingTrajectory((0, 0, 0), (1, 0, 0), -0.01)
 
 
 class TestModelValidation:
@@ -153,8 +129,7 @@ class TestModelValidation:
             RobotModel(offs, r_min=0.8, r_max=0.5)
 
     def test_gait_durations(self):
-        g = GaitParams(step_length=0.1, step_frequency=2.0, duty_factor=0.6, t_remaining=0.0)
-        assert g.cycle_duration == pytest.approx(0.5)
+        g = GaitParams(step_frequency=2.0, duty_factor=0.6, t_remaining=0.0)
         assert g.stance_duration == pytest.approx(0.3)
         assert g.swing_duration == pytest.approx(0.2)
         with pytest.raises(ValueError):

@@ -98,14 +98,14 @@ class TestRunScenario:
     def test_stance_feet_world_fixed(self, monkeypatch):
         # each swing starts exactly where the previous one touched down
         captured = []
-        orig = sim.swing_trajectory
+        orig = sim.SwingTrajectory
 
         def spy(p_lo, p_td, apex):
             traj = orig(p_lo, p_td, apex)
             captured.append((np.array(p_lo), np.array(p_td)))
             return traj
 
-        monkeypatch.setattr(sim, "swing_trajectory", spy)
+        monkeypatch.setattr(sim, "SwingTrajectory", spy)
         run_scenario(short_flat(duration=4.0, planner="none"))
         # every lift-off after the first per leg must start exactly at the
         # previous touchdown of that leg (feet do not drift in stance)
@@ -208,6 +208,28 @@ def test_every_terrain_and_planner_completes(terrain, planner):
     m = run_scenario(Scenario(terrain_kind=terrain, terrain_start_x=-0.08, planner=planner, duration=0.4, seed=1))
     assert len(m.rows) == 40 and len(m.planner_rows) == 2
     assert all(math.isfinite(v) for v in m.aggregates().values())
+
+
+# FC checks 10 interior arc samples, and a riser can fall between two of
+# them: at t = 2.84 s RF swings from (0.852, -0.210, 0.20) to
+# (1.095, -0.270, 0.30), the riser at x = 0.900 lies between the samples at
+# s = 2/11 (x = 0.896) and 3/11 (x = 0.918), and near s = 0.1985 the arc is
+# 10.1 mm under the tread, which the detector flags at t = 2.86 s.
+@pytest.mark.xfail(strict=True, reason="FC sampling gap (ROADMAP item 3)")
+def test_composite_crawl_seed_3_has_no_collision():
+    m = run_scenario(
+        Scenario(
+            terrain_kind="composite",
+            terrain_start_x=0.4,
+            gait="crawl",
+            planner="vpa",
+            horizon=1,
+            cost="prod",
+            seed=3,
+            duration=2.9,
+        )
+    )
+    assert m.collision_events == 0
 
 
 class TestCompare:

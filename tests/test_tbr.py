@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vital.robot import Pose, hip_height
+from vital.robot import hip_height_from
 from vital.tbr import tbr_pose
 
 
@@ -27,8 +27,8 @@ class TestTbrPose:
         ref = tbr_pose(feet, height_offset=0.55)
         assert ref.pitch == pytest.approx(-math.atan(0.2), abs=1e-9)
         assert ref.roll == pytest.approx(0.0, abs=1e-12)
-        front = hip_height(Pose(ref.z_b, ref.roll, ref.pitch), (0.4, 0.3, 0.0))
-        hind = hip_height(Pose(ref.z_b, ref.roll, ref.pitch), (-0.4, 0.3, 0.0))
+        front = hip_height_from(ref.z_b, ref.roll, ref.pitch, (0.4, 0.3, 0.0))
+        hind = hip_height_from(ref.z_b, ref.roll, ref.pitch, (-0.4, 0.3, 0.0))
         assert front > hind
 
     def test_roll_from_lateral_slope(self):
@@ -42,8 +42,8 @@ class TestTbrPose:
         ref = tbr_pose(feet, height_offset=0.5)
         assert ref.pitch == pytest.approx(0.0, abs=1e-12)
         assert abs(ref.roll) == pytest.approx(math.asin(0.1 / math.sqrt(1.01)), abs=1e-9)
-        left = hip_height(Pose(ref.z_b, ref.roll, ref.pitch), (0.4, 0.3, 0.0))
-        right = hip_height(Pose(ref.z_b, ref.roll, ref.pitch), (0.4, -0.3, 0.0))
+        left = hip_height_from(ref.z_b, ref.roll, ref.pitch, (0.4, 0.3, 0.0))
+        right = hip_height_from(ref.z_b, ref.roll, ref.pitch, (0.4, -0.3, 0.0))
         assert left > right
 
     def test_coplanar_exact_interpolation(self):

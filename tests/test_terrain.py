@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vital.terrain import TerrainMap, extract_heightmap, sample_height
+from vital.terrain import TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
 
 
 class TestSampleHeight:
@@ -75,9 +75,16 @@ class TestExtractHeightmap:
             for j in range(0, 33, 7):
                 assert hm.cells[i, j] == sample_height(stairs, wx[i, j], wy[i, j])
 
-    def test_center_cell_is_center_sample(self, stairs):
-        hm = extract_heightmap(stairs, (0.37, 0.0), 1.1)
-        assert hm.cells[16, 16] == sample_height(stairs, 0.37, 0.0)
+    def test_center_cell_is_center_sample(self):
+        # VFA takes the map's centre point and centre cell as the nominal
+        # foothold, so both must equal the extraction centre exactly.
+        for kind in TERRAIN_KINDS:
+            terrain = TerrainMap(kind=kind, start_x=0.3)
+            for yaw in (0.0, 1.1, -2.5):
+                hm = extract_heightmap(terrain, (0.37, 0.013), yaw)
+                wx, wy = hm.world_points()
+                assert (wx[16, 16], wy[16, 16]) == hm.center == (0.37, 0.013)
+                assert hm.cells[16, 16] == sample_height(terrain, 0.37, 0.013)
 
     def test_gradient_along_plus_x_at_zero_yaw(self, stairs):
         hm = extract_heightmap(stairs, (0.25, 0.0), 0.0)
@@ -102,9 +109,3 @@ class TestExtractHeightmap:
     def test_even_dimensions_rejected(self, flat):
         with pytest.raises(ValueError):
             extract_heightmap(flat, (0, 0), 0.0, h_x=32, h_y=33)
-
-    def test_point_to_index_roundtrip(self, stairs):
-        hm = extract_heightmap(stairs, (0.4, 0.2), 0.9)
-        wx, wy = hm.world_points()
-        i, j = hm.point_to_index(wx[5, 21], wy[5, 21])
-        assert (i, j) == (5, 21)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from vital.fec import SafetyGrid
-from vital.robot import BodyTwist, GaitParams, swing_trajectory
+from vital.fec import SafetyGrid, eval_fec
+from vital.robot import SwingTrajectory, nominal_foothold
 from vital.terrain import extract_heightmap, sample_height
 from vital.vfa import (
     FALLBACK_NO_SAFE_CELL,
     FALLBACK_SELECTED,
-    VfaInput,
+    FootholdDecision,
     foothold_evaluation,
     select_closest_safe,
 )
@@ -87,8 +87,8 @@ class TestFootholdEvaluation:
     def test_flat_selects_nominal(self, flat, model, config, zero_twist, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
-        vin = VfaInput(hm, 0.55, zero_twist, gait, nominal)
-        d = foothold_evaluation(vin, model, config, current_foot=np.array([0.4, 0.1, 0.0]))
+        hip = np.array([0.5, 0.1, 0.55])
+        d = foothold_evaluation(hm, hip, zero_twist, gait, model, config, current_foot=np.array([0.4, 0.1, 0.0]))
         assert d.fallback == FALLBACK_SELECTED
         np.testing.assert_allclose(d.optimal[:2], nominal[:2], atol=1e-9)
         assert d.safe_count > 0
@@ -96,64 +96,44 @@ class TestFootholdEvaluation:
     def test_no_safe_cell_flags_fallback(self, flat, model, config, zero_twist, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
-        vin = VfaInput(hm, 1.9, zero_twist, gait, nominal)  # hips far out of reach
-        d = foothold_evaluation(vin, model, config)
+        hip = np.array([0.5, 0.1, 1.9])  # far out of reach
+        d = foothold_evaluation(hm, hip, zero_twist, gait, model, config)
         assert d.fallback == FALLBACK_NO_SAFE_CELL
         np.testing.assert_array_equal(d.optimal, nominal)
 
-    def test_nominal_outside_heightmap_rejected(self, flat, model, config, zero_twist, gait):
-        hm = extract_heightmap(flat, (0.0, 0.0), 0.0, h_x=9, h_y=9)
-        vin = VfaInput(hm, 0.55, zero_twist, gait, np.array([5.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="nominal not in heightmap"):
-            foothold_evaluation(vin, model, config)
-
     def test_selection_survives_erosion(self, stairs, model, config, forward_twist, gait):
-        from vital.fec import FecInput, eval_fec
-
-        nominal = np.array([0.3, 0.0, sample_height(stairs, 0.3, 0.0)])
-        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
-        vin = VfaInput(hm, 0.65, forward_twist, gait, nominal)
+        hip = np.array([0.2, 0.0, 0.65])
+        nominal = nominal_foothold(hip, forward_twist, gait, stairs)
+        hm = extract_heightmap(stairs, nominal[:2], 0.0)
         foot = np.array([0.2, 0.0, sample_height(stairs, 0.2, 0.0)])
-        d = foothold_evaluation(vin, model, config, current_foot=foot)
-        if d.fallback == FALLBACK_SELECTED:
-            lookahead = gait.t_remaining + 0.5 * gait.duty_factor / gait.step_frequency
-            hip_xy = nominal[:2] - forward_twist.planar * lookahead
-            grid = eval_fec(
-                FecInput(hm, 0.65, tuple(hip_xy), forward_twist, gait),
-                model,
-                config,
-                current_foot=foot,
-            )
-            assert grid.cells[d.cell]
-            np.testing.assert_array_equal(d.grid.cells, grid.cells)
+        d = foothold_evaluation(hm, hip, forward_twist, gait, model, config, current_foot=foot)
+        assert d.fallback == FALLBACK_SELECTED
+        grid = eval_fec(hm, hip, forward_twist, gait, model, config, current_foot=foot)
+        assert grid.cells[d.cell]
+        np.testing.assert_array_equal(d.grid.cells, grid.cells)
 
     def test_determinism(self, stairs, model, config, forward_twist, gait):
-        nominal = np.array([0.31, 0.02, sample_height(stairs, 0.31, 0.02)])
         hm = extract_heightmap(stairs, (0.31, 0.02), 0.2)
-        vin = VfaInput(hm, 0.6, forward_twist, gait, nominal)
-        a = foothold_evaluation(vin, model, config)
-        b = foothold_evaluation(vin, model, config)
+        hip = np.array([0.2, 0.02, 0.6])
+        a = foothold_evaluation(hm, hip, forward_twist, gait, model, config)
+        b = foothold_evaluation(hm, hip, forward_twist, gait, model, config)
         assert a.cell == b.cell
         np.testing.assert_array_equal(a.optimal, b.optimal)
 
 
 class TestAdjustTrajectory:
     def test_endpoints_bind_to_decision(self):
-        from vital.vfa import FootholdDecision
-
         d = FootholdDecision(np.array([0.3, 0.1, 0.05]), 10, FALLBACK_SELECTED, (1, 2))
         foot = np.array([0.1, 0.1, 0.0])
-        traj = swing_trajectory(foot, d.optimal, 0.12)
+        traj = SwingTrajectory(foot, d.optimal, 0.12)
         np.testing.assert_array_equal(traj.p_lo, foot)
         np.testing.assert_array_equal(traj.p_td, d.optimal)
 
     def test_shifted_touchdown_shifts_endpoint_only(self):
-        from vital.vfa import FootholdDecision
-
         foot = np.array([0.0, 0.0, 0.0])
         d1 = FootholdDecision(np.array([0.3, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
         d2 = FootholdDecision(np.array([0.32, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
-        t1 = swing_trajectory(foot, d1.optimal, 0.12)
-        t2 = swing_trajectory(foot, d2.optimal, 0.12)
+        t1 = SwingTrajectory(foot, d1.optimal, 0.12)
+        t2 = SwingTrajectory(foot, d2.optimal, 0.12)
         assert t2.p_td[0] - t1.p_td[0] == pytest.approx(0.02)
         assert t1.point_at(0.5)[2] == pytest.approx(t2.point_at(0.5)[2])

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from vital.fec import FecConfig
-from vital.robot import BodyTwist, GaitParams, Pose, robot_preset
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
     HipHeightSet,
@@ -133,7 +131,7 @@ def stage_cost(funcs, cost="sum", **kw):
     """Objective of one horizon step at the level pose that puts every hip
     at 0.5 m (hip z-offset -0.1)."""
     prob = PoseOptProblem(
-        functions=[funcs], hip_offsets=HIP_OFFSETS, u_prev=Pose(0.6), cost=cost, **kw
+        functions=[funcs], hip_offsets=HIP_OFFSETS, u_prev=np.array([0.6, 0.0, 0.0]), cost=cost, **kw
     )
     return float(objective_batch(prob, [0.6, 0.0, 0.0])[0][0])
 
@@ -175,7 +173,7 @@ class TestCosts:
             for _ in range(n_h)
         ]
         prob = PoseOptProblem(
-            functions=layers, hip_offsets=HIP_OFFSETS, u_prev=Pose(0.5), cost=cost
+            functions=layers, hip_offsets=HIP_OFFSETS, u_prev=np.array([0.5, 0.0, 0.0]), cost=cost
         )
         u = np.tile([0.55, 0.0, 0.0], n_h) + rng.uniform(-0.1, 0.1, 3 * n_h)
         _, grad = objective_batch(prob, u)
@@ -225,7 +223,7 @@ class TestPoseEvaluation:
 
 
 class TestOptimizeSingle:
-    def problem(self, funcs, u_prev=Pose(0.5, 0.0, 0.0), du=0.5, cost="sum", **kw):
+    def problem(self, funcs, u_prev=(0.5, 0.0, 0.0), du=0.5, cost="sum", **kw):
         return PoseOptProblem(
             functions=[list(funcs)],
             hip_offsets=HIP_OFFSETS,
@@ -243,36 +241,35 @@ class TestOptimizeSingle:
         # hip z-offset -0.1 means base height 0.6 puts every hip at 0.5
         best_val, best_u = dense_grid_best(prob)
         assert res.objective >= 0.99 * best_val
-        assert res.pose.z_b == pytest.approx(0.6, abs=0.01)
-        assert abs(res.pose.roll) < 0.01
-        assert abs(res.pose.pitch) < 0.01
+        z_b, roll, pitch = res.poses[0]
+        assert z_b == pytest.approx(0.6, abs=0.01)
+        assert abs(roll) < 0.01
+        assert abs(pitch) < 0.01
 
     def test_front_peak_higher_pitches_up(self):
         funcs = [bump(0.55), bump(0.55), bump(0.5), bump(0.5)]
         prob = self.problem(funcs)
         res = optimize_pose_single(prob)
         # front hips at x > 0 rise when sin(pitch) < 0
-        assert res.pose.pitch < -0.01
+        assert res.poses[0, 2] < -0.01
         best_val, _ = dense_grid_best(prob)
         assert res.objective >= 0.99 * best_val
 
     def test_zero_rate_box_returns_previous(self):
         funcs = [bump(0.5) for _ in range(4)]
-        prev = Pose(0.47, 0.02, -0.03)
+        prev = np.array([0.47, 0.02, -0.03])
         prob = self.problem(funcs, u_prev=prev, du=0.0)
         res = optimize_pose_single(prob)
-        assert res.pose.z_b == pytest.approx(prev.z_b, abs=1e-12)
-        assert res.pose.roll == pytest.approx(prev.roll, abs=1e-12)
-        assert res.pose.pitch == pytest.approx(prev.pitch, abs=1e-12)
+        np.testing.assert_allclose(res.poses[0], prev, rtol=0, atol=1e-12)
 
     def test_feasibility_exact(self):
         rng = np.random.default_rng(7)
         for k in range(5):
             funcs = [bump(rng.uniform(0.35, 0.65), height=rng.uniform(50, 500)) for _ in range(4)]
-            prev = Pose(rng.uniform(0.3, 0.7), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+            prev = np.array([rng.uniform(0.3, 0.7), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)])
             prob = self.problem(funcs, u_prev=prev, du=0.08, cost="int", margin=0.025)
             res = optimize_pose_single(prob)
-            u = res.pose.as_array()
+            u = res.poses[0]
             from vital.vpa import feasible_box
 
             lo, hi, _ = feasible_box(prob)
@@ -280,21 +277,21 @@ class TestOptimizeSingle:
 
     def test_disjoint_rate_box_clamped(self):
         funcs = [bump(0.5) for _ in range(4)]
-        prob = self.problem(funcs, u_prev=Pose(1.5, 0.0, 0.0), du=0.02)
+        prob = self.problem(funcs, u_prev=(1.5, 0.0, 0.0), du=0.02)
         res = optimize_pose_single(prob)
         assert res.rate_box_clamped
-        assert res.pose.z_b <= 0.8 + 1e-12
+        assert res.poses[0, 0] <= 0.8 + 1e-12
 
     def test_deterministic(self):
         funcs = [bump(0.45), bump(0.52), bump(0.48), bump(0.55)]
         prob = self.problem(funcs, cost="int", margin=0.025)
         a = optimize_pose_single(prob)
         b = optimize_pose_single(prob)
-        assert a.pose == b.pose and a.objective == b.objective
+        assert np.array_equal(a.poses, b.poses) and a.objective == b.objective
 
 
 class TestOptimizeReceding:
-    def make(self, layers, u_prev=Pose(0.5, 0.0, 0.0), du=0.5, smooth=10.0, cost="sum"):
+    def make(self, layers, u_prev=(0.5, 0.0, 0.0), du=0.5, smooth=10.0, cost="sum"):
         return PoseOptProblem(
             functions=layers,
             hip_offsets=HIP_OFFSETS,
@@ -310,10 +307,10 @@ class TestOptimizeReceding:
         single = optimize_pose_single(self.make([funcs]))
         rec = optimize_pose_receding(self.make([funcs, funcs]))
         u1, u2 = rec.poses
-        us = single.pose
-        assert abs(u1.z_b - u2.z_b) < 1e-4
-        assert abs(u1.z_b - us.z_b) < 1e-3
-        assert abs(u1.pitch - us.pitch) < 1e-3
+        us = single.poses[0]
+        assert abs(u1[0] - u2[0]) < 1e-4
+        assert abs(u1[0] - us[0]) < 1e-3
+        assert abs(u1[2] - us[2]) < 1e-3
 
     def test_large_smoothness_locks_horizons_together(self):
         a = [bump(0.45) for _ in range(4)]
@@ -322,7 +319,7 @@ class TestOptimizeReceding:
         for lam in (10.0, 1e6, 1e9):
             rec = optimize_pose_receding(self.make([a, b], smooth=lam))
             u1, u2 = rec.poses
-            gaps.append(np.linalg.norm(u1.as_array() - u2.as_array()))
+            gaps.append(np.linalg.norm(u1 - u2))
         # the deviation shrinks as the penalty weight grows and vanishes
         # in the limit
         assert gaps[0] > gaps[1] > gaps[2]
@@ -332,7 +329,7 @@ class TestOptimizeReceding:
         funcs = [bump(0.5) for _ in range(4)]
         rec = optimize_pose_receding(self.make([funcs]))
         single = optimize_pose_single(self.make([funcs]))
-        assert rec.poses[0] == single.pose
+        assert np.array_equal(rec.poses, single.poses)
         assert rec.objective == single.objective
 
     def test_pairwise_grid_oracle(self):
@@ -340,8 +337,7 @@ class TestOptimizeReceding:
         for trial in range(3):
             a = [bump(rng.uniform(0.4, 0.6), height=rng.uniform(80, 300)) for _ in range(4)]
             b = [bump(rng.uniform(0.4, 0.6), height=rng.uniform(80, 300)) for _ in range(4)]
-            prev = Pose(0.5, 0.0, 0.0)
-            prob = self.make([a, b], u_prev=prev, du=0.03, smooth=10.0, cost="int")
+            prob = self.make([a, b], du=0.03, smooth=10.0, cost="int")
             prob = dataclasses.replace(prob, margin=0.025)
             res = optimize_pose_receding(prob)
             # oracle: dense grid over pose pairs using precomputed stage costs
@@ -363,14 +359,13 @@ class TestOptimizeReceding:
     def test_feasibility(self):
         a = [bump(0.42) for _ in range(4)]
         b = [bump(0.58) for _ in range(4)]
-        prob = self.make([a, b], u_prev=Pose(0.5, 0, 0), du=0.05)
+        prob = self.make([a, b], du=0.05)
         res = optimize_pose_receding(prob)
         from vital.vpa import feasible_box
 
         lo, hi, _ = feasible_box(prob)
-        for p in res.poses:
-            u = p.as_array()
-            assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
+        assert res.poses.shape == (2, 3)
+        assert np.all(res.poses >= lo - 1e-12) and np.all(res.poses <= hi + 1e-12)
 
 
 class TestCostValidation:
@@ -379,7 +374,7 @@ class TestCostValidation:
             PoseOptProblem(
                 functions=[[bump(0.5)] * 4],
                 hip_offsets=HIP_OFFSETS,
-                u_prev=Pose(0.5, 0, 0),
+                u_prev=(0.5, 0.0, 0.0),
                 cost="max",
             )
 
@@ -388,7 +383,7 @@ class TestCostValidation:
             PoseOptProblem(
                 functions=[[bump(0.5)] * 4],
                 hip_offsets=HIP_OFFSETS,
-                u_prev=Pose(0.5, 0, 0),
+                u_prev=(0.5, 0.0, 0.0),
                 cost="int",
                 margin=0.0,
             )
