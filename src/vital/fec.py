@@ -22,11 +22,14 @@ Chebyshev erosion of ``erosion_radius`` cells as an uncertainty margin.
 
 The evaluator caches everything that does not depend on the hip height.
 The LC clearance grows with the hip height, which reduces LC to a per-cell
-hip-height threshold grid.  It is built with the swing and stance
-instants stacked on one axis and one pass per segment sample; height
-lookups read a copy of the map with a one-cell -inf border, so points off
-the map are exempt without a mask.  A sweep over many hip heights (pose
-evaluation) stacks their conjunctions and erodes them in one call.
+hip-height threshold grid, built in one pass per segment sample over the
+stacked swing and stance instants.  Grid x depends only on the row and
+grid y only on the column, so sampled points and cell indices are computed
+per row and per column; only the lookups are full-size.  They read a copy
+of the map with a one-cell -inf border, so points off the map are exempt
+without a mask.  The stance instants share the foot, so their heights are
+maxed before one transform to a threshold.  A sweep over many hip heights
+(pose evaluation) stacks their conjunctions and erodes them in one call.
 """
 
 from __future__ import annotations
@@ -96,11 +99,8 @@ def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev erosion over the last two axes, so a stack of grids erodes
     grid by grid: a true cell within ``radius`` of a false cell becomes
     false.  Cells outside the grid do not erode the border."""
-    if radius == 0:
-        return mask.copy()
     size = 2 * radius + 1
-    structure = np.ones((1,) * (mask.ndim - 2) + (size, size), dtype=bool)
-    return ndimage.binary_erosion(mask, structure=structure, border_value=1)
+    return ndimage.minimum_filter(mask, size=(1,) * (mask.ndim - 2) + (size, size), mode="constant", cval=1)
 
 
 def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
@@ -155,7 +155,9 @@ class FecEvaluator:
         self.model = model
         self.config = config
         hm = heightmap
-        self.GX, self.GY = hm.grid_offsets()
+        # Grid-frame x of each row and y of each column, shapes (h_x, 1), (1, h_y).
+        gx, gy = hm.grid_offsets()
+        self.gx, self.gy = gx[:, :1], gy[:1]
         self.Z = hm.cells
         # Row-major heights with a one-cell -inf border, for _cell_index.
         self._bordered = np.pad(self.Z, 1, constant_values=-np.inf).ravel()
@@ -188,8 +190,11 @@ class FecEvaluator:
 
     def _cell_index(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """Flat index, into the -inf-bordered map, of the nearest cell under
-        each grid-frame point.  Off-map points index the border, so they
-        read -inf and pass every clearance test."""
+        each grid-frame point.  ``gx`` varies along rows and ``gy`` along
+        columns (shapes (..., h_x, 1) and (..., 1, h_y)), so the arithmetic
+        runs per row and per column and only the sum is full-size.  Off-map
+        points index the border, so they read -inf and pass every clearance
+        test."""
         hm = self.heightmap
         gi = gx / hm.resolution
         gi += self._i0
@@ -199,8 +204,7 @@ class FecEvaluator:
         np.clip(np.floor(gj, out=gj), -1, hm.h_y, out=gj)
         gi *= hm.h_y + 2
         gj += hm.h_y + 3
-        gi += gj
-        return gi.astype(np.intp)
+        return gi.astype(np.intp) + gj.astype(np.intp)
 
     # -- static tables -------------------------------------------------
 
@@ -211,14 +215,14 @@ class FecEvaluator:
         interpolated over swing time.  The arc endpoints are the
         candidate-independent current state and the touchdown check."""
         s = np.linspace(0.0, 1.0, n)[:, None, None]
-        arc_x = (self._lo_gx + (self.GX - self._lo_gx) * s)[1:-1]
-        arc_y = (self._lo_gy + (self.GY - self._lo_gy) * s)[1:-1]
+        arc_x = (self._lo_gx + (self.gx - self._lo_gx) * s)[1:-1]
+        arc_y = (self._lo_gy + (self.gy - self._lo_gy) * s)[1:-1]
         self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.apex)[1:-1]
         hq = self._bordered.take(self._cell_index(arc_x, arc_y))
         self.fc = np.all(self.arc_z - hq >= self.config.fc_clearance, axis=0)
 
-        self.td_planar2 = (self.GX - self.hip_td[0]) ** 2 + (self.GY - self.hip_td[1]) ** 2
-        self.lo2_planar2 = (self.GX - self.hip_lo2[0]) ** 2 + (self.GY - self.hip_lo2[1]) ** 2
+        self.td_planar2 = (self.gx - self.hip_td[0]) ** 2 + (self.gy - self.hip_td[1]) ** 2
+        self.lo2_planar2 = (self.gx - self.hip_lo2[0]) ** 2 + (self.gy - self.hip_lo2[1]) ** 2
         hip_x = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * s[1:-1]
         hip_y = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * s[1:-1]
         self.arc_planar2 = (arc_x - hip_x) ** 2 + (arc_y - hip_y) ** 2
@@ -227,27 +231,31 @@ class FecEvaluator:
         """Per-cell hip-height threshold above which the leg segment keeps
         the required clearance at every sampled instant and segment point.
         The clearance grows with the hip height, so LC reduces to this
-        threshold comparison."""
+        threshold comparison.  The stance instants share the foot, so
+        z* = ((h + clear) + g Z) / g is one non-decreasing map of their
+        looked-up heights h, and the max of z* is that map of the max h."""
         c = self.config
         frac = np.linspace(0.0, 1.0, n_t)
         s = frac[1:, None, None]
-        stance = (n_t,) + self.Z.shape
         # The instants, stacked on axis 0: n_t - 1 of the swing (foot on the
         # arc, hip advancing toward touchdown; the s = 0 instant is the
         # candidate-independent current state), then n_t of the stance
-        # (foot at the candidate, hip advancing to the next lift-off).
+        # (foot at the candidate, hip advancing to the next lift-off).  Foot
+        # and hip x vary along rows only, y along columns only.
         hip = [
             np.concatenate([now + (td - now) * frac[1:], td + (lo2 - td) * frac])[:, None, None]
             for now, td, lo2 in zip(self.hip_now, self.hip_td, self.hip_lo2)
         ]
-        fx = np.concatenate([self._lo_gx + (self.GX - self._lo_gx) * s, np.broadcast_to(self.GX, stance)])
-        fy = np.concatenate([self._lo_gy + (self.GY - self._lo_gy) * s, np.broadcast_to(self.GY, stance)])
-        fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.apex), np.broadcast_to(self.Z, stance)])
+        gx, gy = self.gx, self.gy
+        fx = np.concatenate([self._lo_gx + (gx - self._lo_gx) * s, np.broadcast_to(gx, (n_t,) + gx.shape)])
+        fy = np.concatenate([self._lo_gy + (gy - self._lo_gy) * s, np.broadcast_to(gy, (n_t,) + gy.shape)])
         dhx = hip[0] - fx
         dhy = hip[1] - fy
         span = np.hypot(dhx, dhy)
+        # Foot heights of the swing instants, then one slot for the stance.
+        fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.apex), self.Z[None]])
         clear = c.lc_clearance - fz
-        thresh = np.full(fx.shape, -np.inf)
+        thresh = np.full(fz.shape, -np.inf)
         # Skip g = 0: the foot endpoint is always inside its own exemption.
         for g in np.linspace(0.0, 1.0, c.lc_segment_samples)[1:]:
             idx = self._cell_index(fx + dhx * g, fy + dhy * g)
@@ -255,7 +263,9 @@ class FecEvaluator:
             # index 0 is a border cell, so they read -inf like the points
             # off the map, and their z* is -inf.
             idx *= span * g > self.model.foot_radius
-            z_star = self._bordered.take(idx)
+            h = self._bordered.take(idx)
+            z_star = h[:n_t]
+            np.max(h[n_t - 1 :], axis=0, out=z_star[-1])
             z_star += clear
             z_star += g * fz
             z_star /= g
@@ -269,17 +279,17 @@ class FecEvaluator:
 
     def kf_grid(self, z_h) -> np.ndarray:
         """KF at hip height ``z_h``: a float, or an (n, 1, 1) array of
-        heights for an (n, h_x, h_y) stack of grids."""
+        heights for an (n, h_x, h_y) stack of grids.  The candidate at
+        touchdown and at the next lift-off, then each arc sample, is checked
+        against the shell one at a time, in buffers the size of the result."""
         lo2, hi2 = self.model.r_min**2, self.model.r_max**2
-
-        def inside(d2):
-            return (d2 >= lo2) & (d2 <= hi2)
-
-        dz2 = (z_h - self.Z) ** 2
-        ok = inside(self.td_planar2 + dz2) & inside(self.lo2_planar2 + dz2)
-        # One arc sample at a time keeps each temporary the size of ``ok``.
-        for planar2, arc_z in zip(self.arc_planar2, self.arc_z):
-            ok &= inside(planar2 + (z_h - arc_z) ** 2)
+        ok = np.ones(np.broadcast_shapes(np.shape(z_h), self.Z.shape), dtype=bool)
+        d2, flag = np.empty(ok.shape), np.empty(ok.shape, dtype=bool)
+        for planar2, z in [(self.td_planar2, self.Z), (self.lo2_planar2, self.Z), *zip(self.arc_planar2, self.arc_z)]:
+            np.square(np.subtract(z_h, z, out=d2), out=d2)
+            d2 += planar2
+            ok &= np.greater_equal(d2, lo2, out=flag)
+            ok &= np.less_equal(d2, hi2, out=flag)
         return ok
 
     def evaluate(self, z_h: float) -> SafetyGrid:

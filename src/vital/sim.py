@@ -140,11 +140,13 @@ class Scenario:
             raise ConfigError(f"unknown planner {self.planner!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and math.isnan(value):
-                raise ConfigError(f"{f.name} is NaN")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("duration", "planner_rate", "tick_rate"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be finite and > 0")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        if min(self.du_z, self.du_roll, self.du_pitch) < 0:
+            raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         try:

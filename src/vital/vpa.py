@@ -47,8 +47,8 @@ class HipHeightSet:
     count: int = 31
 
     def __post_init__(self):
-        if not (self.z_min < self.z_max):
-            raise ValueError("z_min must be < z_max")
+        if not (0.0 < self.z_min < self.z_max <= 2.0):
+            raise ValueError("hip heights need 0 < z_min < z_max <= 2 m")
         if self.count < 2:
             raise ValueError("count must be >= 2")
 

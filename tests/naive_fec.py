@@ -212,29 +212,35 @@ def _heights_in_grid(ev, gx, gy):
 def loop_fc(ev):
     """FC of an evaluator's swing arcs; off-map arc samples are exempt."""
     s = np.linspace(0.0, 1.0, ev.config.fc_arc_samples)[:, None, None]
-    arc_x = ev._lo_gx + (ev.GX[None] - ev._lo_gx) * s
-    arc_y = ev._lo_gy + (ev.GY[None] - ev._lo_gy) * s
+    GX, GY = ev.heightmap.grid_offsets()
+    arc_x = ev._lo_gx + (GX[None] - ev._lo_gx) * s
+    arc_y = ev._lo_gy + (GY[None] - ev._lo_gy) * s
     arc_z = swing_arc_z(ev._lo_z, ev.Z[None], s, ev.apex)
     hq, ingrid = _heights_in_grid(ev, arc_x[1:-1], arc_y[1:-1])
     return np.all(~ingrid | (arc_z[1:-1] - hq >= ev.config.fc_clearance), axis=0)
 
 
-def loop_lc_threshold(ev):
+def loop_lc_threshold(ev, skip=()):
     """Per-cell LC hip-height threshold of an evaluator, one instant at a
-    time; off-map segment points are exempt."""
+    time; off-map segment points are exempt.  ``skip`` lists instants to
+    leave out, numbered as FecEvaluator stacks them: the swing ones, then
+    the stance ones."""
     c = ev.config
     frac = np.linspace(0.0, 1.0, c.lc_time_samples)
     g = np.linspace(0.0, 1.0, c.lc_segment_samples)[1:][:, None, None]
+    GX, GY = ev.heightmap.grid_offsets()
     thresh = np.full(ev.Z.shape, -np.inf)
     instants = []
     for s in frac[1:]:
         hip = ev.hip_now + (ev.hip_td - ev.hip_now) * s
-        fx = ev._lo_gx + (ev.GX - ev._lo_gx) * s
-        fy = ev._lo_gy + (ev.GY - ev._lo_gy) * s
+        fx = ev._lo_gx + (GX - ev._lo_gx) * s
+        fy = ev._lo_gy + (GY - ev._lo_gy) * s
         instants.append((hip, fx, fy, swing_arc_z(ev._lo_z, ev.Z, s, ev.apex)))
     for s in frac:
-        instants.append((ev.hip_td + (ev.hip_lo2 - ev.hip_td) * s, ev.GX, ev.GY, ev.Z))
-    for hip, fx, fy, fz in instants:
+        instants.append((ev.hip_td + (ev.hip_lo2 - ev.hip_td) * s, GX, GY, ev.Z))
+    for k, (hip, fx, fy, fz) in enumerate(instants):
+        if k in skip:
+            continue
         dhx = hip[0] - fx
         dhy = hip[1] - fy
         planar = np.hypot(dhx, dhy) * g

@@ -139,6 +139,19 @@ class TestCriteriaOnFlat:
         naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_twist, gait, model, config, current_foot=foot)
         assert not naive.kf_cell(4, 4, 0.3005)
 
+    def test_kf_touchdown_alone_beyond_r_max(self, flat, model, config, forward_twist, gait):
+        # The hip moves 0.071 m ahead by touchdown and 0.143 m by the next
+        # lift-off.  At 0.6 m, the cell 0.56 m ahead is 0.774 m from the hip
+        # at touchdown, past r_max (0.75), but 0.731 m at the next lift-off,
+        # and every swing-arc sample is nearer still; the cell 0.52 m ahead
+        # is 0.749 m at touchdown.  So the touchdown check alone decides.
+        ev = origin_evaluator(flat, forward_twist, gait, model, config, h=65)
+        assert ev.gx[60, 0] == 0.56 and ev.gx[58, 0] == 0.52
+        kf = ev.kf_grid(0.6)
+        assert not kf[60, 32] and kf[58, 32]
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_twist, gait, model, config)
+        assert not naive.kf_cell(60, 32, 0.6) and naive.kf_cell(58, 32, 0.6)
+
     def test_fc_flat_all_clear(self, flat, model, config, zero_twist, gait):
         foot = np.array([0.0, 0.0, 0.0])
         assert origin_evaluator(flat, zero_twist, gait, model, config, current_foot=foot).fc.all()
@@ -311,6 +324,22 @@ class TestReferenceLoops:
         counts = ev.sweep_counts(z)
         assert counts.any()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    def test_every_stance_instant_sets_some_threshold(self, model, config):
+        # A 0.3 m post beside a hip that sweeps past it during the stance:
+        # each stance instant, the first, the middle ones and the last, is
+        # the only one whose leg crosses the post for some cells, so leaving
+        # any one of them out of the LC threshold changes it.
+        cells = np.zeros((33, 33))
+        cells[16, 20] = 0.3
+        hm = Heightmap(cells, 0.02, (0.0, 0.0))
+        twist = BodyTwist(np.array([0.0, 0.5, 0.0]), np.zeros(3))
+        ev = FecEvaluator(hm, (0.0, 0.0), twist, GaitParams(1.4, 0.5, 0.1), model, config)
+        full = loop_lc_threshold(ev)
+        np.testing.assert_array_equal(ev.lc_threshold, full)
+        n_swing = config.lc_time_samples - 1
+        for k in range(n_swing, n_swing + config.lc_time_samples):
+            assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
 
     def test_sweep_outside_sanity_bound_raises(self, stairs, model, config, forward_twist, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0, h_x=9, h_y=9)

@@ -284,6 +284,14 @@ class TestCli:
             "duty_factor=1.5",
             "step_frequency=0",
             "u_z_min=0.9",
+            "start_yaw=inf",
+            "start_x0=inf",
+            "start_y0=inf",
+            "delta_h=inf",
+            "du_z=-0.1",
+            "zh_max=2.5",
+            "zh_min=0",
+            "zh_min=-0.1",
         ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):

@@ -86,6 +86,19 @@ class TestExtractHeightmap:
                 assert (wx[16, 16], wy[16, 16]) == hm.center == (0.37, 0.013)
                 assert hm.cells[16, 16] == sample_height(terrain, 0.37, 0.013)
 
+    def test_grid_offsets_separable(self):
+        # FecEvaluator computes cell rows from x and columns from y alone,
+        # so grid x must be constant along each row and grid y down each
+        # column, on every terrain, at any yaw and on non-square maps.
+        for kind in TERRAIN_KINDS:
+            terrain = TerrainMap(kind=kind, start_x=0.3)
+            for yaw in (0.0, 1.1):
+                hm = extract_heightmap(terrain, (0.37, 0.013), yaw, h_x=21, h_y=13)
+                gx, gy = hm.grid_offsets()
+                assert gx.shape == gy.shape == (21, 13)
+                assert (gx == gx[:, :1]).all()
+                assert (gy == gy[:1]).all()
+
     def test_gradient_along_plus_x_at_zero_yaw(self, stairs):
         hm = extract_heightmap(stairs, (0.25, 0.0), 0.0)
         assert hm.cells[0, 16] < hm.cells[-1, 16]

@@ -67,6 +67,9 @@ class TestHipHeightSet:
             HipHeightSet(z_min=0.8, z_max=0.2)
         with pytest.raises(ValueError):
             HipHeightSet(count=1)
+        for z_min, z_max in ((0.0, 0.8), (-0.1, 0.8), (0.2, 2.5)):
+            with pytest.raises(ValueError, match="0 < z_min < z_max <= 2"):
+                HipHeightSet(z_min=z_min, z_max=z_max)
 
 
 class TestRbfBasis:
