@@ -32,7 +32,6 @@ from .vpa import (
     fit_rbf,
     objective_batch,
     optimize_pose_receding,
-    optimize_pose_single,
     pose_evaluation,
 )
 from .tbr import TbrReference, tbr_pose

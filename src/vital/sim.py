@@ -12,8 +12,9 @@ tracked pose.
 
 Pose evaluation sweeps the hip-height set relative to the ground under the
 centre cell of each leg's heightmap (:func:`vital.vpa.pose_evaluation`).
-The planner uses that per-leg ground for the RBF range, the held NSF and
-the shift of the pose box.
+The planner fits one RBF model of count vs hip height above that per-leg
+ground, and uses the ground for the model's input, the held NSF and the
+shift of the pose box.
 """
 
 from __future__ import annotations
@@ -42,15 +43,11 @@ from .robot import (
 )
 from .tbr import tbr_pose
 from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
-from .vfa import (
-    FALLBACK_KEPT_NOMINAL_UNSAFE,
-    FALLBACK_NO_SAFE_CELL,
-    FootholdDecision,
-    foothold_evaluation,
-)
+from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
     HipHeightSet,
     PoseOptProblem,
+    SafeFootholdFunction,
     check_cost,
     check_pose_box,
     fit_rbf,
@@ -149,8 +146,10 @@ class Scenario:
             raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         try:
-            check_cost(self.cost, self.margin)
+            check_cost(self)
             robot_preset(self.robot)
             self.build_terrain()
             check_patch_shape(self.map_cells, self.map_cells, self.map_resolution)
@@ -362,7 +361,7 @@ class PlannerUpdate(NamedTuple):
     row: dict  # planner.csv row
     nsf: tuple  # per-leg safe-foothold count at the tracked pose, held until the next update
     envelope_error: float
-    functions: list  # fitted SafeFootholdFunction per horizon step and leg
+    rbf: SafeFootholdFunction  # fitted model, weights (N_h, 4, n_basis)
 
 
 def planner_update(
@@ -376,8 +375,9 @@ def planner_update(
     legs: list,
     stance: np.ndarray,
 ) -> PlannerUpdate:
-    """One planner tick: pose evaluation and one RBF fit per leg and horizon
-    step, then the VPA or TBR pose reference (``none`` keeps ``ref``)."""
+    """One planner tick: pose evaluation and one RBF fit of every leg and
+    horizon step, then the VPA or TBR pose reference (``none`` keeps
+    ``ref``)."""
     sc, model = setup.scenario, setup.model
     twist = setup.twist(yaw)
     gait = dataclasses.replace(setup.gait, t_remaining=setup.gait.swing_duration)
@@ -400,14 +400,9 @@ def planner_update(
         )
         for j in range(n_h)
     ]
-    functions = [
-        [
-            fit_rbf(s.heights + g, counts, n_basis=sc.rbf_count, z_min=sc.zh_min + g, z_max=sc.zh_max + g)
-            for counts, g in zip(s.counts, s.ground)
-        ]
-        for s in samples
-    ]
     now = samples[0]
+    ground = np.array([s.ground for s in samples])
+    rbf = fit_rbf(now.heights, [s.counts for s in samples], n_basis=sc.rbf_count, z_min=sc.zh_min, z_max=sc.zh_max)
     z_actual = hip_height_from(actual[0], actual[1], actual[2], model.hip_offsets)
     nsf = tuple(float(np.interp(z - g, now.heights, c)) for z, g, c in zip(z_actual, now.ground, now.counts))
 
@@ -416,7 +411,8 @@ def planner_update(
     cost_label = sc.planner
     if sc.planner == "vpa":
         problem = PoseOptProblem(
-            functions=functions,
+            rbf=rbf,
+            ground=ground,
             hip_offsets=model.hip_offsets,
             u_prev=ref,
             u_min=setup.u_min + shift,
@@ -439,21 +435,24 @@ def planner_update(
         except ValueError:
             pass  # degenerate support: keep the previous reference
 
-    z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets)
-    m = sc.margin
-    envelope = sum(abs(f(z + m) - f(z - m)) for f, z in zip(functions[0], z_ref))
+    # The step-0 models at the reference pose's hip heights above ground, and
+    # that height -margin and +margin.
+    z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets) - now.ground
+    step0 = dataclasses.replace(rbf, weights=rbf.weights[0])
+    (f_lo, f_ref, f_hi), _ = step0.value_and_slope(z_ref + sc.margin * np.array([[-1.0], [0.0], [1.0]]))
+    envelope = np.abs(f_hi - f_lo).sum()
     row = dict(
         time=float(t),
         x=float(base[0]),
         u_z=float(ref[0]),
         u_roll=float(ref[1]),
         u_pitch=float(ref[2]),
-        **{f"nsf_{name.lower()}": float(f(z)) for name, f, z in zip(LEG_NAMES, functions[0], z_ref)},
+        **{f"nsf_{name.lower()}": float(f) for name, f in zip(LEG_NAMES, f_ref)},
         cost=cost_label,
         objective=float(objective),
         horizon=n_h,
     )
-    return PlannerUpdate(ref, row, nsf, float(envelope), functions)
+    return PlannerUpdate(ref, row, nsf, float(envelope), rbf)
 
 
 def detect_events(setup: RunSetup, feet, hips: np.ndarray, stance, swing_s: np.ndarray) -> tuple[int, int]:
@@ -582,8 +581,7 @@ def run_scenario(
                 foothold_rows.append(row)
                 leg.target = decision.optimal
                 leg.trajectory = SwingTrajectory(leg.foot, leg.target, setup.apex)
-                fallback = decision.fallback
-                decisions[l] = FALLBACK_KEPT_NOMINAL_UNSAFE if fallback == FALLBACK_NO_SAFE_CELL else fallback
+                decisions[l] = decision.fallback
             elif stance[l] and not prev_stance[l]:
                 # touchdown: the foot is world-fixed at the target
                 leg.foot = leg.target.copy()
@@ -598,9 +596,9 @@ def run_scenario(
             envelope_errors.append(update.envelope_error)
             if dump_rbf and out_dir is not None:
                 rbf_rows = (
-                    (t, LEG_NAMES[l], j, ";".join(map(_cell, f.weights)))
-                    for j, layer in enumerate(update.functions)
-                    for l, f in enumerate(layer)
+                    (t, LEG_NAMES[l], j, ";".join(map(_cell, w)))
+                    for j, layer in enumerate(update.rbf.weights)
+                    for l, w in enumerate(layer)
                 )
                 write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=k > 0)
 

@@ -15,7 +15,6 @@ from .robot import BodyTwist, GaitParams, RobotModel
 from .terrain import Heightmap
 
 FALLBACK_SELECTED = "selected"
-FALLBACK_KEPT_NOMINAL_UNSAFE = "kept_nominal_unsafe"
 FALLBACK_NO_SAFE_CELL = "no_safe_cell"
 
 

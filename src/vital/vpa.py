@@ -1,14 +1,16 @@
 """Vision-based pose adaptation.
 
 Pipeline: evaluate the safe-foothold count over a finite hip-height set for
-every leg (pose evaluation), fit a Gaussian radial-basis function per leg
-(function approximation), then maximize a cost built from those functions
-over the body pose (height, roll, pitch) inside box constraints, either for
-a single step or over a receding horizon.
+every leg (pose evaluation), fit one Gaussian radial-basis model of count vs
+hip height above ground for every leg and horizon step in one solve
+(function approximation), then maximize a cost built from that model over
+the body pose (height, roll, pitch) inside box constraints.  One
+multi-start optimizer serves every horizon length; at horizon 1 it is the
+single-step problem.
 
-Every cost is one stencil over a leg's function F at its hip height z:
-s = sum_k w_k F(z + o_k).  The stage cost is q s^2 summed over the legs, or
-multiplied over the legs for ``prod``:
+Every cost is one stencil over a leg's model F at its hip height z above
+the leg's ground g: s = sum_k w_k F(z - g + o_k).  The stage cost is q s^2
+summed over the legs, or multiplied over the legs for ``prod``:
 
     cost         offsets o_k (m)    weights w_k
     sum, prod    0                  1
@@ -21,9 +23,8 @@ of poses in one pass over poses, horizon steps, legs and offsets.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,10 +33,6 @@ from .fec import FecConfig, FecEvaluator
 from .robot import BodyTwist, GaitParams, RobotModel, hip_height_from
 
 COST_KINDS = ("sum", "prod", "int", "smooth")
-
-DEFAULT_U_MIN = np.array([0.2, -0.35, -0.35])
-DEFAULT_U_MAX = np.array([0.8, 0.35, 0.35])
-DEFAULT_DU = np.array([0.02, 0.02, 0.02])
 
 
 @dataclass(frozen=True)
@@ -116,35 +113,23 @@ def rbf_centers_and_width(n_basis: int, z_min: float, z_max: float) -> tuple[np.
 
 @dataclass
 class SafeFootholdFunction:
-    """Gaussian RBF model of the safe-foothold count vs hip height:
-    F(z) = sum_e w_e * exp(-0.5 ((z - c_e) / sigma)^2).
+    """Gaussian RBF models of the safe-foothold count vs hip height above
+    ground: F(z) = sum_e w_e * exp(-0.5 ((z - c_e) / sigma)^2).
 
-    The parameters may also stack many models: weights and centers of shape
-    (..., n_basis) and one width per model, shape (...).
+    ``weights`` may stack many models, shape (..., n_basis); they share the
+    centers (n_basis,) and the width sigma.
     """
 
     weights: np.ndarray
     centers: np.ndarray
-    width: float | np.ndarray
-
-    def design_matrix(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        r = (z[..., None] - self.centers) / self.width
-        return np.exp(-0.5 * r * r)
-
-    def __call__(self, z):
-        out = self.design_matrix(z) @ self.weights
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return float(out[0])
-        return out
+    width: float
 
     def value_and_slope(self, z) -> tuple[np.ndarray, np.ndarray]:
         """F(z) and dF/dz elementwise over ``z``.  For stacked models the
         trailing axes of ``z`` broadcast against the stack's shape."""
-        width = np.asarray(self.width)
-        r = (np.asarray(z)[..., None] - self.centers) / width[..., None]
+        r = (np.asarray(z)[..., None] - self.centers) / self.width
         g = self.weights * np.exp(-0.5 * r * r)
-        return g.sum(axis=-1), -(g * r).sum(axis=-1) / width
+        return g.sum(axis=-1), -(g * r).sum(axis=-1) / self.width
 
 
 def fit_rbf(
@@ -154,19 +139,19 @@ def fit_rbf(
     z_min: float = 0.2,
     z_max: float = 0.8,
 ) -> SafeFootholdFunction:
-    """Least-squares fit of the RBF weights to (hip height, count) samples.
+    """Least-squares fit of RBF weights to counts sampled at ``heights``.
 
-    Solved with a minimum-norm least-squares solve, so a rank-deficient
-    design matrix never fails.
+    ``counts`` has shape (..., n_heights) and gives one model per leading
+    index; all of them are fitted in one minimum-norm least-squares solve
+    against one design matrix, so a rank-deficient design never fails.
     """
     heights = np.asarray(heights, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
     centers, width = rbf_centers_and_width(n_basis, z_min, z_max)
-    f = SafeFootholdFunction(np.zeros(n_basis), centers, width)
-    design = f.design_matrix(heights)
-    weights, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    f.weights = weights
-    return f
+    r = (heights[:, None] - centers) / width
+    rhs = counts.reshape(-1, len(heights)).T
+    weights, *_ = np.linalg.lstsq(np.exp(-0.5 * r * r), rhs, rcond=None)
+    return SafeFootholdFunction(weights.T.reshape(counts.shape[:-1] + (n_basis,)), centers, width)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +159,18 @@ def fit_rbf(
 # ---------------------------------------------------------------------------
 
 
-def check_cost(cost: str, margin: float) -> None:
-    """Raise ValueError unless ``cost`` is a known kind with a usable margin."""
-    if cost not in COST_KINDS:
-        raise ValueError(f"unknown cost kind {cost!r}")
-    if cost == "int" and not margin > 0:
+def check_cost(settings) -> None:
+    """Raise ValueError unless the cost settings of ``settings`` (a
+    :class:`PoseOptProblem` or a scenario: ``cost``, ``margin``, ``q`` and
+    ``smooth_weight``) make a maximization of safe footholds."""
+    if settings.cost not in COST_KINDS:
+        raise ValueError(f"unknown cost kind {settings.cost!r}")
+    if settings.cost == "int" and not settings.margin > 0:
         raise ValueError("cost 'int' needs margin > 0")
+    if not settings.q > 0:
+        raise ValueError("q must be > 0")
+    if not settings.smooth_weight >= 0:
+        raise ValueError("smooth_weight must be >= 0")
 
 
 def check_pose_box(u_min, u_max) -> None:
@@ -188,55 +179,47 @@ def check_pose_box(u_min, u_max) -> None:
         raise ValueError("u_min must be <= u_max")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PoseOptProblem:
     """Box-constrained pose maximization problem.
 
-    ``functions`` holds one SafeFootholdFunction per leg for each horizon
-    step: shape [n_horizons][4], every function with the same number of
-    basis functions.  Poses are (z_b, roll, pitch) arrays.  The feasible
-    box is the intersection of the global pose bounds with the rate box
-    around ``u_prev``.
+    ``rbf`` is the stacked safe-foothold model of every horizon step and
+    leg, weights (N_h, 4, n_basis), over hip height above ground;
+    ``ground`` (N_h, 4) is the ground each leg's hip height is taken from,
+    so leg l of step j contributes F_jl(z_hip - ground[j, l]).  Poses are
+    (z_b, roll, pitch) arrays.  The feasible box, shared by every horizon
+    step, is the intersection of the pose bounds with the rate box around
+    ``u_prev``.
 
-    ``cost`` picks the per-leg stencil s = sum_k w_k F(z_hip + o_k), given
-    as (offsets o_k in m; weights w_k): sum and prod (0; 1), int (-margin,
-    +margin; margin, margin), smooth (-1, 0, +1; 1/2, 1/2, 1/2).  The stage
-    cost is q s^2 summed over the legs, or multiplied over them for prod.
-
-    The problem is frozen because ``rbf`` stacks ``functions`` once; derive
-    variants with :func:`dataclasses.replace`.
+    ``cost`` picks the per-leg stencil s = sum_k w_k F(z + o_k) at the hip
+    height z above ground, given as (offsets o_k in m; weights w_k): sum
+    and prod (0; 1), int (-margin, +margin; margin, margin), smooth (-1, 0,
+    +1; 1/2, 1/2, 1/2).  The stage cost is q s^2 summed over the legs, or
+    multiplied over them for prod.
     """
 
-    functions: tuple
+    rbf: SafeFootholdFunction
+    ground: np.ndarray
     hip_offsets: np.ndarray
     u_prev: np.ndarray
-    u_min: np.ndarray = field(default_factory=lambda: DEFAULT_U_MIN.copy())
-    u_max: np.ndarray = field(default_factory=lambda: DEFAULT_U_MAX.copy())
-    du_min: np.ndarray = field(default_factory=lambda: -DEFAULT_DU.copy())
-    du_max: np.ndarray = field(default_factory=lambda: DEFAULT_DU.copy())
+    u_min: np.ndarray
+    u_max: np.ndarray
+    du_min: np.ndarray
+    du_max: np.ndarray
     cost: str = "int"
     margin: float = 0.025
     q: float = 1.0
     smooth_weight: float = 10.0
-    # weights and centers (n_horizons, 4, n_basis), widths (n_horizons, 4)
-    rbf: SafeFootholdFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_cost(self.cost, self.margin)
-        for name in ("hip_offsets", "u_prev", "u_min", "u_max", "du_min", "du_max"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        check_cost(self)
+        for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du_min", "du_max"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         check_pose_box(self.u_min, self.u_max)
-        layers = tuple(tuple(layer) for layer in self.functions)
-        object.__setattr__(self, "functions", layers)
-        stack = [
-            np.array([[getattr(f, name) for f in layer] for layer in layers], dtype=np.float64)
-            for name in ("weights", "centers", "width")
-        ]
-        object.__setattr__(self, "rbf", SafeFootholdFunction(*stack))
 
     @property
     def n_horizons(self) -> int:
-        return len(self.functions)
+        return len(self.ground)
 
 
 @dataclass
@@ -284,7 +267,7 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
     z = hip_height_from(z_b, roll, pitch, problem.hip_offsets)
 
     offsets, weights = _stencil(problem)
-    f, df = problem.rbf.value_and_slope(z + offsets[:, None, None, None])  # (K, n, N_h, 4)
+    f, df = problem.rbf.value_and_slope(z - problem.ground + offsets[:, None, None, None])  # (K, n, N_h, 4)
     s = (weights @ f.reshape(len(weights), -1)).reshape(z.shape)
     ds = (weights @ df.reshape(len(weights), -1)).reshape(z.shape)
     term = problem.q * s * s
@@ -343,42 +326,25 @@ def _polish(problem: PoseOptProblem, seeds: np.ndarray, lo: np.ndarray, hi: np.n
     return ends[best], float(values[best])
 
 
-def optimize_pose_single(problem: PoseOptProblem) -> PoseOptResult:
-    """Maximize the selected cost over the feasible pose box.
-
-    Deterministic multi-start local ascent seeded from a coarse grid; the
-    result is feasible exactly and matches a dense-grid search to within
-    1% of the objective.
-    """
-    if problem.n_horizons != 1:
-        raise ValueError("single-horizon problem expected")
-    lo, hi, clamped = feasible_box(problem)
-    grid = _coarse_grid(lo, hi)
-    vals = objective_batch(problem, grid)[0]
-    order = np.argsort(vals)[::-1]
-    seeds = [grid[k] for k in order[:6]]
-    seeds.append(np.clip(problem.u_prev, lo, hi))
-    seeds.append((lo + hi) / 2.0)
-    best_x, best_f = _polish(problem, np.array(seeds), lo, hi)
-    return PoseOptResult(best_x.reshape(1, 3), best_f, clamped)
-
-
 def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
-    """Maximize summed per-horizon costs minus the consecutive-pose
-    deviation penalty; all horizon steps share the feasible box and the
-    first pose is the one to execute."""
+    """Maximize the summed stage costs minus the consecutive-pose deviation
+    penalty over the feasible box that all horizon steps share.
+
+    Deterministic multi-start local ascent: the coarse grid of the box,
+    with the same pose at every step, is ranked by the objective, and the 6
+    best points, the clipped previous pose and the box centre seed
+    L-BFGS-B.  The result is feasible exactly and its first pose is the one
+    to execute; at horizon 1 it matches a dense-grid search to within 1% of
+    the objective.
+    """
     n_h = problem.n_horizons
-    if n_h == 1:
-        return optimize_pose_single(problem)
     lo, hi, clamped = feasible_box(problem)
-
-    # Per-horizon solo optima seed the joint search.
-    solos = [
-        optimize_pose_single(dataclasses.replace(problem, functions=[layer])).poses[0]
-        for layer in problem.functions
-    ]
-    seeds = [np.concatenate(solos), *(np.tile(s, n_h) for s in solos)]
-    seeds += [np.tile(np.clip(problem.u_prev, lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
-
+    grid = np.tile(_coarse_grid(lo, hi), n_h)
+    order = np.argsort(objective_batch(problem, grid)[0])[::-1]
+    seeds = [*grid[order[:6]], np.tile(np.clip(problem.u_prev, lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
     best_x, best_f = _polish(problem, np.array(seeds), lo, hi)
     return PoseOptResult(best_x.reshape(n_h, 3), best_f, clamped)
+
+
+# perfbench/tracer.py wraps this name; every horizon runs the one multi-start.
+optimize_pose_single = optimize_pose_receding

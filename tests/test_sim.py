@@ -18,6 +18,7 @@ from vital.sim import (
     track_pose,
 )
 from vital.terrain import TERRAIN_KINDS
+from vital.vfa import FALLBACK_NO_SAFE_CELL, FootholdDecision
 
 
 def short_flat(**overrides):
@@ -151,6 +152,23 @@ class TestRunScenario:
                             float(value)
         header = (out / "steplog.csv").read_text().splitlines()[0]
         assert header.startswith("time,x,y,yaw,cmd_z")
+
+    def test_no_safe_cell_label_in_both_logs(self, tmp_path, monkeypatch):
+        # With no safe cell VFA keeps the nominal; footholds.csv and the
+        # steplog dec_* columns name that event with the same label.
+        def no_safe_cell(hm, *args, **kwargs):
+            nominal = np.array([*hm.center, hm.cells[hm.h_x // 2, hm.h_y // 2]])
+            return FootholdDecision(nominal, 0, FALLBACK_NO_SAFE_CELL)
+
+        monkeypatch.setattr(sim, "foothold_evaluation", no_safe_cell)
+        out = tmp_path / "out"
+        run_scenario(short_flat(duration=1.0), out_dir=str(out))
+        rows = [line.split(",") for line in (out / "footholds.csv").read_text().splitlines()]
+        assert rows[1:] and {row[rows[0].index("fallback")] for row in rows[1:]} == {FALLBACK_NO_SAFE_CELL}
+        header, *steps = [line.split(",") for line in (out / "steplog.csv").read_text().splitlines()]
+        columns = [header.index(f"dec_{leg}") for leg in ("lf", "rf", "lh", "rh")]
+        labels = {row[c] for row in steps for c in columns} - {""}
+        assert labels == {FALLBACK_NO_SAFE_CELL}
 
     def test_dump_criteria_writes_grids(self, tmp_path, monkeypatch):
         # The dump writes the grids each decision was made on; it builds no
@@ -292,6 +310,9 @@ class TestCli:
             "zh_max=2.5",
             "zh_min=0",
             "zh_min=-0.1",
+            "seed=-1",
+            "q=0",
+            "smooth_weight=-1",
         ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):

@@ -1,18 +1,18 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import vital.vpa
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
     HipHeightSet,
     PoseOptProblem,
     SafeFootholdFunction,
+    feasible_box,
     fit_rbf,
     objective_batch,
     optimize_pose_receding,
-    optimize_pose_single,
     pose_evaluation,
     rbf_centers_and_width,
 )
@@ -20,22 +20,47 @@ from vital.vpa import (
 HIP_OFFSETS = np.array(
     [[0.37, 0.21, -0.1], [0.37, -0.21, -0.1], [-0.37, 0.21, -0.1], [-0.37, -0.21, -0.1]]
 )
+# The scenario's default pose bounds.
+U_MIN = np.array([0.2, -0.35, -0.35])
+U_MAX = np.array([0.8, 0.35, 0.35])
 
 
-def bump(center, height=100.0, width=0.08):
-    """A single exact Gaussian bump in the fitted-function class."""
-    return SafeFootholdFunction(np.array([height]), np.array([center]), width)
+def value(f, z):
+    return f.value_and_slope(z)[0]
 
 
-def constant(value=1.0):
-    """Effectively constant over the hip-height range (one huge Gaussian)."""
-    return SafeFootholdFunction(np.array([value]), np.array([0.5]), 1e3)
+def bumps(centers, height=100.0, width=0.08):
+    """Exact Gaussian bumps in the fitted-function class, peaking at the hip
+    heights ``centers`` (N_h, 4): one stacked model with a basis at 0.5 m,
+    and the ground that shifts each leg's bump to its centre."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    weights = np.broadcast_to(np.asarray(height, dtype=np.float64), centers.shape)[..., None]
+    return SafeFootholdFunction(weights, np.array([0.5]), width), centers - 0.5
+
+
+def constant(values):
+    """Per-leg values, effectively constant over the hip-height range (one
+    huge Gaussian each), on level ground."""
+    weights = np.asarray(values, dtype=np.float64).reshape(1, 4, 1)
+    return SafeFootholdFunction(weights, np.array([0.5]), 1e3), np.zeros((1, 4))
+
+
+def make_problem(rbf, ground, u_prev=(0.5, 0.0, 0.0), du=0.5, **kw):
+    return PoseOptProblem(
+        rbf=rbf,
+        ground=ground,
+        hip_offsets=HIP_OFFSETS,
+        u_prev=u_prev,
+        u_min=U_MIN,
+        u_max=U_MAX,
+        du_min=-du * np.ones(3),
+        du_max=du * np.ones(3),
+        **kw,
+    )
 
 
 def dense_grid_best(problem, step=0.005):
     """Independent dense-grid maximization over the feasible box."""
-    from vital.vpa import feasible_box
-
     lo, hi, _ = feasible_box(problem)
     axes = []
     for d in range(3):
@@ -96,29 +121,29 @@ class TestFitRbf:
         w_true = rng.uniform(-2, 5, size=5)
         truth = SafeFootholdFunction(w_true, centers, width)
         z = np.linspace(0.2, 0.8, 31)
-        fitted = fit_rbf(z, truth(z), n_basis=5)
+        fitted = fit_rbf(z, value(truth, z), n_basis=5)
         assert np.max(np.abs(fitted.weights - w_true)) < 1e-8
-        rmse = np.sqrt(np.mean((fitted(z) - truth(z)) ** 2))
+        rmse = np.sqrt(np.mean((value(fitted, z) - value(truth, z)) ** 2))
         assert rmse < 1e-8
 
     def test_zero_samples_zero_function(self):
         z = np.linspace(0.2, 0.8, 31)
         f = fit_rbf(z, np.zeros(31))
         np.testing.assert_allclose(f.weights, 0.0, atol=1e-9)
-        assert f(0.5) == pytest.approx(0.0, abs=1e-9)
+        assert value(f, 0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_rank_deficient_minimum_norm(self):
         # two samples with 30 basis functions: underdetermined, must not fail
         f = fit_rbf([0.4, 0.6], [10.0, 12.0], n_basis=30)
-        assert f(0.4) == pytest.approx(10.0, abs=1e-6)
-        assert f(0.6) == pytest.approx(12.0, abs=1e-6)
+        assert value(f, 0.4) == pytest.approx(10.0, abs=1e-6)
+        assert value(f, 0.6) == pytest.approx(12.0, abs=1e-6)
 
     def test_residual_no_worse_than_zero_function(self):
         rng = np.random.default_rng(33)
         z = np.linspace(0.2, 0.8, 31)
         y = rng.uniform(0, 900, size=31)
         f = fit_rbf(z, y)
-        rmse_fit = np.sqrt(np.mean((f(z) - y) ** 2))
+        rmse_fit = np.sqrt(np.mean((value(f, z) - y) ** 2))
         rmse_zero = np.sqrt(np.mean(y**2))
         assert rmse_fit <= rmse_zero
 
@@ -127,58 +152,62 @@ class TestFitRbf:
         w = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0])
         f = SafeFootholdFunction(w, centers, width)
         for dz in (0.05, 0.11, 0.2):
-            assert f(0.5 - dz) == pytest.approx(f(0.5 + dz), abs=1e-12)
+            assert value(f, 0.5 - dz) == pytest.approx(value(f, 0.5 + dz), abs=1e-12)
+
+    @pytest.mark.parametrize("n_heights", [31, 2])
+    def test_stacked_fit_matches_separate_fits(self, n_heights):
+        # 2 heights with 30 bases is underdetermined: the minimum-norm
+        # solution of every model in the stack is that of its own fit.
+        rng = np.random.default_rng(5)
+        z = np.linspace(0.2, 0.8, n_heights)
+        counts = rng.uniform(0, 1089, size=(2, 4, n_heights))
+        stacked = fit_rbf(z, counts)
+        assert stacked.weights.shape == (2, 4, 30)
+        for j in range(2):
+            for l in range(4):
+                alone = fit_rbf(z, counts[j, l])
+                np.testing.assert_allclose(stacked.weights[j, l], alone.weights, rtol=1e-10)
+                np.testing.assert_array_equal(stacked.centers, alone.centers)
+                assert stacked.width == alone.width
 
 
-def stage_cost(funcs, cost="sum", **kw):
+def stage_cost(model, cost="sum", **kw):
     """Objective of one horizon step at the level pose that puts every hip
     at 0.5 m (hip z-offset -0.1)."""
-    prob = PoseOptProblem(
-        functions=[funcs], hip_offsets=HIP_OFFSETS, u_prev=np.array([0.6, 0.0, 0.0]), cost=cost, **kw
-    )
+    prob = make_problem(*model, u_prev=np.array([0.6, 0.0, 0.0]), cost=cost, **kw)
     return float(objective_batch(prob, [0.6, 0.0, 0.0])[0][0])
 
 
 class TestCosts:
     def test_sum_of_unit_functions(self):
-        funcs = [constant(1.0) for _ in range(4)]
-        assert stage_cost(funcs, "sum") == pytest.approx(4.0, abs=1e-6)
+        assert stage_cost(constant([1.0] * 4), "sum") == pytest.approx(4.0, abs=1e-6)
 
     def test_int_two_point_quadrature(self):
-        funcs = [constant(1.0) for _ in range(4)]
         # per-leg integral ~ m * (1 + 1) = 0.05, squared = 0.0025, x4 legs
-        assert stage_cost(funcs, "int", margin=0.025) == pytest.approx(0.01, abs=1e-6)
+        assert stage_cost(constant([1.0] * 4), "int", margin=0.025) == pytest.approx(0.01, abs=1e-6)
 
     def test_prod_zeroes_on_starved_leg(self):
-        one = constant(1.0)
-        zero = constant(0.0)
-        funcs = [zero, one, one, one]
-        assert stage_cost(funcs, "prod") == pytest.approx(0.0, abs=1e-9)
-        assert stage_cost(funcs, "sum") == pytest.approx(3.0, abs=1e-6)
+        model = constant([0.0, 1.0, 1.0, 1.0])
+        assert stage_cost(model, "prod") == pytest.approx(0.0, abs=1e-9)
+        assert stage_cost(model, "sum") == pytest.approx(3.0, abs=1e-6)
 
     def test_smooth_moving_average(self):
         # a bump so narrow the +-1 m offsets contribute nothing
-        funcs = [bump(0.5, height=1.0, width=0.05) for _ in range(4)]
+        model = bumps([0.5] * 4, height=1.0, width=0.05)
         expected = 4 * ((1.0 / 2.0) ** 2)
-        assert stage_cost(funcs, "smooth") == pytest.approx(expected, rel=1e-6)
+        assert stage_cost(model, "smooth") == pytest.approx(expected, rel=1e-6)
 
     def test_q_scales(self):
-        funcs = [constant(1.0) for _ in range(4)]
-        assert stage_cost(funcs, "sum", q=2.0) == pytest.approx(8.0, abs=1e-5)
+        assert stage_cost(constant([1.0] * 4), "sum", q=2.0) == pytest.approx(8.0, abs=1e-5)
 
     @pytest.mark.parametrize("n_h", [1, 2])
     @pytest.mark.parametrize("cost", ["sum", "prod", "int", "smooth"])
     def test_gradient_matches_central_differences(self, cost, n_h):
         rng = np.random.default_rng(11)
         centers, width = rbf_centers_and_width(10, 0.2, 0.8)
-        layers = [
-            [SafeFootholdFunction(rng.uniform(0.5, 3.0, 10), centers, width) for _ in range(4)]
-            for _ in range(n_h)
-        ]
-        prob = PoseOptProblem(
-            functions=layers, hip_offsets=HIP_OFFSETS, u_prev=np.array([0.5, 0.0, 0.0]), cost=cost
-        )
+        model = SafeFootholdFunction(rng.uniform(0.5, 3.0, (n_h, 4, 10)), centers, width)
         u = np.tile([0.55, 0.0, 0.0], n_h) + rng.uniform(-0.1, 0.1, 3 * n_h)
+        prob = make_problem(model, rng.uniform(-0.05, 0.05, (n_h, 4)), cost=cost)
         _, grad = objective_batch(prob, u)
         h = 1e-6
         steps = h * np.eye(3 * n_h)
@@ -226,21 +255,9 @@ class TestPoseEvaluation:
 
 
 class TestOptimizeSingle:
-    def problem(self, funcs, u_prev=(0.5, 0.0, 0.0), du=0.5, cost="sum", **kw):
-        return PoseOptProblem(
-            functions=[list(funcs)],
-            hip_offsets=HIP_OFFSETS,
-            u_prev=u_prev,
-            du_min=-du * np.ones(3),
-            du_max=du * np.ones(3),
-            cost=cost,
-            **kw,
-        )
-
     def test_symmetric_bumps_centered_solution(self):
-        funcs = [bump(0.5) for _ in range(4)]
-        prob = self.problem(funcs)
-        res = optimize_pose_single(prob)
+        prob = make_problem(*bumps([0.5] * 4), cost="sum")
+        res = optimize_pose_receding(prob)
         # hip z-offset -0.1 means base height 0.6 puts every hip at 0.5
         best_val, best_u = dense_grid_best(prob)
         assert res.objective >= 0.99 * best_val
@@ -250,77 +267,62 @@ class TestOptimizeSingle:
         assert abs(pitch) < 0.01
 
     def test_front_peak_higher_pitches_up(self):
-        funcs = [bump(0.55), bump(0.55), bump(0.5), bump(0.5)]
-        prob = self.problem(funcs)
-        res = optimize_pose_single(prob)
+        prob = make_problem(*bumps([0.55, 0.55, 0.5, 0.5]), cost="sum")
+        res = optimize_pose_receding(prob)
         # front hips at x > 0 rise when sin(pitch) < 0
         assert res.poses[0, 2] < -0.01
         best_val, _ = dense_grid_best(prob)
         assert res.objective >= 0.99 * best_val
 
     def test_zero_rate_box_returns_previous(self):
-        funcs = [bump(0.5) for _ in range(4)]
         prev = np.array([0.47, 0.02, -0.03])
-        prob = self.problem(funcs, u_prev=prev, du=0.0)
-        res = optimize_pose_single(prob)
+        prob = make_problem(*bumps([0.5] * 4), u_prev=prev, du=0.0, cost="sum")
+        res = optimize_pose_receding(prob)
         np.testing.assert_allclose(res.poses[0], prev, rtol=0, atol=1e-12)
 
     def test_feasibility_exact(self):
         rng = np.random.default_rng(7)
         for k in range(5):
-            funcs = [bump(rng.uniform(0.35, 0.65), height=rng.uniform(50, 500)) for _ in range(4)]
+            model = bumps(rng.uniform(0.35, 0.65, 4), height=rng.uniform(50, 500, 4))
             prev = np.array([rng.uniform(0.3, 0.7), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)])
-            prob = self.problem(funcs, u_prev=prev, du=0.08, cost="int", margin=0.025)
-            res = optimize_pose_single(prob)
+            prob = make_problem(*model, u_prev=prev, du=0.08, cost="int", margin=0.025)
+            res = optimize_pose_receding(prob)
             u = res.poses[0]
-            from vital.vpa import feasible_box
-
             lo, hi, _ = feasible_box(prob)
             assert np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12)
 
     def test_disjoint_rate_box_clamped(self):
-        funcs = [bump(0.5) for _ in range(4)]
-        prob = self.problem(funcs, u_prev=(1.5, 0.0, 0.0), du=0.02)
-        res = optimize_pose_single(prob)
+        prob = make_problem(*bumps([0.5] * 4), u_prev=(1.5, 0.0, 0.0), du=0.02, cost="sum")
+        res = optimize_pose_receding(prob)
         assert res.rate_box_clamped
         assert res.poses[0, 0] <= 0.8 + 1e-12
 
     def test_deterministic(self):
-        funcs = [bump(0.45), bump(0.52), bump(0.48), bump(0.55)]
-        prob = self.problem(funcs, cost="int", margin=0.025)
-        a = optimize_pose_single(prob)
-        b = optimize_pose_single(prob)
+        prob = make_problem(*bumps([0.45, 0.52, 0.48, 0.55]), cost="int", margin=0.025)
+        a = optimize_pose_receding(prob)
+        b = optimize_pose_receding(prob)
         assert np.array_equal(a.poses, b.poses) and a.objective == b.objective
 
 
 class TestOptimizeReceding:
-    def make(self, layers, u_prev=(0.5, 0.0, 0.0), du=0.5, smooth=10.0, cost="sum"):
-        return PoseOptProblem(
-            functions=layers,
-            hip_offsets=HIP_OFFSETS,
-            u_prev=u_prev,
-            du_min=-du * np.ones(3),
-            du_max=du * np.ones(3),
-            cost=cost,
-            smooth_weight=smooth,
-        )
+    def make(self, centers, u_prev=(0.5, 0.0, 0.0), du=0.5, smooth=10.0, cost="sum"):
+        return make_problem(*bumps(centers), u_prev=u_prev, du=du, cost=cost, smooth_weight=smooth)
 
     def test_identical_horizons_match_single(self):
-        funcs = [bump(0.5), bump(0.52), bump(0.5), bump(0.48)]
-        single = optimize_pose_single(self.make([funcs]))
-        rec = optimize_pose_receding(self.make([funcs, funcs]))
-        u1, u2 = rec.poses
-        us = single.poses[0]
+        # horizon 2 with the same model at both steps against horizon 1
+        centers = [0.5, 0.52, 0.5, 0.48]
+        one = optimize_pose_receding(self.make([centers]))
+        two = optimize_pose_receding(self.make([centers, centers]))
+        u1, u2 = two.poses
+        us = one.poses[0]
         assert abs(u1[0] - u2[0]) < 1e-4
         assert abs(u1[0] - us[0]) < 1e-3
         assert abs(u1[2] - us[2]) < 1e-3
 
     def test_large_smoothness_locks_horizons_together(self):
-        a = [bump(0.45) for _ in range(4)]
-        b = [bump(0.6) for _ in range(4)]
         gaps = []
         for lam in (10.0, 1e6, 1e9):
-            rec = optimize_pose_receding(self.make([a, b], smooth=lam))
+            rec = optimize_pose_receding(self.make([[0.45] * 4, [0.6] * 4], smooth=lam))
             u1, u2 = rec.poses
             gaps.append(np.linalg.norm(u1 - u2))
         # the deviation shrinks as the penalty weight grows and vanishes
@@ -328,44 +330,42 @@ class TestOptimizeReceding:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
 
-    def test_horizon_one_delegates_to_single(self):
-        funcs = [bump(0.5) for _ in range(4)]
-        rec = optimize_pose_receding(self.make([funcs]))
-        single = optimize_pose_single(self.make([funcs]))
-        assert np.array_equal(rec.poses, single.poses)
-        assert rec.objective == single.objective
+    @pytest.mark.parametrize("n_h", [1, 2])
+    def test_one_multi_start_of_eight_ascents(self, monkeypatch, n_h):
+        # the 6 best coarse-grid points, the previous pose and the box centre
+        ascents = []
+        minimize = vital.vpa.minimize
+
+        def spy(*args, **kwargs):
+            ascents.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(vital.vpa, "minimize", spy)
+        prob = self.make([[0.5, 0.52, 0.5, 0.48]] * n_h, du=0.02, cost="int")
+        optimize_pose_receding(prob)
+        assert len(ascents) == 8
 
     def test_pairwise_grid_oracle(self):
         rng = np.random.default_rng(41)
         for trial in range(3):
-            a = [bump(rng.uniform(0.4, 0.6), height=rng.uniform(80, 300)) for _ in range(4)]
-            b = [bump(rng.uniform(0.4, 0.6), height=rng.uniform(80, 300)) for _ in range(4)]
-            prob = self.make([a, b], du=0.03, smooth=10.0, cost="int")
-            prob = dataclasses.replace(prob, margin=0.025)
+            centers, heights = rng.uniform(0.4, 0.6, (2, 4)), rng.uniform(80, 300, (2, 4))
+            kw = dict(du=0.03, smooth_weight=10.0, cost="int", margin=0.025)
+            prob = make_problem(*bumps(centers, heights), **kw)
             res = optimize_pose_receding(prob)
             # oracle: dense grid over pose pairs using precomputed stage costs
-            from vital.vpa import feasible_box
-
             lo, hi, _ = feasible_box(prob)
             axes = [lo[d] + 0.005 * np.arange(int((hi[d] - lo[d]) / 0.005) + 1) for d in range(3)]
             zz, bb, gg = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([zz.ravel(), bb.ravel(), gg.ravel()], axis=1)
-            c1, c2 = (
-                objective_batch(dataclasses.replace(prob, functions=[layer]), pts)[0]
-                for layer in prob.functions
-            )
+            c1, c2 = (objective_batch(make_problem(*bumps(c, h), **kw), pts)[0] for c, h in zip(centers, heights))
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
             total = c1[:, None] + c2[None, :] - prob.smooth_weight * d2
             best = float(total.max())
             assert res.objective >= 0.99 * best
 
     def test_feasibility(self):
-        a = [bump(0.42) for _ in range(4)]
-        b = [bump(0.58) for _ in range(4)]
-        prob = self.make([a, b], du=0.05)
+        prob = self.make([[0.42] * 4, [0.58] * 4], du=0.05)
         res = optimize_pose_receding(prob)
-        from vital.vpa import feasible_box
-
         lo, hi, _ = feasible_box(prob)
         assert res.poses.shape == (2, 3)
         assert np.all(res.poses >= lo - 1e-12) and np.all(res.poses <= hi + 1e-12)
@@ -374,19 +374,8 @@ class TestOptimizeReceding:
 class TestCostValidation:
     def test_unknown_cost_kind(self):
         with pytest.raises(ValueError):
-            PoseOptProblem(
-                functions=[[bump(0.5)] * 4],
-                hip_offsets=HIP_OFFSETS,
-                u_prev=(0.5, 0.0, 0.0),
-                cost="max",
-            )
+            make_problem(*bumps([0.5] * 4), cost="max")
 
     def test_int_needs_positive_margin(self):
         with pytest.raises(ValueError):
-            PoseOptProblem(
-                functions=[[bump(0.5)] * 4],
-                hip_offsets=HIP_OFFSETS,
-                u_prev=(0.5, 0.0, 0.0),
-                cost="int",
-                margin=0.0,
-            )
+            make_problem(*bumps([0.5] * 4), cost="int", margin=0.0)
