@@ -4,14 +4,13 @@ box-constrained pose optimization, and a quasi-kinematic gait simulator."""
 
 from .terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
 from .robot import (
-    BodyTwist,
     GaitParams,
     LEG_NAMES,
     RobotModel,
-    SwingTrajectory,
     hip_height_from,
     nominal_foothold,
     robot_preset,
+    swing_points,
 )
 from .fec import (
     FecConfig,

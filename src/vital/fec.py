@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .robot import BodyTwist, GaitParams, RobotModel, swing_arc_z
+from .robot import GaitParams, RobotModel, swing_arc_z
 from .terrain import Heightmap
 
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
@@ -129,12 +129,14 @@ def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
 
 
 class FecEvaluator:
-    """Evaluates the criteria for one (heightmap, twist, gait) tuple at any
-    hip height.  Build once, then call :meth:`evaluate` per hip height, or
-    :meth:`sweep_counts` for the safe-foothold counts of many.
+    """Evaluates the criteria for one (heightmap, hip, velocity, gait) tuple
+    at any hip height.  Build once, then call :meth:`evaluate` per hip
+    height, or :meth:`sweep_counts` for the safe-foothold counts of many.
 
-    ``current_foot`` is the swing lift-off point; when omitted, the foot is
-    assumed to rest on the center cell of the heightmap.
+    ``hip_world_xy`` is the hip's world (x, y) at lift-off and ``velocity``
+    the world (vx, vy) base velocity.  ``current_foot`` is the swing lift-off
+    point; when omitted, the foot is assumed to rest on the center cell of
+    the heightmap.
 
     All planar geometry is expressed in the heightmap's grid frame (origin
     at the map center, axes along the grid); distances and heights are
@@ -145,7 +147,7 @@ class FecEvaluator:
         self,
         heightmap: Heightmap,
         hip_world_xy,
-        twist: BodyTwist,
+        velocity,
         gait: GaitParams,
         model: RobotModel,
         config: FecConfig,
@@ -171,7 +173,7 @@ class FecEvaluator:
         self._lo_z = foot[2]
 
         hip_now = np.asarray(hip_world_xy, dtype=np.float64)
-        v = twist.planar
+        v = np.asarray(velocity, dtype=np.float64)
         self.hip_now = self._to_grid(hip_now)
         self.hip_td = self._to_grid(hip_now + v * gait.t_remaining)
         self.hip_lo2 = self._to_grid(hip_now + v * (gait.t_remaining + gait.stance_duration))
@@ -315,7 +317,7 @@ class FecEvaluator:
 def eval_fec(
     heightmap: Heightmap,
     hip,
-    twist: BodyTwist,
+    velocity,
     gait: GaitParams,
     model: RobotModel,
     config: FecConfig,
@@ -323,4 +325,4 @@ def eval_fec(
 ) -> SafetyGrid:
     """Evaluate all criteria, conjoin them, and apply the uncertainty erosion,
     for the world (x, y, z) hip at lift-off."""
-    return FecEvaluator(heightmap, hip[:2], twist, gait, model, config, current_foot).evaluate(hip[2])
+    return FecEvaluator(heightmap, hip[:2], velocity, gait, model, config, current_foot).evaluate(hip[2])

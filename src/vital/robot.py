@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,25 +110,6 @@ class GaitParams:
         return (1.0 - self.duty_factor) / self.step_frequency
 
 
-@dataclass(frozen=True)
-class BodyTwist:
-    linear: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    angular: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=np.float64))
-        object.__setattr__(self, "angular", np.asarray(self.angular, dtype=np.float64))
-        if self.linear.shape != (3,) or self.angular.shape != (3,):
-            raise ValueError("twist components must be 3-vectors")
-        if not (np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.angular))):
-            raise ValueError("twist components must be finite")
-
-    @property
-    def planar(self) -> np.ndarray:
-        """World-frame (vx, vy)."""
-        return self.linear[:2]
-
-
 def hip_height_from(z_b, roll, pitch, hip_offset) -> np.ndarray:
     """World hip height for pose components and a base-frame hip offset.
 
@@ -154,48 +135,35 @@ def rotation_matrix(roll: float, pitch: float, yaw: float = 0.0) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def nominal_foothold(
-    hip_world, twist: BodyTwist, gait: GaitParams, terrain: TerrainMap
-) -> np.ndarray:
+def nominal_foothold(hip_world, velocity, gait: GaitParams, terrain: TerrainMap) -> np.ndarray:
     """Predicted touchdown point absent any adaptation.
 
-    The hip ground projection is advanced by the planar velocity over the
-    remaining swing time plus half the stance duration; the height snaps to
-    the terrain under that point.
+    The hip ground projection is advanced by the world (vx, vy) velocity
+    over the remaining swing time plus half the stance duration; the height
+    snaps to the terrain under that point.
     """
     hip_world = np.asarray(hip_world, dtype=np.float64)
     lookahead = gait.t_remaining + 0.5 * gait.duty_factor / gait.step_frequency
-    xy = hip_world[:2] + twist.planar * lookahead
+    xy = hip_world[:2] + np.asarray(velocity, dtype=np.float64) * lookahead
     z = sample_height(terrain, float(xy[0]), float(xy[1]))
     return np.array([xy[0], xy[1], z])
 
 
 def swing_arc_z(z_lo, z_td, s, apex_height):
     """Height profile of the swing arc: endpoint lerp plus a sine bump."""
-    s = np.asarray(s, dtype=np.float64)
-    return z_lo + (np.asarray(z_td) - z_lo) * s + apex_height * np.sin(np.pi * s)
+    return z_lo + (z_td - z_lo) * s + apex_height * np.sin(np.pi * s)
 
 
-@dataclass(frozen=True)
-class SwingTrajectory:
-    """Semi-elliptic swing arc over the straight line lift-off -> touchdown."""
-
-    p_lo: np.ndarray
-    p_td: np.ndarray
-    apex_height: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_lo", np.asarray(self.p_lo, dtype=np.float64))
-        object.__setattr__(self, "p_td", np.asarray(self.p_td, dtype=np.float64))
-        if self.apex_height < 0:
-            raise ValueError("apex_height must be >= 0")
-
-    def point_at(self, s: float) -> np.ndarray:
-        """The arc point at swing phase ``s`` in [0, 1]; the ends are p_lo
-        and p_td exactly."""
-        s = float(np.clip(s, 0.0, 1.0))
-        if s == 1.0:
-            return self.p_td.copy()
-        xy = self.p_lo[:2] + (self.p_td[:2] - self.p_lo[:2]) * s
-        z = swing_arc_z(self.p_lo[2], self.p_td[2], s, self.apex_height)
-        return np.array([xy[0], xy[1], float(z)])
+def swing_points(p_lo, p_td, s, apex_height: float) -> np.ndarray:
+    """Points of semi-elliptic swing arcs over the straight lines lift-off
+    ``p_lo`` -> touchdown ``p_td`` (stacked (..., 3) rows) at swing phases
+    ``s`` (shape (...)), clipped to [0, 1].  The ends are p_lo and p_td
+    exactly."""
+    if apex_height < 0:
+        raise ValueError("apex_height must be >= 0")
+    p_lo = np.asarray(p_lo, dtype=np.float64)
+    p_td = np.asarray(p_td, dtype=np.float64)
+    s = np.clip(s, 0.0, 1.0)[..., None]
+    points = p_lo + (p_td - p_lo) * s
+    points[..., 2] = swing_arc_z(p_lo[..., 2], p_td[..., 2], s[..., 0], apex_height)
+    return np.where(s == 1.0, p_td, points)

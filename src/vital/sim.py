@@ -8,7 +8,10 @@ tracks the pose reference through a first-order lag, runs the collision and
 workspace detectors (:func:`detect_events`) and logs one step row;
 :func:`aggregate` turns the logs into the run metrics.  No contact
 dynamics: stance feet are world-fixed and the base height equals the
-tracked pose.
+tracked pose.  The legs are (4, 3) arrays of world points in LF, RF, LH, RH
+order: the touchdown targets, the lift-off points and the feet.  A stance
+foot is its leg's last target, so the targets are also the legs' ground
+contacts.
 
 Pose evaluation sweeps the hip-height set relative to the ground under the
 centre cell of each leg's heightmap (:func:`vital.vpa.pose_evaluation`).
@@ -32,14 +35,13 @@ import numpy as np
 # because perfbench/tracer.py wraps that name.
 from .fec import FecConfig, SafetyGrid, eval_fec  # noqa: F401
 from .robot import (
-    BodyTwist,
     GaitParams,
     LEG_NAMES,
-    SwingTrajectory,
     hip_height_from,
     nominal_foothold,
     robot_preset,
     rotation_matrix,
+    swing_points,
 )
 from .tbr import tbr_pose
 from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
@@ -142,8 +144,10 @@ class Scenario:
         for name in ("duration", "planner_rate", "tick_rate"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
-        if min(self.du_z, self.du_roll, self.du_pitch) < 0:
-            raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
+        if round(self.duration * self.tick_rate) < 1:
+            raise ConfigError("duration must be at least one tick")
+        if min(self.du_z, self.du_roll, self.du_pitch, self.tau_track) < 0:
+            raise ConfigError("du_z, du_roll, du_pitch and tau_track must be >= 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
@@ -156,7 +160,6 @@ class Scenario:
             HipHeightSet(self.zh_min, self.zh_max, self.zh_count)
             rbf_centers_and_width(self.rbf_count, self.zh_min, self.zh_max)
             self.gait_params()
-            BodyTwist(np.array([self.vx, self.vy, 0.0]), np.array([0.0, 0.0, self.yaw_rate]))
             check_pose_box(*self.pose_box())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -299,12 +302,11 @@ class RunSetup:
         extent = scenario.map_cells * scenario.map_resolution
         self.delta_h = scenario.delta_h if scenario.delta_h > 0 else extent / 2.0
 
-    def twist(self, yaw: float) -> BodyTwist:
-        """The commanded body twist in the world frame at heading ``yaw``."""
+    def velocity(self, yaw: float) -> np.ndarray:
+        """The commanded world (vx, vy) at heading ``yaw``."""
         sc = self.scenario
         c, s = math.cos(yaw), math.sin(yaw)
-        vw = np.array([c * sc.vx - s * sc.vy, s * sc.vx + c * sc.vy, 0.0])
-        return BodyTwist(vw, np.array([0.0, 0.0, sc.yaw_rate]))
+        return np.array([c * sc.vx - s * sc.vy, s * sc.vx + c * sc.vy])
 
     def heightmap(self, center, yaw: float) -> Heightmap:
         cells = self.scenario.map_cells
@@ -323,24 +325,15 @@ class RunSetup:
         return origin[None, :] + (rot @ self.model.hip_offsets.T).T
 
 
-class _LegState:
-    __slots__ = ("foot", "trajectory", "target")
-
-    def __init__(self, foot: np.ndarray):
-        self.foot = foot
-        self.trajectory: SwingTrajectory | None = None
-        self.target = foot.copy()
-
-
 def foothold_decision(
     setup: RunSetup, leg: int, t: float, hip: np.ndarray, foot: np.ndarray, yaw: float, t_remaining: float
 ) -> tuple[FootholdDecision, dict]:
     """VFA at one lift-off: the decision and its ``footholds.csv`` row."""
-    twist = setup.twist(yaw)
+    velocity = setup.velocity(yaw)
     gait = dataclasses.replace(setup.gait, t_remaining=t_remaining)
-    nominal = nominal_foothold(hip, twist, gait, setup.terrain)
+    nominal = nominal_foothold(hip, velocity, gait, setup.terrain)
     hm = setup.heightmap(nominal, yaw)
-    decision = foothold_evaluation(hm, hip, twist, gait, setup.model, setup.fec_config, current_foot=foot)
+    decision = foothold_evaluation(hm, hip, velocity, gait, setup.model, setup.fec_config, current_foot=foot)
     row = dict(
         time=float(t),
         leg=LEG_NAMES[leg],
@@ -372,31 +365,28 @@ def planner_update(
     actual: np.ndarray,
     ref: np.ndarray,
     hips: np.ndarray,
-    legs: list,
-    stance: np.ndarray,
+    targets: np.ndarray,
 ) -> PlannerUpdate:
     """One planner tick: pose evaluation and one RBF fit of every leg and
     horizon step, then the VPA or TBR pose reference (``none`` keeps
-    ``ref``)."""
+    ``ref``).  The prospective step starts from each leg's ground contact,
+    its target: the stance foot, or where a swing will touch down."""
     sc, model = setup.scenario, setup.model
-    twist = setup.twist(yaw)
+    velocity = setup.velocity(yaw)
     gait = dataclasses.replace(setup.gait, t_remaining=setup.gait.swing_duration)
     n_h = sc.horizon if sc.planner == "vpa" else 1
-    speed = float(np.hypot(twist.planar[0], twist.planar[1]))
-    direction = twist.planar / speed if speed > 1e-9 else np.zeros(2)
-    # The prospective step starts from the leg's ground contact: the
-    # current foot in stance, the touchdown target in swing.
-    contacts = [leg.foot if s else leg.target for leg, s in zip(legs, stance)]
+    speed = float(np.hypot(velocity[0], velocity[1]))
+    direction = velocity / speed if speed > 1e-9 else np.zeros(2)
 
     samples = [
         pose_evaluation(
             [setup.heightmap(c, yaw) for c in hips[:, :2] + direction * (j * setup.delta_h)],
-            twist,
+            velocity,
             gait,
             setup.heights,
             model,
             setup.fec_config,
-            current_feet=contacts if j == 0 else None,
+            current_feet=targets if j == 0 else None,
         )
         for j in range(n_h)
     ]
@@ -430,7 +420,7 @@ def planner_update(
         cost_label = sc.cost
     elif sc.planner == "tbr":
         try:
-            tref = tbr_pose(np.array([leg.target for leg in legs]), height_offset=sc.d_ref)
+            tref = tbr_pose(targets, height_offset=sc.d_ref)
             ref = np.clip([tref.z_b, tref.roll, tref.pitch], setup.u_min + shift, setup.u_max + shift)
         except ValueError:
             pass  # degenerate support: keep the previous reference
@@ -455,7 +445,7 @@ def planner_update(
     return PlannerUpdate(ref, row, nsf, float(envelope), rbf)
 
 
-def detect_events(setup: RunSetup, feet, hips: np.ndarray, stance, swing_s: np.ndarray) -> tuple[int, int]:
+def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, swing_s) -> tuple[int, int]:
     """Collision and workspace events of one tick.
 
     A collision event is a foot, or a point of the hip-to-foot shin segment,
@@ -464,29 +454,22 @@ def detect_events(setup: RunSetup, feet, hips: np.ndarray, stance, swing_s: np.n
     foot outside the leg's spherical shell.
     """
     terrain, model, config = setup.terrain, setup.model, setup.fec_config
-    collisions = workspace = 0
-    for foot, hip, in_stance, s in zip(feet, hips, stance, swing_s):
-        if in_stance or 0.02 < s < 0.98:
-            if foot[2] < sample_height(terrain, foot[0], foot[1]) - config.fc_clearance:
-                collisions += 1
-        if in_stance:
-            d = float(np.linalg.norm(hip - foot))
-            if d < model.r_min - 1e-9 or d > model.r_max + 1e-9:
-                workspace += 1
-        # shin segment clearance (points near the foot are the foot)
-        g = np.linspace(0.0, 1.0, 9)[1:]
-        seg = foot[None, :] + (hip - foot)[None, :] * g[:, None]
-        planar = g * math.hypot(hip[0] - foot[0], hip[1] - foot[1])
-        keep = planar > model.foot_radius
-        if np.any(keep):
-            ground = sample_height(terrain, seg[keep, 0], seg[keep, 1])
-            if np.any(seg[keep, 2] < ground - config.lc_clearance):
-                collisions += 1
-    return collisions, workspace
+    counted = stance | ((0.02 < swing_s) & (swing_s < 0.98))
+    buried = feet[:, 2] < sample_height(terrain, feet[:, 0], feet[:, 1]) - config.fc_clearance
+    d = np.linalg.norm(hips - feet, axis=1)
+    outside = stance & ((d < model.r_min - 1e-9) | (d > model.r_max + 1e-9))
+    # 8 shin points per leg; points within the foot radius are the foot.
+    g = np.linspace(0.0, 1.0, 9)[1:]
+    shin = feet[:, None, :] + (hips - feet)[:, None, :] * g[:, None]
+    planar = np.hypot(hips[:, 0] - feet[:, 0], hips[:, 1] - feet[:, 1])[:, None] * g
+    shin_ground = sample_height(terrain, shin[..., 0], shin[..., 1])
+    shin_hit = (planar > model.foot_radius) & (shin[..., 2] < shin_ground - config.lc_clearance)
+    collisions = np.count_nonzero(counted & buried) + np.count_nonzero(shin_hit.any(axis=1))
+    return int(collisions), int(np.count_nonzero(outside))
 
 
-def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_errors: list, final_x: float) -> RunMetrics:
-    """Run metrics from the step, planner and foothold logs."""
+def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_errors: list) -> RunMetrics:
+    """Run metrics from the step (at least one), planner and foothold logs."""
     collisions = sum(r.collisions for r in rows)
     workspace = sum(r.workspace_violations for r in rows)
     dz, dpitch = [], []
@@ -509,7 +492,7 @@ def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_erro
         tracking_mae_z=mean([abs(r.act_z - r.cmd_z) for r in rows]),
         tracking_mae_pitch=mean([abs(r.act_pitch - r.cmd_pitch) for r in rows]),
         mean_envelope_error=mean(envelope_errors),
-        final_x=float(rows[-1].x) if rows else final_x,
+        final_x=float(rows[-1].x),
         rows=rows,
         planner_rows=planner_rows,
         foothold_rows=foothold_rows,
@@ -545,11 +528,11 @@ def run_scenario(
     n_ticks = int(round(scenario.duration * scenario.tick_rate))
     planner_every = max(1, int(round(scenario.tick_rate / scenario.planner_rate)))
 
-    # Feet start on the terrain under the hips.
-    legs = [
-        _LegState(np.array([x, y, sample_height(setup.terrain, x, y)]))
-        for x, y, _ in setup.hips_world(base, actual, yaw)
-    ]
+    # The feet start on the terrain under the hips, as the targets of the
+    # stance they start in.
+    targets = setup.hips_world(base, actual, yaw)
+    targets[:, 2] = sample_height(setup.terrain, targets[:, 0], targets[:, 1])
+    lift = targets.copy()
     rows: list[StepRow] = []
     planner_rows: list[dict] = []
     foothold_rows: list[dict] = []
@@ -570,27 +553,23 @@ def run_scenario(
         hips = setup.hips_world(base, actual, yaw)
 
         decisions = ["", "", "", ""]
-        for l, leg in enumerate(legs):
-            if prev_stance[l] and not stance[l]:
-                # Lift-off: pick the touchdown target now.  A run that
-                # starts mid-swing plans the rest of that swing.
-                t_remaining = swing_time if k > 0 else (1.0 - swing_s[l]) * swing_time
-                decision, row = foothold_decision(setup, l, t, hips[l], leg.foot, yaw, t_remaining)
-                if dump_criteria and out_dir is not None:
-                    dump_criteria_grids(out_dir, len(foothold_rows), l, decision.grid)
-                foothold_rows.append(row)
-                leg.target = decision.optimal
-                leg.trajectory = SwingTrajectory(leg.foot, leg.target, setup.apex)
-                decisions[l] = decision.fallback
-            elif stance[l] and not prev_stance[l]:
-                # touchdown: the foot is world-fixed at the target
-                leg.foot = leg.target.copy()
-        for l, leg in enumerate(legs):
-            if not stance[l]:
-                leg.foot = leg.trajectory.point_at(float(swing_s[l]))
+        for l in np.flatnonzero(prev_stance & ~stance):
+            # Lift-off from the stance foot, the last target: pick the next
+            # target now.  A run that starts mid-swing plans the rest of it.
+            t_remaining = swing_time if k > 0 else (1.0 - swing_s[l]) * swing_time
+            decision, row = foothold_decision(setup, l, t, hips[l], targets[l], yaw, t_remaining)
+            if dump_criteria and out_dir is not None:
+                dump_criteria_grids(out_dir, len(foothold_rows), l, decision.grid)
+            foothold_rows.append(row)
+            lift[l] = targets[l]
+            targets[l] = decision.optimal
+            decisions[l] = decision.fallback
+        # Stance feet are world-fixed at their targets; swing feet follow
+        # the arcs from their lift-off points.
+        feet = np.where(stance[:, None], targets, swing_points(lift, targets, swing_s, setup.apex))
 
         if k % planner_every == 0:
-            update = planner_update(setup, t, base, yaw, actual, ref, hips, legs, stance)
+            update = planner_update(setup, t, base, yaw, actual, ref, hips, targets)
             ref, nsf = update.ref, update.nsf
             planner_rows.append(update.row)
             envelope_errors.append(update.envelope_error)
@@ -604,15 +583,15 @@ def run_scenario(
 
         actual = track_pose(actual, ref, dt, scenario.tau_track)
         hips = setup.hips_world(base, actual, yaw)
-        collisions, workspace = detect_events(setup, [leg.foot for leg in legs], hips, stance, swing_s)
+        collisions, workspace = detect_events(setup, feet, hips, stance, swing_s)
         rows.append(StepRow(t, base[0], base[1], yaw, *ref, *actual, nsf, tuple(decisions), collisions, workspace))
 
         prev_stance = stance
-        # Base advances at the commanded twist.
-        base = base + setup.twist(yaw).planar * dt
+        # Base advances at the commanded velocity.
+        base = base + setup.velocity(yaw) * dt
         yaw += scenario.yaw_rate * dt
 
-    metrics = aggregate(rows, planner_rows, foothold_rows, envelope_errors, float(base[0]))
+    metrics = aggregate(rows, planner_rows, foothold_rows, envelope_errors)
     if out_dir is not None:
         write_outputs(metrics, out_dir)
     return metrics

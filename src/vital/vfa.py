@@ -1,8 +1,7 @@
 """Vision-based foothold adaptation: pick the safe foothold closest to the
 nominal touchdown point.  The heightmap is centred on the nominal, so the
-nominal is the map's centre point and centre cell; the swing trajectory is
-then re-targeted at the chosen foothold with
-:class:`vital.robot.SwingTrajectory`."""
+nominal is the map's centre point and centre cell; the swing arc is then
+re-targeted at the chosen foothold (:func:`vital.robot.swing_points`)."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fec import FecConfig, SafetyGrid, count_safe, eval_fec
-from .robot import BodyTwist, GaitParams, RobotModel
+from .robot import GaitParams, RobotModel
 from .terrain import Heightmap
 
 FALLBACK_SELECTED = "selected"
@@ -55,20 +54,20 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
 def foothold_evaluation(
     heightmap: Heightmap,
     hip,
-    twist: BodyTwist,
+    velocity,
     gait: GaitParams,
     model: RobotModel,
     config: FecConfig,
     current_foot=None,
 ) -> FootholdDecision:
     """Run the evaluation criteria on the heightmap centred on the nominal
-    foothold, for the world (x, y, z) hip at lift-off, and select the
-    optimal foothold.
+    foothold, for the world (x, y, z) hip at lift-off and the world (vx, vy)
+    velocity, and select the optimal foothold.
 
     With no safe cell the nominal is kept and flagged, so callers can count
     unsafe-step events instead of aborting.
     """
     x, y = heightmap.center
     nominal = np.array([x, y, heightmap.cells[heightmap.h_x // 2, heightmap.h_y // 2]])
-    grid = eval_fec(heightmap, hip, twist, gait, model, config, current_foot=current_foot)
+    grid = eval_fec(heightmap, hip, velocity, gait, model, config, current_foot=current_foot)
     return select_closest_safe(grid, heightmap, nominal)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fec import FecConfig, FecEvaluator
-from .robot import BodyTwist, GaitParams, RobotModel, hip_height_from
+from .robot import GaitParams, RobotModel, hip_height_from
 
 COST_KINDS = ("sum", "prod", "int", "smooth")
 
@@ -70,7 +70,7 @@ class SafeFootholdSamples:
 
 def pose_evaluation(
     heightmaps,
-    twist: BodyTwist,
+    velocity,
     gait: GaitParams,
     heights: HipHeightSet,
     model: RobotModel,
@@ -79,18 +79,19 @@ def pose_evaluation(
 ) -> SafeFootholdSamples:
     """Count safe footholds for every leg at every hip height.
 
-    One heightmap per leg, centered on the leg hip's ground projection.
-    The hip heights of ``heights`` are relative to the ground under the
-    heightmap's centre cell, which is returned per leg as ``ground``.
-    ``current_feet`` optionally gives each leg's lift-off foot; by default
-    the foot is assumed under the hip (the heightmap center cell).
+    One heightmap per leg, centered on the leg hip's ground projection;
+    ``velocity`` is the world (vx, vy) base velocity.  The hip heights of
+    ``heights`` are relative to the ground under the heightmap's centre
+    cell, which is returned per leg as ``ground``.  ``current_feet``
+    optionally gives each leg's lift-off foot; by default the foot is
+    assumed under the hip (the heightmap center cell).
     """
     z_values = heights.values
     ground = np.array([hm.cells[hm.h_x // 2, hm.h_y // 2] for hm in heightmaps])
     counts = np.zeros((len(heightmaps), len(z_values)), dtype=np.int64)
     for l, hm in enumerate(heightmaps):
         foot = None if current_feet is None else current_feet[l]
-        ev = FecEvaluator(hm, hm.center, twist, gait, model, config, current_foot=foot)
+        ev = FecEvaluator(hm, hm.center, velocity, gait, model, config, current_foot=foot)
         counts[l] = ev.sweep_counts(z_values + ground[l])
     return SafeFootholdSamples(z_values, counts, ground)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from vital.fec import FecConfig
-from vital.robot import BodyTwist, GaitParams, robot_preset
+from vital.robot import GaitParams, robot_preset
 from vital.terrain import TerrainMap
 
 # Property tests draw the same examples on every run and keep no example
@@ -33,13 +33,13 @@ def stairs():
 
 
 @pytest.fixture
-def zero_twist():
-    return BodyTwist(np.zeros(3), np.zeros(3))
+def zero_velocity():
+    return np.zeros(2)
 
 
 @pytest.fixture
-def forward_twist():
-    return BodyTwist(np.array([0.2, 0.0, 0.0]), np.zeros(3))
+def forward_velocity():
+    return np.array([0.2, 0.0])
 
 
 @pytest.fixture

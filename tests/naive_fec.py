@@ -43,7 +43,7 @@ def naive_tr(heightmap, config):
 class NaiveFec:
     """Grid-frame per-cell evaluation of TR, LC, KF, FC plus erosion."""
 
-    def __init__(self, heightmap, hip_world_xy, twist, gait, model, config, current_foot=None):
+    def __init__(self, heightmap, hip_world_xy, velocity, gait, model, config, current_foot=None):
         self.hm = heightmap
         self.model = model
         self.config = config
@@ -61,7 +61,7 @@ class NaiveFec:
         foot_g = self._world_to_grid(current_foot[0], current_foot[1])
         self.lo = (foot_g[0], foot_g[1], float(current_foot[2]))
 
-        v = twist.planar
+        v = np.asarray(velocity, dtype=float)
         hip = np.asarray(hip_world_xy, dtype=float)
         self.hip_now = self._world_to_grid(*hip)
         td = hip + v * gait.t_remaining

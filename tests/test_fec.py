@@ -10,17 +10,17 @@ from vital.fec import (
     eval_fec,
     eval_tr,
 )
-from vital.robot import BodyTwist, GaitParams, robot_preset
+from vital.robot import GaitParams, robot_preset
 from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
 from vital.vpa import HipHeightSet
 
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
 
 
-def origin_evaluator(terrain, twist, gait, model, config, h=9, current_foot=None):
+def origin_evaluator(terrain, velocity, gait, model, config, h=9, current_foot=None):
     """An evaluator on an h x h map centred at the origin, hip above it."""
     hm = extract_heightmap(terrain, (0.0, 0.0), 0.0, h_x=h, h_y=h)
-    return FecEvaluator(hm, (0.0, 0.0), twist, gait, model, config, current_foot=current_foot)
+    return FecEvaluator(hm, (0.0, 0.0), velocity, gait, model, config, current_foot=current_foot)
 
 
 class TestTerrainRoughness:
@@ -75,26 +75,26 @@ class TestErosion:
 
 
 class TestCriteriaOnFlat:
-    def test_lc_true_everywhere_nominal(self, flat, model, config, zero_twist, gait):
-        lc = origin_evaluator(flat, zero_twist, gait, model, config).lc_grid(0.55)
+    def test_lc_true_everywhere_nominal(self, flat, model, config, zero_velocity, gait):
+        lc = origin_evaluator(flat, zero_velocity, gait, model, config).lc_grid(0.55)
         for i in (0, 4, 8):
             for j in (0, 4, 8):
                 assert lc[i, j]
 
-    def test_lc_zero_clearance_flat(self, flat, model, zero_twist, gait):
+    def test_lc_zero_clearance_flat(self, flat, model, zero_velocity, gait):
         config = FecConfig(lc_clearance=0.0)
-        assert origin_evaluator(flat, zero_twist, gait, model, config).lc_grid(0.55).all()
+        assert origin_evaluator(flat, zero_velocity, gait, model, config).lc_grid(0.55).all()
 
     def test_lc_riser_lip_rejected(self, model, config):
         # candidate just before a riser; by the next lift-off the hip has
         # advanced well past the lip and the shin cuts through it
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=3, start_x=0.1)
-        twist = BodyTwist(np.array([0.6, 0.0, 0.0]), np.zeros(3))
+        velocity = np.array([0.6, 0.0])
         gait = GaitParams(1.0, 0.6, 0.2)
         hm = extract_heightmap(stairs, (0.06, 0.0), 0.0, h_x=9, h_y=9)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
-        ev = FecEvaluator(hm, (-0.15, 0.0), twist, gait, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
+        ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
         ok = ev.lc_grid(0.42)[4, 4]
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + 0.6), 0.0, 0.42])
@@ -112,14 +112,14 @@ class TestCriteriaOnFlat:
                 break
         assert grazed and not ok
 
-    def test_kf_under_hip_true(self, flat, model, config, zero_twist, gait):
+    def test_kf_under_hip_true(self, flat, model, config, zero_velocity, gait):
         mid = (model.r_min + model.r_max) / 2
-        assert origin_evaluator(flat, zero_twist, gait, model, config).kf_grid(mid)[4, 4]
+        assert origin_evaluator(flat, zero_velocity, gait, model, config).kf_grid(mid)[4, 4]
 
-    def test_kf_beyond_shell_false(self, flat, model, config, zero_twist, gait):
-        assert not origin_evaluator(flat, zero_twist, gait, model, config).kf_grid(1.9).any()
+    def test_kf_beyond_shell_false(self, flat, model, config, zero_velocity, gait):
+        assert not origin_evaluator(flat, zero_velocity, gait, model, config).kf_grid(1.9).any()
 
-    def test_kf_sunken_tread_out_of_reach(self, model, config, zero_twist, gait):
+    def test_kf_sunken_tread_out_of_reach(self, model, config, zero_velocity, gait):
         # a tread 0.10 m below the surroundings pushes touchdown past r_max
         terrain = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.4, n_steps=2,
                              start_x=-10.0, gap_width=0.4, gap_depth=0.85)
@@ -127,41 +127,41 @@ class TestCriteriaOnFlat:
         low = np.argwhere(hm.cells < -0.5)
         assert len(low) > 0
         i, j = low[0]
-        assert not FecEvaluator(hm, (-9.8, 0.0), zero_twist, gait, model, config).kf_grid(0.74)[i, j]
+        assert not FecEvaluator(hm, (-9.8, 0.0), zero_velocity, gait, model, config).kf_grid(0.74)[i, j]
 
-    def test_kf_last_arc_sample_inside_r_min(self, flat, model, config, zero_twist, gait):
+    def test_kf_last_arc_sample_inside_r_min(self, flat, model, config, zero_velocity, gait):
         # Touchdown is 0.3005 m from the hip and arc sample 9/11 is 0.3011 m,
         # both inside the shell; only the last interior sample, 10/11, comes
         # within r_min (0.2994 m), so it alone rejects the centre cell.
         foot = np.array([0.0, 0.0, -0.36])
-        ev = origin_evaluator(flat, zero_twist, gait, model, config, current_foot=foot)
+        ev = origin_evaluator(flat, zero_velocity, gait, model, config, current_foot=foot)
         assert not ev.kf_grid(0.3005)[4, 4]
-        naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_twist, gait, model, config, current_foot=foot)
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_velocity, gait, model, config, current_foot=foot)
         assert not naive.kf_cell(4, 4, 0.3005)
 
-    def test_kf_touchdown_alone_beyond_r_max(self, flat, model, config, forward_twist, gait):
+    def test_kf_touchdown_alone_beyond_r_max(self, flat, model, config, forward_velocity, gait):
         # The hip moves 0.071 m ahead by touchdown and 0.143 m by the next
         # lift-off.  At 0.6 m, the cell 0.56 m ahead is 0.774 m from the hip
         # at touchdown, past r_max (0.75), but 0.731 m at the next lift-off,
         # and every swing-arc sample is nearer still; the cell 0.52 m ahead
         # is 0.749 m at touchdown.  So the touchdown check alone decides.
-        ev = origin_evaluator(flat, forward_twist, gait, model, config, h=65)
+        ev = origin_evaluator(flat, forward_velocity, gait, model, config, h=65)
         assert ev.gx[60, 0] == 0.56 and ev.gx[58, 0] == 0.52
         kf = ev.kf_grid(0.6)
         assert not kf[60, 32] and kf[58, 32]
-        naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_twist, gait, model, config)
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_velocity, gait, model, config)
         assert not naive.kf_cell(60, 32, 0.6) and naive.kf_cell(58, 32, 0.6)
 
-    def test_fc_flat_all_clear(self, flat, model, config, zero_twist, gait):
+    def test_fc_flat_all_clear(self, flat, model, config, zero_velocity, gait):
         foot = np.array([0.0, 0.0, 0.0])
-        assert origin_evaluator(flat, zero_twist, gait, model, config, current_foot=foot).fc.all()
+        assert origin_evaluator(flat, zero_velocity, gait, model, config, current_foot=foot).fc.all()
 
-    def test_fc_tall_riser_blocks_arc(self, model, config, zero_twist, gait):
+    def test_fc_tall_riser_blocks_arc(self, model, config, zero_velocity, gait):
         # a wall taller than the arc apex between the foot and the candidate
         terrain = TerrainMap(kind="composite", rise=0.40, going=0.14, n_steps=1,
                              start_x=0.07, plateau=0.0)
         foot = np.array([-0.06, 0.0, 0.0])
-        ev = origin_evaluator(terrain, zero_twist, gait, model, config, h=33, current_foot=foot)
+        ev = origin_evaluator(terrain, zero_velocity, gait, model, config, h=33, current_foot=foot)
         hm = ev.heightmap
         # candidate on ground level beyond the wall: the arc must cross it
         assert hm.cells[31, 16] == 0.0
@@ -173,29 +173,29 @@ class TestCriteriaOnFlat:
 
 
 class TestEvalFec:
-    def test_flat_nominal_all_true(self, flat, model, config, zero_twist, gait):
+    def test_flat_nominal_all_true(self, flat, model, config, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
-        grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_twist, gait, model, config)
+        grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_velocity, gait, model, config)
         assert grid.cells.all()
         assert count_safe(grid) == 33 * 33
 
-    def test_conjunction_invariant(self, stairs, model, config, forward_twist, gait):
+    def test_conjunction_invariant(self, stairs, model, config, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
-        grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_twist, gait, model, config)
+        grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_velocity, gait, model, config)
         np.testing.assert_array_equal(grid.raw, grid.tr & grid.lc & grid.kf & grid.fc)
         # erosion only removes
         assert not np.any(grid.cells & ~grid.raw)
 
-    def test_hip_height_extremes_empty(self, flat, model, config, zero_twist, gait):
+    def test_hip_height_extremes_empty(self, flat, model, config, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         for z_h in (0.05, 1.9):
-            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_twist, gait, model, config)) == 0
+            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model, config)) == 0
 
-    def test_input_sanity_bound(self, flat, model, config, zero_twist, gait):
+    def test_input_sanity_bound(self, flat, model, config, zero_velocity, gait):
         hm = extract_heightmap(flat, (0, 0), 0.0, h_x=9, h_y=9)
         for z_h in (2.5, 0.0):
             with pytest.raises(ValueError, match="sanity bound"):
-                eval_fec(hm, (0.0, 0.0, z_h), zero_twist, gait, model, config)
+                eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model, config)
 
     def test_count_safe_examples(self):
         grid_true = np.ones((33, 33), dtype=bool)
@@ -206,27 +206,27 @@ class TestEvalFec:
         g2 = SafetyGrid(~grid_true, grid_true, grid_true, grid_true, grid_true, grid_true)
         assert count_safe(g2) == 0
 
-    def test_single_false_cell_erodes_block(self, flat, model, config, zero_twist, gait):
+    def test_single_false_cell_erodes_block(self, flat, model, config, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
-        grid = FecEvaluator(hm, (0.0, 0.0), zero_twist, gait, model, config).evaluate(0.50)
+        grid = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model, config).evaluate(0.50)
         assert count_safe(grid) == 1089
         forced = grid.raw.copy()
         forced[10, 10] = False
         eroded = erode_safe_set(forced, 1)
         assert int(eroded.sum()) == 1089 - 9
 
-    def test_sweep_matches_individual_evaluations(self, stairs, model, config, forward_twist, gait):
+    def test_sweep_matches_individual_evaluations(self, stairs, model, config, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
-        ev = FecEvaluator(hm, (0.3, 0.0), forward_twist, gait, model, config)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model, config)
         zs = np.linspace(0.3, 0.9, 7)
         counts = ev.sweep_counts(zs)
         for z, n in zip(zs, counts):
             assert count_safe(ev.evaluate(float(z))) == n
 
-    def test_deterministic(self, stairs, model, config, forward_twist, gait):
+    def test_deterministic(self, stairs, model, config, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)
-        a = eval_fec(hm, (0.41, 0.07, 0.57), forward_twist, gait, model, config)
-        b = eval_fec(hm, (0.41, 0.07, 0.57), forward_twist, gait, model, config)
+        a = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model, config)
+        b = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model, config)
         np.testing.assert_array_equal(a.cells, b.cells)
 
 
@@ -242,12 +242,12 @@ class TestOracleEquivalence:
         center = (rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 0.5))
         yaw = rng.uniform(-np.pi, np.pi)
         z_h = rng.uniform(0.4, 0.75)
-        twist = BodyTwist(np.array([rng.uniform(-0.3, 0.5), rng.uniform(-0.2, 0.2), 0]), np.zeros(3))
+        velocity = np.array([rng.uniform(-0.3, 0.5), rng.uniform(-0.2, 0.2)])
         gait = GaitParams(1.4, 0.5, rng.uniform(0.05, 0.4))
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         hip = (center[0] + rng.uniform(-0.05, 0.05), center[1] + rng.uniform(-0.05, 0.05))
-        fast = eval_fec(hm, (*hip, z_h), twist, gait, model, config)
-        naive = NaiveFec(hm, hip, twist, gait, model, config).evaluate(z_h)
+        fast = eval_fec(hm, (*hip, z_h), velocity, gait, model, config)
+        naive = NaiveFec(hm, hip, velocity, gait, model, config).evaluate(z_h)
         np.testing.assert_array_equal(fast.tr, naive["tr"])
         np.testing.assert_array_equal(fast.fc, naive["fc"])
         np.testing.assert_array_equal(fast.kf, naive["kf"])
@@ -264,28 +264,27 @@ class TestOracleProperties:
         terrain_seed=st.integers(0, 1000),
         center=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 0.5)),
         yaw=st.floats(-np.pi, np.pi),
-        twist=st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2), st.floats(-0.5, 0.5)),
+        velocity=st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2)),
         t_remaining=st.floats(0.05, 0.4),
         hip_offset=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
         dz_h=st.floats(0.3, 0.8),
         foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
     )
-    def test_matches_naive(self, kind, terrain_seed, center, yaw, twist, t_remaining, hip_offset, dz_h, foot_offset):
+    def test_matches_naive(self, kind, terrain_seed, center, yaw, velocity, t_remaining, hip_offset, dz_h, foot_offset):
         model, config = robot_preset("hyq-like"), FecConfig()
         start_x = terrain_seed / 1000.0 - 0.2
         terrain = TerrainMap(kind=kind, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
         hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
-        body = BodyTwist(np.array([twist[0], twist[1], 0.0]), np.array([0.0, 0.0, twist[2]]))
         gait = GaitParams(1.4, 0.5, t_remaining)
         foot = None
         if foot_offset is not None:
             xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
             foot = np.array([*xy, sample_height(terrain, *xy)])
-        ev = FecEvaluator(hm, hip, body, gait, model, config, current_foot=foot)
+        ev = FecEvaluator(hm, hip, velocity, gait, model, config, current_foot=foot)
         fast = ev.evaluate(z_h)
-        naive = NaiveFec(hm, hip, body, gait, model, config, current_foot=foot).evaluate(z_h)
+        naive = NaiveFec(hm, hip, velocity, gait, model, config, current_foot=foot).evaluate(z_h)
         for name in ("tr", "lc", "kf", "fc", "raw", "cells"):
             np.testing.assert_array_equal(getattr(fast, name), naive[name], err_msg=name)
         z = z_h + np.linspace(-0.25, 0.25, 11)
@@ -311,11 +310,11 @@ class TestReferenceLoops:
         terrain = TerrainMap(**self.TERRAINS[kind])
         center = (0.42, 0.05)
         hm = extract_heightmap(terrain, center, 0.3)
-        twist = BodyTwist(np.array([0.3, 0.08, 0.0]), np.array([0.0, 0.0, 0.2]))
+        velocity = np.array([0.3, 0.08])
         gait = GaitParams(1.4, 0.5, 0.3)
         foot_xy = (center[0] + foot_dx, center[1] - 0.04)
         foot = np.array([*foot_xy, sample_height(terrain, *foot_xy)])
-        ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), twist, gait, model, config, foot)
+        ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), velocity, gait, model, config, foot)
         lc = ev.lc_threshold
         assert np.isfinite(lc).any()
         np.testing.assert_array_equal(lc, loop_lc_threshold(ev))
@@ -333,17 +332,16 @@ class TestReferenceLoops:
         cells = np.zeros((33, 33))
         cells[16, 20] = 0.3
         hm = Heightmap(cells, 0.02, (0.0, 0.0))
-        twist = BodyTwist(np.array([0.0, 0.5, 0.0]), np.zeros(3))
-        ev = FecEvaluator(hm, (0.0, 0.0), twist, GaitParams(1.4, 0.5, 0.1), model, config)
+        ev = FecEvaluator(hm, (0.0, 0.0), np.array([0.0, 0.5]), GaitParams(1.4, 0.5, 0.1), model, config)
         full = loop_lc_threshold(ev)
         np.testing.assert_array_equal(ev.lc_threshold, full)
         n_swing = config.lc_time_samples - 1
         for k in range(n_swing, n_swing + config.lc_time_samples):
             assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
 
-    def test_sweep_outside_sanity_bound_raises(self, stairs, model, config, forward_twist, gait):
+    def test_sweep_outside_sanity_bound_raises(self, stairs, model, config, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0, h_x=9, h_y=9)
-        ev = FecEvaluator(hm, (0.3, 0.0), forward_twist, gait, model, config)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model, config)
         for z in ([0.5, 0.0], [2.1, 0.5], [-0.3, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError, match="sanity bound"):
                 ev.sweep_counts(np.array(z))

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from vital.robot import (
-    BodyTwist,
     GaitParams,
     RobotModel,
-    SwingTrajectory,
     hip_height_from,
     nominal_foothold,
     robot_preset,
+    swing_points,
 )
 
 
@@ -57,21 +56,18 @@ class TestHipHeight:
 
 class TestNominalFoothold:
     def test_zero_twist_is_hip_projection(self, flat, gait):
-        twist = BodyTwist(np.zeros(3), np.zeros(3))
-        p = nominal_foothold((1.0, 0.5, 0.6), twist, gait, flat)
+        p = nominal_foothold((1.0, 0.5, 0.6), np.zeros(2), gait, flat)
         np.testing.assert_allclose(p, [1.0, 0.5, 0.0])
 
     def test_velocity_lookahead_offset(self, flat):
         gait = GaitParams(step_frequency=1.0, duty_factor=0.5, t_remaining=0.25)
-        twist = BodyTwist(np.array([0.2, 0.0, 0.0]), np.zeros(3))
-        p = nominal_foothold((0.0, 0.0, 0.6), twist, gait, flat)
+        p = nominal_foothold((0.0, 0.0, 0.6), np.array([0.2, 0.0]), gait, flat)
         # lookahead = t_remaining + half the stance = 0.25 + 0.25
         assert p[0] == pytest.approx(0.2 * 0.5)
         assert p[1] == 0.0
 
     def test_height_snaps_to_tread(self, stairs, gait):
-        twist = BodyTwist(np.array([0.2, 0.0, 0.0]), np.zeros(3))
-        p = nominal_foothold((0.25, 0.0, 0.6), twist, gait, stairs)
+        p = nominal_foothold((0.25, 0.0, 0.6), np.array([0.2, 0.0]), gait, stairs)
         from vital.terrain import sample_height
 
         assert p[2] == sample_height(stairs, p[0], p[1])
@@ -79,31 +75,31 @@ class TestNominalFoothold:
 
 class TestSwingTrajectory:
     def test_apex_at_midpoint_for_degenerate_arc(self):
-        traj = SwingTrajectory((0, 0, 0), (0, 0, 0), 0.12)
-        assert traj.point_at(0.5)[2] == pytest.approx(0.12)
+        assert swing_points((0, 0, 0), (0, 0, 0), 0.5, 0.12)[2] == pytest.approx(0.12)
 
     def test_endpoints_exact(self):
-        traj = SwingTrajectory((0.1, 0.2, 0.05), (0.4, -0.1, 0.15), 0.12)
-        np.testing.assert_array_equal(traj.point_at(0.0), [0.1, 0.2, 0.05])
-        np.testing.assert_array_equal(traj.point_at(1.0), [0.4, -0.1, 0.15])
+        p_lo, p_td = (0.1, 0.2, 0.05), (0.4, -0.1, 0.15)
+        np.testing.assert_array_equal(swing_points(p_lo, p_td, 0.0, 0.12), [0.1, 0.2, 0.05])
+        np.testing.assert_array_equal(swing_points(p_lo, p_td, 1.0, 0.12), [0.4, -0.1, 0.15])
+        # stacked arcs keep their ends too
+        both = swing_points([p_lo, p_lo], [p_td, p_td], np.array([0.0, 1.0]), 0.12)
+        np.testing.assert_array_equal(both, [p_lo, p_td])
 
     def test_midpoint_height_formula(self):
-        traj = SwingTrajectory((0, 0, 0), (0.2, 0, 0.1), 0.12)
-        assert traj.point_at(0.5)[2] == pytest.approx(0.05 + 0.12)
+        assert swing_points((0, 0, 0), (0.2, 0, 0.1), 0.5, 0.12)[2] == pytest.approx(0.05 + 0.12)
 
     def test_symmetric_profile_for_level_endpoints(self):
-        traj = SwingTrajectory((0, 0, 0.3), (0.4, 0, 0.3), 0.1)
-        z = np.array([traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 21)])
+        s = np.linspace(0.0, 1.0, 21)
+        z = swing_points(np.tile([0, 0, 0.3], (21, 1)), np.tile([0.4, 0, 0.3], (21, 1)), s, 0.1)[:, 2]
         np.testing.assert_allclose(z, z[::-1], atol=1e-12)
 
     def test_apex_above_endpoints(self):
-        traj = SwingTrajectory((0, 0, 0.0), (0.3, 0, 0.1), 0.08)
-        z = [traj.point_at(s)[2] for s in np.linspace(0.0, 1.0, 41)]
+        z = [swing_points((0, 0, 0.0), (0.3, 0, 0.1), s, 0.08)[2] for s in np.linspace(0.0, 1.0, 41)]
         assert max(z) >= 0.1
 
     def test_negative_apex_rejected(self):
         with pytest.raises(ValueError):
-            SwingTrajectory((0, 0, 0), (1, 0, 0), -0.01)
+            swing_points((0, 0, 0), (1, 0, 0), 0.5, -0.01)
 
 
 class TestModelValidation:

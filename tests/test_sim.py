@@ -99,14 +99,14 @@ class TestRunScenario:
     def test_stance_feet_world_fixed(self, monkeypatch):
         # each swing starts exactly where the previous one touched down
         captured = []
-        orig = sim.SwingTrajectory
+        orig = sim.foothold_decision
 
-        def spy(p_lo, p_td, apex):
-            traj = orig(p_lo, p_td, apex)
-            captured.append((np.array(p_lo), np.array(p_td)))
-            return traj
+        def spy(setup, leg, t, hip, foot, *args):
+            decision, row = orig(setup, leg, t, hip, foot, *args)
+            captured.append((np.array(foot), decision.optimal.copy()))
+            return decision, row
 
-        monkeypatch.setattr(sim, "SwingTrajectory", spy)
+        monkeypatch.setattr(sim, "foothold_decision", spy)
         run_scenario(short_flat(duration=4.0, planner="none"))
         # every lift-off after the first per leg must start exactly at the
         # previous touchdown of that leg (feet do not drift in stance)
@@ -206,6 +206,58 @@ class TestRunScenario:
         assert len(rbf_rows) == len(m.planner_rows) * 4 * 2
         grids = [n for n in os.listdir(out) if n.startswith("fec_")]
         assert len(grids) == 5 * len(m.foothold_rows)
+
+
+class TestDetectEvents:
+    """Hand-built ticks on flat ground: four vertical legs stand under hips
+    0.55 m up, inside the 0.30-0.75 m workspace shell."""
+
+    @pytest.fixture
+    def setup(self):
+        return sim.RunSetup(Scenario(terrain_kind="flat", planner="none"))
+
+    @staticmethod
+    def standing(setup):
+        hips = setup.model.hip_offsets + np.array([0.0, 0.0, 0.55])
+        feet = hips * np.array([1.0, 1.0, 0.0])
+        return feet, hips, np.ones(4, dtype=bool), np.zeros(4)
+
+    def test_standing_has_no_event(self, setup):
+        assert sim.detect_events(setup, *self.standing(setup)) == (0, 0)
+
+    def test_buried_stance_foot_counts(self, setup):
+        feet, hips, stance, swing_s = self.standing(setup)
+        feet[1, 2] = -0.05
+        assert sim.detect_events(setup, feet, hips, stance, swing_s) == (1, 0)
+
+    @pytest.mark.parametrize("s, count", [(0.0, 0), (0.02, 0), (0.03, 1), (0.5, 1), (0.97, 1), (0.98, 0), (1.0, 0)])
+    def test_swing_foot_counts_only_away_from_arc_ends(self, setup, s, count):
+        feet, hips, stance, swing_s = self.standing(setup)
+        feet[2, 2] = -0.05
+        stance[2] = False
+        swing_s[2] = s
+        assert sim.detect_events(setup, feet, hips, stance, swing_s) == (count, 0)
+
+    @pytest.mark.parametrize("dx, count", [(0.015, 0), (0.3, 1)])
+    def test_shin_points_within_foot_radius_exempt(self, setup, dx, count):
+        # A hip sunk 0.4 m under the ground buries the whole shin; only
+        # points farther than foot_radius (0.02 m, planar) from the foot count.
+        feet, hips, stance, swing_s = self.standing(setup)
+        hips[0] = feet[0] + np.array([dx, 0.0, -0.4])
+        assert sim.detect_events(setup, feet, hips, stance, swing_s) == (count, 0)
+
+    def test_workspace_counts_only_stance_legs(self, setup):
+        # LF and RF reach 0.81 m, beyond r_max; RF is swinging.
+        feet, hips, stance, swing_s = self.standing(setup)
+        feet[:2, 0] += 0.6
+        stance[1] = False
+        swing_s[1] = 0.5
+        assert sim.detect_events(setup, feet, hips, stance, swing_s) == (0, 1)
+
+    def test_two_colliding_legs_give_two(self, setup):
+        feet, hips, stance, swing_s = self.standing(setup)
+        feet[[0, 3], 2] = -0.05
+        assert sim.detect_events(setup, feet, hips, stance, swing_s) == (2, 0)
 
 
 # The stepped terrains start under the robot, so the two planner ticks see
@@ -313,6 +365,8 @@ class TestCli:
             "seed=-1",
             "q=0",
             "smooth_weight=-1",
+            "duration=0.004",
+            "tau_track=-0.1",
         ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vital.fec import SafetyGrid, eval_fec
-from vital.robot import SwingTrajectory, nominal_foothold
+from vital.robot import nominal_foothold, swing_points
 from vital.terrain import extract_heightmap, sample_height
 from vital.vfa import (
     FALLBACK_NO_SAFE_CELL,
@@ -84,39 +84,39 @@ class TestSelection:
 
 
 class TestFootholdEvaluation:
-    def test_flat_selects_nominal(self, flat, model, config, zero_twist, gait):
+    def test_flat_selects_nominal(self, flat, model, config, zero_velocity, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
         hip = np.array([0.5, 0.1, 0.55])
-        d = foothold_evaluation(hm, hip, zero_twist, gait, model, config, current_foot=np.array([0.4, 0.1, 0.0]))
+        d = foothold_evaluation(hm, hip, zero_velocity, gait, model, config, current_foot=np.array([0.4, 0.1, 0.0]))
         assert d.fallback == FALLBACK_SELECTED
         np.testing.assert_allclose(d.optimal[:2], nominal[:2], atol=1e-9)
         assert d.safe_count > 0
 
-    def test_no_safe_cell_flags_fallback(self, flat, model, config, zero_twist, gait):
+    def test_no_safe_cell_flags_fallback(self, flat, model, config, zero_velocity, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
         hip = np.array([0.5, 0.1, 1.9])  # far out of reach
-        d = foothold_evaluation(hm, hip, zero_twist, gait, model, config)
+        d = foothold_evaluation(hm, hip, zero_velocity, gait, model, config)
         assert d.fallback == FALLBACK_NO_SAFE_CELL
         np.testing.assert_array_equal(d.optimal, nominal)
 
-    def test_selection_survives_erosion(self, stairs, model, config, forward_twist, gait):
+    def test_selection_survives_erosion(self, stairs, model, config, forward_velocity, gait):
         hip = np.array([0.2, 0.0, 0.65])
-        nominal = nominal_foothold(hip, forward_twist, gait, stairs)
+        nominal = nominal_foothold(hip, forward_velocity, gait, stairs)
         hm = extract_heightmap(stairs, nominal[:2], 0.0)
         foot = np.array([0.2, 0.0, sample_height(stairs, 0.2, 0.0)])
-        d = foothold_evaluation(hm, hip, forward_twist, gait, model, config, current_foot=foot)
+        d = foothold_evaluation(hm, hip, forward_velocity, gait, model, config, current_foot=foot)
         assert d.fallback == FALLBACK_SELECTED
-        grid = eval_fec(hm, hip, forward_twist, gait, model, config, current_foot=foot)
+        grid = eval_fec(hm, hip, forward_velocity, gait, model, config, current_foot=foot)
         assert grid.cells[d.cell]
         np.testing.assert_array_equal(d.grid.cells, grid.cells)
 
-    def test_determinism(self, stairs, model, config, forward_twist, gait):
+    def test_determinism(self, stairs, model, config, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.31, 0.02), 0.2)
         hip = np.array([0.2, 0.02, 0.6])
-        a = foothold_evaluation(hm, hip, forward_twist, gait, model, config)
-        b = foothold_evaluation(hm, hip, forward_twist, gait, model, config)
+        a = foothold_evaluation(hm, hip, forward_velocity, gait, model, config)
+        b = foothold_evaluation(hm, hip, forward_velocity, gait, model, config)
         assert a.cell == b.cell
         np.testing.assert_array_equal(a.optimal, b.optimal)
 
@@ -125,15 +125,14 @@ class TestAdjustTrajectory:
     def test_endpoints_bind_to_decision(self):
         d = FootholdDecision(np.array([0.3, 0.1, 0.05]), 10, FALLBACK_SELECTED, (1, 2))
         foot = np.array([0.1, 0.1, 0.0])
-        traj = SwingTrajectory(foot, d.optimal, 0.12)
-        np.testing.assert_array_equal(traj.p_lo, foot)
-        np.testing.assert_array_equal(traj.p_td, d.optimal)
+        np.testing.assert_array_equal(swing_points(foot, d.optimal, 0.0, 0.12), foot)
+        np.testing.assert_array_equal(swing_points(foot, d.optimal, 1.0, 0.12), d.optimal)
 
     def test_shifted_touchdown_shifts_endpoint_only(self):
         foot = np.array([0.0, 0.0, 0.0])
         d1 = FootholdDecision(np.array([0.3, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
         d2 = FootholdDecision(np.array([0.32, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
-        t1 = SwingTrajectory(foot, d1.optimal, 0.12)
-        t2 = SwingTrajectory(foot, d2.optimal, 0.12)
-        assert t2.p_td[0] - t1.p_td[0] == pytest.approx(0.02)
-        assert t1.point_at(0.5)[2] == pytest.approx(t2.point_at(0.5)[2])
+        td1, td2 = (swing_points(foot, d.optimal, 1.0, 0.12) for d in (d1, d2))
+        assert td2[0] - td1[0] == pytest.approx(0.02)
+        mid1, mid2 = (swing_points(foot, d.optimal, 0.5, 0.12) for d in (d1, d2))
+        assert mid1[2] == pytest.approx(mid2[2])

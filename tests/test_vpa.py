@@ -217,10 +217,10 @@ class TestCosts:
 
 
 class TestPoseEvaluation:
-    def test_flat_sweep_counts(self, model, config, zero_twist, gait, flat):
+    def test_flat_sweep_counts(self, model, config, zero_velocity, gait, flat):
         hms = [extract_heightmap(flat, (off[0], off[1]), 0.0) for off in model.hip_offsets]
         heights = HipHeightSet()
-        samples = pose_evaluation(hms, zero_twist, gait, heights, model, config)
+        samples = pose_evaluation(hms, zero_velocity, gait, heights, model, config)
         assert samples.counts.shape == (4, 31)
         z = samples.heights
         full = samples.counts == 33 * 33
@@ -229,28 +229,28 @@ class TestPoseEvaluation:
         # unreachable beyond the outer workspace radius
         assert (samples.counts[:, z > model.r_max + 0.011] == 0).all()
 
-    def test_matches_direct_eval(self, model, config, forward_twist, gait, stairs):
+    def test_matches_direct_eval(self, model, config, forward_velocity, gait, stairs):
         from vital.fec import FecEvaluator
 
         hms = [extract_heightmap(stairs, (0.3 + off[0], off[1]), 0.0) for off in model.hip_offsets]
         heights = HipHeightSet(count=7)
-        samples = pose_evaluation(hms, forward_twist, gait, heights, model, config)
+        samples = pose_evaluation(hms, forward_velocity, gait, heights, model, config)
         for l, hm in enumerate(hms):
-            ev = FecEvaluator(hm, hm.center, forward_twist, gait, model, config)
+            ev = FecEvaluator(hm, hm.center, forward_velocity, gait, model, config)
             assert samples.ground[l] == hm.cells[16, 16]
             np.testing.assert_array_equal(samples.counts[l], ev.sweep_counts(heights.values + samples.ground[l]))
 
-    def test_extreme_heights_zero(self, model, config, zero_twist, gait, flat):
+    def test_extreme_heights_zero(self, model, config, zero_velocity, gait, flat):
         hms = [extract_heightmap(flat, (off[0], off[1]), 0.0) for off in model.hip_offsets]
         heights = HipHeightSet(z_min=0.05, z_max=1.9, count=2)
-        samples = pose_evaluation(hms, zero_twist, gait, heights, model, config)
+        samples = pose_evaluation(hms, zero_velocity, gait, heights, model, config)
         assert (samples.counts == 0).all()
 
-    def test_front_hind_differ_on_stairs(self, model, config, forward_twist, gait):
+    def test_front_hind_differ_on_stairs(self, model, config, forward_velocity, gait):
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.2)
         hms = [extract_heightmap(stairs, (off[0], off[1]), 0.0) for off in model.hip_offsets]
         heights = HipHeightSet()
-        samples = pose_evaluation(hms, forward_twist, gait, heights, model, config)
+        samples = pose_evaluation(hms, forward_velocity, gait, heights, model, config)
         assert not np.array_equal(samples.counts[0], samples.counts[2])
 
 
