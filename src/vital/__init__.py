@@ -13,7 +13,6 @@ from .robot import (
     swing_points,
 )
 from .fec import (
-    FecConfig,
     FecEvaluator,
     SafetyGrid,
     count_safe,

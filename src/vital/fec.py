@@ -6,7 +6,7 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
   slopes to the 8 neighbors stay under thresholds; border cells use the
   neighbors that exist.
 * LC (leg collision): the leg, approximated as the hip-to-foot segment,
-  keeps a vertical clearance of at least ``lc_clearance`` above the
+  keeps a vertical clearance of at least ``LC_CLEARANCE`` above the
   heightmap at sampled instants of the coming swing and the following
   stance.  Segment points within ``foot_radius`` (planar) of the foot
   endpoint are exempt, as are points outside the heightmap.
@@ -15,10 +15,12 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
   sample stays inside the shell of the hip interpolated over swing time.
 * FC (foot trajectory collision): every interior sample of the swing arc
   from the current foot to the candidate clears the heightmap by at least
-  ``fc_clearance``.
+  ``FC_CLEARANCE``.
 
-The safe set is the element-wise AND of the four criteria, shrunk by a
-Chebyshev erosion of ``erosion_radius`` cells as an uncertainty margin.
+The swing arc is the one the feet fly, with the robot model's
+``step_height`` as its apex.  The safe set is the element-wise AND of the
+four criteria, shrunk by a Chebyshev erosion of ``EROSION_RADIUS`` cells as
+an uncertainty margin.
 
 The evaluator caches everything that does not depend on the hip height.
 The LC clearance grows with the hip height, which reduces LC to a per-cell
@@ -46,30 +48,16 @@ from .terrain import Heightmap
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 
 
-@dataclass(frozen=True)
-class FecConfig:
-    """Thresholds and sample counts for the criteria.
-
-    The thresholds are exposed configuration: defaults reject a clean
-    0.10 m riser edge on a 0.02 m grid while passing a 0.2-slope ramp.
-    """
-
-    tr_mean_max: float = 0.45
-    tr_std_max: float = 0.30
-    lc_clearance: float = 0.02
-    lc_time_samples: int = 10
-    lc_segment_samples: int = 20
-    fc_clearance: float = 0.01
-    fc_arc_samples: int = 12
-    erosion_radius: int = 1
-
-    def __post_init__(self):
-        if min(self.tr_mean_max, self.tr_std_max, self.lc_clearance, self.fc_clearance) < 0:
-            raise ValueError("criterion thresholds must be >= 0")
-        if min(self.lc_time_samples, self.lc_segment_samples, self.fc_arc_samples) < 2:
-            raise ValueError("sample counts must be >= 2")
-        if self.erosion_radius < 0:
-            raise ValueError("erosion_radius must be >= 0")
+# Criterion thresholds and sample counts.  The TR thresholds reject a clean
+# 0.10 m riser edge on a 0.02 m grid while passing a 0.2-slope ramp.
+TR_MEAN_MAX = 0.45
+TR_STD_MAX = 0.30
+LC_CLEARANCE = 0.02
+LC_TIME_SAMPLES = 10
+LC_SEGMENT_SAMPLES = 20
+FC_CLEARANCE = 0.01
+FC_ARC_SAMPLES = 12
+EROSION_RADIUS = 1
 
 
 def check_hip_height(z_h) -> None:
@@ -103,7 +91,7 @@ def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
     return ndimage.minimum_filter(mask, size=(1,) * (mask.ndim - 2) + (size, size), mode="constant", cval=1)
 
 
-def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
+def eval_tr(heightmap: Heightmap) -> np.ndarray:
     """Terrain-roughness grid: neighbor-slope mean/std under thresholds."""
     h = heightmap.cells
     res = heightmap.resolution
@@ -125,7 +113,7 @@ def eval_tr(heightmap: Heightmap, config: FecConfig) -> np.ndarray:
     mean = total / count
     var = total_sq / count - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
-    return (mean <= config.tr_mean_max) & (std <= config.tr_std_max)
+    return (mean <= TR_MEAN_MAX) & (std <= TR_STD_MAX)
 
 
 class FecEvaluator:
@@ -150,12 +138,10 @@ class FecEvaluator:
         velocity,
         gait: GaitParams,
         model: RobotModel,
-        config: FecConfig,
         current_foot=None,
     ):
         self.heightmap = heightmap
         self.model = model
-        self.config = config
         hm = heightmap
         # Grid-frame x of each row and y of each column, shapes (h_x, 1), (1, h_y).
         gx, gy = hm.grid_offsets()
@@ -177,11 +163,10 @@ class FecEvaluator:
         self.hip_now = self._to_grid(hip_now)
         self.hip_td = self._to_grid(hip_now + v * gait.t_remaining)
         self.hip_lo2 = self._to_grid(hip_now + v * (gait.t_remaining + gait.stance_duration))
-        self.apex = model.default_step_height
 
-        self.tr = eval_tr(hm, config)
-        self._build_arc_tables(config.fc_arc_samples)
-        self._build_lc_threshold(config.lc_time_samples)
+        self.tr = eval_tr(hm)
+        self._build_arc_tables()
+        self._build_lc_threshold()
 
     def _to_grid(self, p_xy) -> np.ndarray:
         hm = self.heightmap
@@ -210,18 +195,18 @@ class FecEvaluator:
 
     # -- static tables -------------------------------------------------
 
-    def _build_arc_tables(self, n: int):
+    def _build_arc_tables(self):
         """FC, and the KF tables: planar distances from the candidate to the
         hip at touchdown and at the next lift-off, and from each interior
         sample of the swing arc (lift-off foot to candidate) to the hip
         interpolated over swing time.  The arc endpoints are the
         candidate-independent current state and the touchdown check."""
-        s = np.linspace(0.0, 1.0, n)[:, None, None]
+        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[:, None, None]
         arc_x = (self._lo_gx + (self.gx - self._lo_gx) * s)[1:-1]
         arc_y = (self._lo_gy + (self.gy - self._lo_gy) * s)[1:-1]
-        self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.apex)[1:-1]
+        self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.model.step_height)[1:-1]
         hq = self._bordered.take(self._cell_index(arc_x, arc_y))
-        self.fc = np.all(self.arc_z - hq >= self.config.fc_clearance, axis=0)
+        self.fc = np.all(self.arc_z - hq >= FC_CLEARANCE, axis=0)
 
         self.td_planar2 = (self.gx - self.hip_td[0]) ** 2 + (self.gy - self.hip_td[1]) ** 2
         self.lo2_planar2 = (self.gx - self.hip_lo2[0]) ** 2 + (self.gy - self.hip_lo2[1]) ** 2
@@ -229,14 +214,14 @@ class FecEvaluator:
         hip_y = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * s[1:-1]
         self.arc_planar2 = (arc_x - hip_x) ** 2 + (arc_y - hip_y) ** 2
 
-    def _build_lc_threshold(self, n_t: int):
+    def _build_lc_threshold(self):
         """Per-cell hip-height threshold above which the leg segment keeps
         the required clearance at every sampled instant and segment point.
         The clearance grows with the hip height, so LC reduces to this
         threshold comparison.  The stance instants share the foot, so
         z* = ((h + clear) + g Z) / g is one non-decreasing map of their
         looked-up heights h, and the max of z* is that map of the max h."""
-        c = self.config
+        n_t = LC_TIME_SAMPLES
         frac = np.linspace(0.0, 1.0, n_t)
         s = frac[1:, None, None]
         # The instants, stacked on axis 0: n_t - 1 of the swing (foot on the
@@ -255,11 +240,11 @@ class FecEvaluator:
         dhy = hip[1] - fy
         span = np.hypot(dhx, dhy)
         # Foot heights of the swing instants, then one slot for the stance.
-        fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.apex), self.Z[None]])
-        clear = c.lc_clearance - fz
+        fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.model.step_height), self.Z[None]])
+        clear = LC_CLEARANCE - fz
         thresh = np.full(fz.shape, -np.inf)
         # Skip g = 0: the foot endpoint is always inside its own exemption.
-        for g in np.linspace(0.0, 1.0, c.lc_segment_samples)[1:]:
+        for g in np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]:
             idx = self._cell_index(fx + dhx * g, fy + dhy * g)
             # Points within the foot radius (planar) of the foot are exempt:
             # index 0 is a border cell, so they read -inf like the points
@@ -299,7 +284,7 @@ class FecEvaluator:
         lc = self.lc_grid(z_h)
         kf = self.kf_grid(z_h)
         raw = self.tr & lc & kf & self.fc
-        cells = erode_safe_set(raw, self.config.erosion_radius)
+        cells = erode_safe_set(raw, EROSION_RADIUS)
         return SafetyGrid(
             cells=cells, raw=raw, tr=self.tr.copy(), lc=lc, kf=kf, fc=self.fc.copy()
         )
@@ -310,7 +295,7 @@ class FecEvaluator:
         z = np.asarray(z_values, dtype=np.float64)[:, None, None]
         check_hip_height(z)
         raw = self.lc_grid(z) & self.kf_grid(z) & (self.tr & self.fc)
-        cells = erode_safe_set(raw, self.config.erosion_radius)
+        cells = erode_safe_set(raw, EROSION_RADIUS)
         return np.count_nonzero(cells, axis=(1, 2)).astype(np.int64)
 
 
@@ -320,9 +305,8 @@ def eval_fec(
     velocity,
     gait: GaitParams,
     model: RobotModel,
-    config: FecConfig,
     current_foot=None,
 ) -> SafetyGrid:
     """Evaluate all criteria, conjoin them, and apply the uncertainty erosion,
     for the world (x, y, z) hip at lift-off."""
-    return FecEvaluator(heightmap, hip[:2], velocity, gait, model, config, current_foot).evaluate(hip[2])
+    return FecEvaluator(heightmap, hip[:2], velocity, gait, model, current_foot).evaluate(hip[2])

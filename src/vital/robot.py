@@ -18,14 +18,14 @@ class RobotModel:
 
     hip_offsets are base-frame (x, y, z) positions of the LF, RF, LH, RH
     hips.  The leg workspace is a spherical shell [r_min, r_max] about
-    the hip.
+    the hip.  ``step_height`` is the apex of every swing arc.
     """
 
     hip_offsets: np.ndarray
     r_min: float = 0.30
     r_max: float = 0.75
     foot_radius: float = 0.02
-    default_step_height: float = 0.12
+    step_height: float = 0.12
 
     def __post_init__(self):
         object.__setattr__(
@@ -58,7 +58,7 @@ _PRESETS = {
         r_min=0.30,
         r_max=0.75,
         foot_radius=0.02,
-        default_step_height=0.12,
+        step_height=0.12,
     ),
     "hyqreal-like": dict(
         hip_offsets=[
@@ -70,7 +70,7 @@ _PRESETS = {
         r_min=0.32,
         r_max=0.85,
         foot_radius=0.025,
-        default_step_height=0.14,
+        step_height=0.14,
     ),
 }
 

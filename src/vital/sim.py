@@ -33,7 +33,7 @@ import numpy as np
 
 # eval_fec is not called here; it stays importable as vital.sim.eval_fec
 # because perfbench/tracer.py wraps that name.
-from .fec import FecConfig, SafetyGrid, eval_fec  # noqa: F401
+from .fec import FC_CLEARANCE, LC_CLEARANCE, SafetyGrid, eval_fec  # noqa: F401
 from .robot import (
     GaitParams,
     LEG_NAMES,
@@ -105,7 +105,6 @@ class Scenario:
     horizon: int = 2
     margin: float = 0.025
     smooth_weight: float = 10.0
-    q: float = 1.0
     du_z: float = 0.02
     du_roll: float = 0.02
     du_pitch: float = 0.02
@@ -293,10 +292,10 @@ class RunSetup:
         self.scenario = scenario
         self.terrain = scenario.build_terrain()
         self.model = robot_preset(scenario.robot)
-        self.fec_config = FecConfig()
+        if scenario.step_height > 0:
+            self.model = dataclasses.replace(self.model, step_height=scenario.step_height)
         self.gait = scenario.gait_params()
         self.heights = HipHeightSet(scenario.zh_min, scenario.zh_max, scenario.zh_count)
-        self.apex = scenario.step_height if scenario.step_height > 0 else self.model.default_step_height
         self.u_min, self.u_max = scenario.pose_box()
         self.du = np.array([scenario.du_z, scenario.du_roll, scenario.du_pitch])
         extent = scenario.map_cells * scenario.map_resolution
@@ -333,7 +332,7 @@ def foothold_decision(
     gait = dataclasses.replace(setup.gait, t_remaining=t_remaining)
     nominal = nominal_foothold(hip, velocity, gait, setup.terrain)
     hm = setup.heightmap(nominal, yaw)
-    decision = foothold_evaluation(hm, hip, velocity, gait, setup.model, setup.fec_config, current_foot=foot)
+    decision = foothold_evaluation(hm, hip, velocity, gait, setup.model, current_foot=foot)
     row = dict(
         time=float(t),
         leg=LEG_NAMES[leg],
@@ -385,7 +384,6 @@ def planner_update(
             gait,
             setup.heights,
             model,
-            setup.fec_config,
             current_feet=targets if j == 0 else None,
         )
         for j in range(n_h)
@@ -407,11 +405,9 @@ def planner_update(
             u_prev=ref,
             u_min=setup.u_min + shift,
             u_max=setup.u_max + shift,
-            du_min=-setup.du,
-            du_max=setup.du,
+            du=setup.du,
             cost=sc.cost,
             margin=sc.margin,
-            q=sc.q,
             smooth_weight=sc.smooth_weight,
         )
         result = optimize_pose_receding(problem)
@@ -453,9 +449,9 @@ def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, s
     feet count only away from their arc ends.  A workspace event is a stance
     foot outside the leg's spherical shell.
     """
-    terrain, model, config = setup.terrain, setup.model, setup.fec_config
+    terrain, model = setup.terrain, setup.model
     counted = stance | ((0.02 < swing_s) & (swing_s < 0.98))
-    buried = feet[:, 2] < sample_height(terrain, feet[:, 0], feet[:, 1]) - config.fc_clearance
+    buried = feet[:, 2] < sample_height(terrain, feet[:, 0], feet[:, 1]) - FC_CLEARANCE
     d = np.linalg.norm(hips - feet, axis=1)
     outside = stance & ((d < model.r_min - 1e-9) | (d > model.r_max + 1e-9))
     # 8 shin points per leg; points within the foot radius are the foot.
@@ -463,7 +459,7 @@ def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, s
     shin = feet[:, None, :] + (hips - feet)[:, None, :] * g[:, None]
     planar = np.hypot(hips[:, 0] - feet[:, 0], hips[:, 1] - feet[:, 1])[:, None] * g
     shin_ground = sample_height(terrain, shin[..., 0], shin[..., 1])
-    shin_hit = (planar > model.foot_radius) & (shin[..., 2] < shin_ground - config.lc_clearance)
+    shin_hit = (planar > model.foot_radius) & (shin[..., 2] < shin_ground - LC_CLEARANCE)
     collisions = np.count_nonzero(counted & buried) + np.count_nonzero(shin_hit.any(axis=1))
     return int(collisions), int(np.count_nonzero(outside))
 
@@ -566,7 +562,7 @@ def run_scenario(
             decisions[l] = decision.fallback
         # Stance feet are world-fixed at their targets; swing feet follow
         # the arcs from their lift-off points.
-        feet = np.where(stance[:, None], targets, swing_points(lift, targets, swing_s, setup.apex))
+        feet = np.where(stance[:, None], targets, swing_points(lift, targets, swing_s, setup.model.step_height))
 
         if k % planner_every == 0:
             update = planner_update(setup, t, base, yaw, actual, ref, hips, targets)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fec import FecConfig, SafetyGrid, count_safe, eval_fec
+from .fec import SafetyGrid, count_safe, eval_fec
 from .robot import GaitParams, RobotModel
 from .terrain import Heightmap
 
@@ -57,7 +57,6 @@ def foothold_evaluation(
     velocity,
     gait: GaitParams,
     model: RobotModel,
-    config: FecConfig,
     current_foot=None,
 ) -> FootholdDecision:
     """Run the evaluation criteria on the heightmap centred on the nominal
@@ -69,5 +68,5 @@ def foothold_evaluation(
     """
     x, y = heightmap.center
     nominal = np.array([x, y, heightmap.cells[heightmap.h_x // 2, heightmap.h_y // 2]])
-    grid = eval_fec(heightmap, hip, velocity, gait, model, config, current_foot=current_foot)
+    grid = eval_fec(heightmap, hip, velocity, gait, model, current_foot=current_foot)
     return select_closest_safe(grid, heightmap, nominal)

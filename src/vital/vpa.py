@@ -9,13 +9,12 @@ multi-start optimizer serves every horizon length; at horizon 1 it is the
 single-step problem.
 
 Every cost is one stencil over a leg's model F at its hip height z above
-the leg's ground g: s = sum_k w_k F(z - g + o_k).  The stage cost is q s^2
+the leg's ground g: s = sum_k w_k F(z - g + o_k).  The stage cost is s^2
 summed over the legs, or multiplied over the legs for ``prod``:
 
     cost         offsets o_k (m)    weights w_k
     sum, prod    0                  1
     int          -m, +m             m, m          (m: margin)
-    smooth       -1, 0, +1          1/2, 1/2, 1/2
 
 :func:`objective_batch` evaluates the objective and its gradient for a batch
 of poses in one pass over poses, horizon steps, legs and offsets.
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .fec import FecConfig, FecEvaluator
+from .fec import FecEvaluator
 from .robot import GaitParams, RobotModel, hip_height_from
 
-COST_KINDS = ("sum", "prod", "int", "smooth")
+COST_KINDS = ("sum", "prod", "int")
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ def pose_evaluation(
     gait: GaitParams,
     heights: HipHeightSet,
     model: RobotModel,
-    config: FecConfig,
     current_feet=None,
 ) -> SafeFootholdSamples:
     """Count safe footholds for every leg at every hip height.
@@ -91,7 +89,7 @@ def pose_evaluation(
     counts = np.zeros((len(heightmaps), len(z_values)), dtype=np.int64)
     for l, hm in enumerate(heightmaps):
         foot = None if current_feet is None else current_feet[l]
-        ev = FecEvaluator(hm, hm.center, velocity, gait, model, config, current_foot=foot)
+        ev = FecEvaluator(hm, hm.center, velocity, gait, model, current_foot=foot)
         counts[l] = ev.sweep_counts(z_values + ground[l])
     return SafeFootholdSamples(z_values, counts, ground)
 
@@ -162,14 +160,12 @@ def fit_rbf(
 
 def check_cost(settings) -> None:
     """Raise ValueError unless the cost settings of ``settings`` (a
-    :class:`PoseOptProblem` or a scenario: ``cost``, ``margin``, ``q`` and
+    :class:`PoseOptProblem` or a scenario: ``cost``, ``margin`` and
     ``smooth_weight``) make a maximization of safe footholds."""
     if settings.cost not in COST_KINDS:
         raise ValueError(f"unknown cost kind {settings.cost!r}")
     if settings.cost == "int" and not settings.margin > 0:
         raise ValueError("cost 'int' needs margin > 0")
-    if not settings.q > 0:
-        raise ValueError("q must be > 0")
     if not settings.smooth_weight >= 0:
         raise ValueError("smooth_weight must be >= 0")
 
@@ -189,14 +185,14 @@ class PoseOptProblem:
     ``ground`` (N_h, 4) is the ground each leg's hip height is taken from,
     so leg l of step j contributes F_jl(z_hip - ground[j, l]).  Poses are
     (z_b, roll, pitch) arrays.  The feasible box, shared by every horizon
-    step, is the intersection of the pose bounds with the rate box around
-    ``u_prev``.
+    step, is the intersection of the pose bounds with the rate box
+    ``u_prev`` +- ``du``.
 
     ``cost`` picks the per-leg stencil s = sum_k w_k F(z + o_k) at the hip
     height z above ground, given as (offsets o_k in m; weights w_k): sum
-    and prod (0; 1), int (-margin, +margin; margin, margin), smooth (-1, 0,
-    +1; 1/2, 1/2, 1/2).  The stage cost is q s^2 summed over the legs, or
-    multiplied over them for prod.
+    and prod (0; 1), int (-margin, +margin; margin, margin).  The stage
+    cost is s^2 summed over the legs, or multiplied over them for prod;
+    ``smooth_weight`` weighs the consecutive-pose deviation against it.
     """
 
     rbf: SafeFootholdFunction
@@ -205,16 +201,14 @@ class PoseOptProblem:
     u_prev: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    du_min: np.ndarray
-    du_max: np.ndarray
+    du: np.ndarray
     cost: str = "int"
     margin: float = 0.025
-    q: float = 1.0
     smooth_weight: float = 10.0
 
     def __post_init__(self):
         check_cost(self)
-        for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du_min", "du_max"):
+        for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         check_pose_box(self.u_min, self.u_max)
 
@@ -234,11 +228,11 @@ def feasible_box(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray, bool]
     """Intersect the global bounds with the rate box.  A disjoint rate box
     is clamped into the global bounds and flagged."""
     prev = problem.u_prev
-    lo = np.maximum(problem.u_min, prev + problem.du_min)
-    hi = np.minimum(problem.u_max, prev + problem.du_max)
+    lo = np.maximum(problem.u_min, prev - problem.du)
+    hi = np.minimum(problem.u_max, prev + problem.du)
     if np.any(lo > hi):
-        lo = np.clip(prev + problem.du_min, problem.u_min, problem.u_max)
-        hi = np.clip(prev + problem.du_max, problem.u_min, problem.u_max)
+        lo = np.clip(prev - problem.du, problem.u_min, problem.u_max)
+        hi = np.clip(prev + problem.du, problem.u_min, problem.u_max)
         return lo, hi, True
     return lo, hi, False
 
@@ -247,8 +241,6 @@ def _stencil(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray]:
     """Offsets o_k and weights w_k of the per-leg sum s = sum_k w_k F(z + o_k)."""
     if problem.cost == "int":
         return problem.margin * np.array([-1.0, 1.0]), np.full(2, problem.margin)
-    if problem.cost == "smooth":
-        return np.array([-1.0, 0.0, 1.0]), np.full(3, 0.5)
     return np.zeros(1), np.ones(1)
 
 
@@ -271,8 +263,8 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
     f, df = problem.rbf.value_and_slope(z - problem.ground + offsets[:, None, None, None])  # (K, n, N_h, 4)
     s = (weights @ f.reshape(len(weights), -1)).reshape(z.shape)
     ds = (weights @ df.reshape(len(weights), -1)).reshape(z.shape)
-    term = problem.q * s * s
-    dterm = 2.0 * problem.q * s * ds  # d term / d z_hip
+    term = s * s
+    dterm = 2.0 * s * ds  # d term / d z_hip
     if problem.cost == "prod":
         others = np.where(np.eye(term.shape[-1], dtype=bool), 1.0, term[..., None, :])
         dterm = dterm * others.prod(axis=-1)

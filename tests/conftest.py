@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from vital.fec import FecConfig
 from vital.robot import GaitParams, robot_preset
 from vital.terrain import TerrainMap
 
@@ -15,11 +14,6 @@ settings.load_profile("vital")
 @pytest.fixture
 def model():
     return robot_preset("hyq-like")
-
-
-@pytest.fixture
-def config():
-    return FecConfig()
 
 
 @pytest.fixture

@@ -9,12 +9,22 @@ import math
 
 import numpy as np
 
+from vital.fec import (
+    EROSION_RADIUS,
+    FC_ARC_SAMPLES,
+    FC_CLEARANCE,
+    LC_CLEARANCE,
+    LC_SEGMENT_SAMPLES,
+    LC_TIME_SAMPLES,
+    TR_MEAN_MAX,
+    TR_STD_MAX,
+)
 from vital.robot import swing_arc_z
 
 NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def naive_tr(heightmap, config):
+def naive_tr(heightmap):
     h = heightmap.cells
     hx, hy = h.shape
     res = heightmap.resolution
@@ -36,17 +46,16 @@ def naive_tr(heightmap, config):
             mean = total / count
             var = total_sq / count - mean * mean
             std = math.sqrt(max(var, 0.0))
-            out[i, j] = (mean <= config.tr_mean_max) and (std <= config.tr_std_max)
+            out[i, j] = (mean <= TR_MEAN_MAX) and (std <= TR_STD_MAX)
     return out
 
 
 class NaiveFec:
     """Grid-frame per-cell evaluation of TR, LC, KF, FC plus erosion."""
 
-    def __init__(self, heightmap, hip_world_xy, velocity, gait, model, config, current_foot=None):
+    def __init__(self, heightmap, hip_world_xy, velocity, gait, model, current_foot=None):
         self.hm = heightmap
         self.model = model
-        self.config = config
         hm = heightmap
         self.res = hm.resolution
         self.hx, self.hy = hm.cells.shape
@@ -68,7 +77,7 @@ class NaiveFec:
         self.hip_td = self._world_to_grid(*td)
         lo2 = td + v * gait.stance_duration
         self.hip_lo2 = self._world_to_grid(*lo2)
-        self.apex = model.default_step_height
+        self.apex = model.step_height
 
     def _world_to_grid(self, x, y):
         hm = self.hm
@@ -92,14 +101,13 @@ class NaiveFec:
         return ax, ay, az
 
     def fc_cell(self, i, j):
-        c = self.config
-        fracs = np.linspace(0.0, 1.0, c.fc_arc_samples)
+        fracs = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)
         for s in fracs[1:-1]:
             ax, ay, az = self._arc_point(i, j, s)
             ground = self._cell_height(ax, ay)
             if ground is None:
                 continue
-            if not (az - ground >= c.fc_clearance):
+            if not (az - ground >= FC_CLEARANCE):
                 return False
         return True
 
@@ -109,7 +117,7 @@ class NaiveFec:
             d2 = (self.GX[i, j] - hip[0]) ** 2 + (self.GY[i, j] - hip[1]) ** 2 + (z_h - self.Z[i, j]) ** 2
             if not (d2 >= lo2 and d2 <= hi2):
                 return False
-        fracs = np.linspace(0.0, 1.0, self.config.fc_arc_samples)
+        fracs = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)
         for s in fracs[1:-1]:
             ax, ay, az = self._arc_point(i, j, s)
             hx = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * s
@@ -120,11 +128,10 @@ class NaiveFec:
         return True
 
     def lc_cell(self, i, j, z_h):
-        c = self.config
-        d_min = c.lc_clearance
+        d_min = LC_CLEARANCE
         r_f = self.model.foot_radius
-        t_fracs = np.linspace(0.0, 1.0, c.lc_time_samples)
-        g_fracs = np.linspace(0.0, 1.0, c.lc_segment_samples)[1:]
+        t_fracs = np.linspace(0.0, 1.0, LC_TIME_SAMPLES)
+        g_fracs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]
         configs = []
         for s in t_fracs[1:]:
             hip = (
@@ -154,7 +161,7 @@ class NaiveFec:
         return True
 
     def evaluate(self, z_h):
-        tr = naive_tr(self.hm, self.config)
+        tr = naive_tr(self.hm)
         lc = np.zeros((self.hx, self.hy), dtype=bool)
         kf = np.zeros_like(lc)
         fc = np.zeros_like(lc)
@@ -164,7 +171,7 @@ class NaiveFec:
                 kf[i, j] = self.kf_cell(i, j, z_h)
                 fc[i, j] = self.fc_cell(i, j)
         raw = tr & lc & kf & fc
-        cells = self._erode(raw, self.config.erosion_radius)
+        cells = self._erode(raw, EROSION_RADIUS)
         return dict(tr=tr, lc=lc, kf=kf, fc=fc, raw=raw, cells=cells)
 
     def _erode(self, raw, radius):
@@ -211,13 +218,13 @@ def _heights_in_grid(ev, gx, gy):
 
 def loop_fc(ev):
     """FC of an evaluator's swing arcs; off-map arc samples are exempt."""
-    s = np.linspace(0.0, 1.0, ev.config.fc_arc_samples)[:, None, None]
+    s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[:, None, None]
     GX, GY = ev.heightmap.grid_offsets()
     arc_x = ev._lo_gx + (GX[None] - ev._lo_gx) * s
     arc_y = ev._lo_gy + (GY[None] - ev._lo_gy) * s
-    arc_z = swing_arc_z(ev._lo_z, ev.Z[None], s, ev.apex)
+    arc_z = swing_arc_z(ev._lo_z, ev.Z[None], s, ev.model.step_height)
     hq, ingrid = _heights_in_grid(ev, arc_x[1:-1], arc_y[1:-1])
-    return np.all(~ingrid | (arc_z[1:-1] - hq >= ev.config.fc_clearance), axis=0)
+    return np.all(~ingrid | (arc_z[1:-1] - hq >= FC_CLEARANCE), axis=0)
 
 
 def loop_lc_threshold(ev, skip=()):
@@ -225,9 +232,8 @@ def loop_lc_threshold(ev, skip=()):
     time; off-map segment points are exempt.  ``skip`` lists instants to
     leave out, numbered as FecEvaluator stacks them: the swing ones, then
     the stance ones."""
-    c = ev.config
-    frac = np.linspace(0.0, 1.0, c.lc_time_samples)
-    g = np.linspace(0.0, 1.0, c.lc_segment_samples)[1:][:, None, None]
+    frac = np.linspace(0.0, 1.0, LC_TIME_SAMPLES)
+    g = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:][:, None, None]
     GX, GY = ev.heightmap.grid_offsets()
     thresh = np.full(ev.Z.shape, -np.inf)
     instants = []
@@ -235,7 +241,7 @@ def loop_lc_threshold(ev, skip=()):
         hip = ev.hip_now + (ev.hip_td - ev.hip_now) * s
         fx = ev._lo_gx + (GX - ev._lo_gx) * s
         fy = ev._lo_gy + (GY - ev._lo_gy) * s
-        instants.append((hip, fx, fy, swing_arc_z(ev._lo_z, ev.Z, s, ev.apex)))
+        instants.append((hip, fx, fy, swing_arc_z(ev._lo_z, ev.Z, s, ev.model.step_height)))
     for s in frac:
         instants.append((ev.hip_td + (ev.hip_lo2 - ev.hip_td) * s, GX, GY, ev.Z))
     for k, (hip, fx, fy, fz) in enumerate(instants):
@@ -245,7 +251,7 @@ def loop_lc_threshold(ev, skip=()):
         dhy = hip[1] - fy
         planar = np.hypot(dhx, dhy) * g
         hq, ingrid = _heights_in_grid(ev, fx + dhx * g, fy + dhy * g)
-        z_star = hq + (c.lc_clearance - fz) + g * fz
+        z_star = hq + (LC_CLEARANCE - fz) + g * fz
         z_star /= g
         z_star[~(ingrid & (planar > ev.model.foot_radius))] = -np.inf
         np.maximum(thresh, z_star.max(axis=0), out=thresh)

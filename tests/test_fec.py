@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vital.fec import (
-    FecConfig,
+    LC_CLEARANCE,
+    LC_TIME_SAMPLES,
     FecEvaluator,
     count_safe,
     erode_safe_set,
@@ -17,37 +18,37 @@ from vital.vpa import HipHeightSet
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
 
 
-def origin_evaluator(terrain, velocity, gait, model, config, h=9, current_foot=None):
+def origin_evaluator(terrain, velocity, gait, model, h=9, current_foot=None):
     """An evaluator on an h x h map centred at the origin, hip above it."""
     hm = extract_heightmap(terrain, (0.0, 0.0), 0.0, h_x=h, h_y=h)
-    return FecEvaluator(hm, (0.0, 0.0), velocity, gait, model, config, current_foot=current_foot)
+    return FecEvaluator(hm, (0.0, 0.0), velocity, gait, model, current_foot=current_foot)
 
 
 class TestTerrainRoughness:
-    def test_flat_all_true(self, flat, config):
+    def test_flat_all_true(self, flat):
         hm = extract_heightmap(flat, (0, 0), 0.0)
-        assert eval_tr(hm, config).all()
+        assert eval_tr(hm).all()
 
-    def test_step_edge_rejected(self, config):
+    def test_step_edge_rejected(self):
         # single 0.10 m rise across one 0.02 m cell: slope 5 across the edge
         cells = np.zeros((9, 9))
         cells[5:, :] = 0.10
         hm = Heightmap(cells, 0.02, (0.0, 0.0))
-        tr = eval_tr(hm, config)
+        tr = eval_tr(hm)
         assert not tr[4].any() and not tr[5].any()
         assert tr[0].all() and tr[8].all()
 
-    def test_uniform_ramp_passes(self, config):
+    def test_uniform_ramp_passes(self):
         # slope 0.2 along x stays under both thresholds
         x = np.arange(9)[:, None] * 0.02
         hm = Heightmap(np.broadcast_to(0.2 * x, (9, 9)).copy(), 0.02, (0.0, 0.0))
-        assert eval_tr(hm, config).all()
+        assert eval_tr(hm).all()
 
-    def test_matches_naive(self, config):
+    def test_matches_naive(self):
         rng = np.random.default_rng(5)
         cells = rng.uniform(0, 0.05, size=(9, 9))
         hm = Heightmap(cells, 0.02, (0.0, 0.0))
-        np.testing.assert_array_equal(eval_tr(hm, config), naive_tr(hm, config))
+        np.testing.assert_array_equal(eval_tr(hm), naive_tr(hm))
 
 
 class TestErosion:
@@ -75,17 +76,13 @@ class TestErosion:
 
 
 class TestCriteriaOnFlat:
-    def test_lc_true_everywhere_nominal(self, flat, model, config, zero_velocity, gait):
-        lc = origin_evaluator(flat, zero_velocity, gait, model, config).lc_grid(0.55)
+    def test_lc_true_everywhere_nominal(self, flat, model, zero_velocity, gait):
+        lc = origin_evaluator(flat, zero_velocity, gait, model).lc_grid(0.55)
         for i in (0, 4, 8):
             for j in (0, 4, 8):
                 assert lc[i, j]
 
-    def test_lc_zero_clearance_flat(self, flat, model, zero_velocity, gait):
-        config = FecConfig(lc_clearance=0.0)
-        assert origin_evaluator(flat, zero_velocity, gait, model, config).lc_grid(0.55).all()
-
-    def test_lc_riser_lip_rejected(self, model, config):
+    def test_lc_riser_lip_rejected(self, model):
         # candidate just before a riser; by the next lift-off the hip has
         # advanced well past the lip and the shin cuts through it
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=3, start_x=0.1)
@@ -94,7 +91,7 @@ class TestCriteriaOnFlat:
         hm = extract_heightmap(stairs, (0.06, 0.0), 0.0, h_x=9, h_y=9)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
-        ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, config, current_foot=np.array([-0.2, 0.0, 0.0]))
+        ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, current_foot=np.array([-0.2, 0.0, 0.0]))
         ok = ev.lc_grid(0.42)[4, 4]
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + 0.6), 0.0, 0.42])
@@ -107,19 +104,19 @@ class TestCriteriaOnFlat:
             # nearest cell of the yaw-0 map centred at (0.06, 0)
             i = int(np.floor((q[0] - 0.06) / hm.resolution + 0.5 + 4))
             j = int(np.floor(q[1] / hm.resolution + 0.5 + 4))
-            if 0 <= i < 9 and 0 <= j < 9 and q[2] - hm.cells[i, j] < config.lc_clearance:
+            if 0 <= i < 9 and 0 <= j < 9 and q[2] - hm.cells[i, j] < LC_CLEARANCE:
                 grazed = True
                 break
         assert grazed and not ok
 
-    def test_kf_under_hip_true(self, flat, model, config, zero_velocity, gait):
+    def test_kf_under_hip_true(self, flat, model, zero_velocity, gait):
         mid = (model.r_min + model.r_max) / 2
-        assert origin_evaluator(flat, zero_velocity, gait, model, config).kf_grid(mid)[4, 4]
+        assert origin_evaluator(flat, zero_velocity, gait, model).kf_grid(mid)[4, 4]
 
-    def test_kf_beyond_shell_false(self, flat, model, config, zero_velocity, gait):
-        assert not origin_evaluator(flat, zero_velocity, gait, model, config).kf_grid(1.9).any()
+    def test_kf_beyond_shell_false(self, flat, model, zero_velocity, gait):
+        assert not origin_evaluator(flat, zero_velocity, gait, model).kf_grid(1.9).any()
 
-    def test_kf_sunken_tread_out_of_reach(self, model, config, zero_velocity, gait):
+    def test_kf_sunken_tread_out_of_reach(self, model, zero_velocity, gait):
         # a tread 0.10 m below the surroundings pushes touchdown past r_max
         terrain = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.4, n_steps=2,
                              start_x=-10.0, gap_width=0.4, gap_depth=0.85)
@@ -127,41 +124,41 @@ class TestCriteriaOnFlat:
         low = np.argwhere(hm.cells < -0.5)
         assert len(low) > 0
         i, j = low[0]
-        assert not FecEvaluator(hm, (-9.8, 0.0), zero_velocity, gait, model, config).kf_grid(0.74)[i, j]
+        assert not FecEvaluator(hm, (-9.8, 0.0), zero_velocity, gait, model).kf_grid(0.74)[i, j]
 
-    def test_kf_last_arc_sample_inside_r_min(self, flat, model, config, zero_velocity, gait):
+    def test_kf_last_arc_sample_inside_r_min(self, flat, model, zero_velocity, gait):
         # Touchdown is 0.3005 m from the hip and arc sample 9/11 is 0.3011 m,
         # both inside the shell; only the last interior sample, 10/11, comes
         # within r_min (0.2994 m), so it alone rejects the centre cell.
         foot = np.array([0.0, 0.0, -0.36])
-        ev = origin_evaluator(flat, zero_velocity, gait, model, config, current_foot=foot)
+        ev = origin_evaluator(flat, zero_velocity, gait, model, current_foot=foot)
         assert not ev.kf_grid(0.3005)[4, 4]
-        naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_velocity, gait, model, config, current_foot=foot)
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_velocity, gait, model, current_foot=foot)
         assert not naive.kf_cell(4, 4, 0.3005)
 
-    def test_kf_touchdown_alone_beyond_r_max(self, flat, model, config, forward_velocity, gait):
+    def test_kf_touchdown_alone_beyond_r_max(self, flat, model, forward_velocity, gait):
         # The hip moves 0.071 m ahead by touchdown and 0.143 m by the next
         # lift-off.  At 0.6 m, the cell 0.56 m ahead is 0.774 m from the hip
         # at touchdown, past r_max (0.75), but 0.731 m at the next lift-off,
         # and every swing-arc sample is nearer still; the cell 0.52 m ahead
         # is 0.749 m at touchdown.  So the touchdown check alone decides.
-        ev = origin_evaluator(flat, forward_velocity, gait, model, config, h=65)
+        ev = origin_evaluator(flat, forward_velocity, gait, model, h=65)
         assert ev.gx[60, 0] == 0.56 and ev.gx[58, 0] == 0.52
         kf = ev.kf_grid(0.6)
         assert not kf[60, 32] and kf[58, 32]
-        naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_velocity, gait, model, config)
+        naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_velocity, gait, model)
         assert not naive.kf_cell(60, 32, 0.6) and naive.kf_cell(58, 32, 0.6)
 
-    def test_fc_flat_all_clear(self, flat, model, config, zero_velocity, gait):
+    def test_fc_flat_all_clear(self, flat, model, zero_velocity, gait):
         foot = np.array([0.0, 0.0, 0.0])
-        assert origin_evaluator(flat, zero_velocity, gait, model, config, current_foot=foot).fc.all()
+        assert origin_evaluator(flat, zero_velocity, gait, model, current_foot=foot).fc.all()
 
-    def test_fc_tall_riser_blocks_arc(self, model, config, zero_velocity, gait):
+    def test_fc_tall_riser_blocks_arc(self, model, zero_velocity, gait):
         # a wall taller than the arc apex between the foot and the candidate
         terrain = TerrainMap(kind="composite", rise=0.40, going=0.14, n_steps=1,
                              start_x=0.07, plateau=0.0)
         foot = np.array([-0.06, 0.0, 0.0])
-        ev = origin_evaluator(terrain, zero_velocity, gait, model, config, h=33, current_foot=foot)
+        ev = origin_evaluator(terrain, zero_velocity, gait, model, h=33, current_foot=foot)
         hm = ev.heightmap
         # candidate on ground level beyond the wall: the arc must cross it
         assert hm.cells[31, 16] == 0.0
@@ -173,29 +170,29 @@ class TestCriteriaOnFlat:
 
 
 class TestEvalFec:
-    def test_flat_nominal_all_true(self, flat, model, config, zero_velocity, gait):
+    def test_flat_nominal_all_true(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
-        grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_velocity, gait, model, config)
+        grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_velocity, gait, model)
         assert grid.cells.all()
         assert count_safe(grid) == 33 * 33
 
-    def test_conjunction_invariant(self, stairs, model, config, forward_velocity, gait):
+    def test_conjunction_invariant(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
-        grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_velocity, gait, model, config)
+        grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_velocity, gait, model)
         np.testing.assert_array_equal(grid.raw, grid.tr & grid.lc & grid.kf & grid.fc)
         # erosion only removes
         assert not np.any(grid.cells & ~grid.raw)
 
-    def test_hip_height_extremes_empty(self, flat, model, config, zero_velocity, gait):
+    def test_hip_height_extremes_empty(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         for z_h in (0.05, 1.9):
-            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model, config)) == 0
+            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model)) == 0
 
-    def test_input_sanity_bound(self, flat, model, config, zero_velocity, gait):
+    def test_input_sanity_bound(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0, 0), 0.0, h_x=9, h_y=9)
         for z_h in (2.5, 0.0):
             with pytest.raises(ValueError, match="sanity bound"):
-                eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model, config)
+                eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model)
 
     def test_count_safe_examples(self):
         grid_true = np.ones((33, 33), dtype=bool)
@@ -206,33 +203,33 @@ class TestEvalFec:
         g2 = SafetyGrid(~grid_true, grid_true, grid_true, grid_true, grid_true, grid_true)
         assert count_safe(g2) == 0
 
-    def test_single_false_cell_erodes_block(self, flat, model, config, zero_velocity, gait):
+    def test_single_false_cell_erodes_block(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
-        grid = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model, config).evaluate(0.50)
+        grid = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model).evaluate(0.50)
         assert count_safe(grid) == 1089
         forced = grid.raw.copy()
         forced[10, 10] = False
         eroded = erode_safe_set(forced, 1)
         assert int(eroded.sum()) == 1089 - 9
 
-    def test_sweep_matches_individual_evaluations(self, stairs, model, config, forward_velocity, gait):
+    def test_sweep_matches_individual_evaluations(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
-        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model, config)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model)
         zs = np.linspace(0.3, 0.9, 7)
         counts = ev.sweep_counts(zs)
         for z, n in zip(zs, counts):
             assert count_safe(ev.evaluate(float(z))) == n
 
-    def test_deterministic(self, stairs, model, config, forward_velocity, gait):
+    def test_deterministic(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)
-        a = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model, config)
-        b = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model, config)
+        a = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model)
+        b = eval_fec(hm, (0.41, 0.07, 0.57), forward_velocity, gait, model)
         np.testing.assert_array_equal(a.cells, b.cells)
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(6))
-    def test_small_patches_bit_identical(self, seed, model, config):
+    def test_small_patches_bit_identical(self, seed, model):
         rng = np.random.default_rng(1000 + seed)
         if seed % 2 == 0:
             terrain = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=5,
@@ -246,8 +243,8 @@ class TestOracleEquivalence:
         gait = GaitParams(1.4, 0.5, rng.uniform(0.05, 0.4))
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         hip = (center[0] + rng.uniform(-0.05, 0.05), center[1] + rng.uniform(-0.05, 0.05))
-        fast = eval_fec(hm, (*hip, z_h), velocity, gait, model, config)
-        naive = NaiveFec(hm, hip, velocity, gait, model, config).evaluate(z_h)
+        fast = eval_fec(hm, (*hip, z_h), velocity, gait, model)
+        naive = NaiveFec(hm, hip, velocity, gait, model).evaluate(z_h)
         np.testing.assert_array_equal(fast.tr, naive["tr"])
         np.testing.assert_array_equal(fast.fc, naive["fc"])
         np.testing.assert_array_equal(fast.kf, naive["kf"])
@@ -271,7 +268,7 @@ class TestOracleProperties:
         foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
     )
     def test_matches_naive(self, kind, terrain_seed, center, yaw, velocity, t_remaining, hip_offset, dz_h, foot_offset):
-        model, config = robot_preset("hyq-like"), FecConfig()
+        model = robot_preset("hyq-like")
         start_x = terrain_seed / 1000.0 - 0.2
         terrain = TerrainMap(kind=kind, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
@@ -282,9 +279,9 @@ class TestOracleProperties:
         if foot_offset is not None:
             xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
             foot = np.array([*xy, sample_height(terrain, *xy)])
-        ev = FecEvaluator(hm, hip, velocity, gait, model, config, current_foot=foot)
+        ev = FecEvaluator(hm, hip, velocity, gait, model, current_foot=foot)
         fast = ev.evaluate(z_h)
-        naive = NaiveFec(hm, hip, velocity, gait, model, config, current_foot=foot).evaluate(z_h)
+        naive = NaiveFec(hm, hip, velocity, gait, model, current_foot=foot).evaluate(z_h)
         for name in ("tr", "lc", "kf", "fc", "raw", "cells"):
             np.testing.assert_array_equal(getattr(fast, name), naive[name], err_msg=name)
         z = z_h + np.linspace(-0.25, 0.25, 11)
@@ -306,7 +303,7 @@ class TestReferenceLoops:
     @pytest.mark.parametrize("kind", TERRAINS)
     # The hip on the map, then the hip and the lift-off foot off it.
     @pytest.mark.parametrize("hip_dx, foot_dx", [(0.03, -0.06), (-0.45, -0.4)])
-    def test_full_map_bit_identical(self, kind, hip_dx, foot_dx, model, config):
+    def test_full_map_bit_identical(self, kind, hip_dx, foot_dx, model):
         terrain = TerrainMap(**self.TERRAINS[kind])
         center = (0.42, 0.05)
         hm = extract_heightmap(terrain, center, 0.3)
@@ -314,7 +311,7 @@ class TestReferenceLoops:
         gait = GaitParams(1.4, 0.5, 0.3)
         foot_xy = (center[0] + foot_dx, center[1] - 0.04)
         foot = np.array([*foot_xy, sample_height(terrain, *foot_xy)])
-        ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), velocity, gait, model, config, foot)
+        ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), velocity, gait, model, foot)
         lc = ev.lc_threshold
         assert np.isfinite(lc).any()
         np.testing.assert_array_equal(lc, loop_lc_threshold(ev))
@@ -324,7 +321,7 @@ class TestReferenceLoops:
         assert counts.any()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
 
-    def test_every_stance_instant_sets_some_threshold(self, model, config):
+    def test_every_stance_instant_sets_some_threshold(self, model):
         # A 0.3 m post beside a hip that sweeps past it during the stance:
         # each stance instant, the first, the middle ones and the last, is
         # the only one whose leg crosses the post for some cells, so leaving
@@ -332,16 +329,16 @@ class TestReferenceLoops:
         cells = np.zeros((33, 33))
         cells[16, 20] = 0.3
         hm = Heightmap(cells, 0.02, (0.0, 0.0))
-        ev = FecEvaluator(hm, (0.0, 0.0), np.array([0.0, 0.5]), GaitParams(1.4, 0.5, 0.1), model, config)
+        ev = FecEvaluator(hm, (0.0, 0.0), np.array([0.0, 0.5]), GaitParams(1.4, 0.5, 0.1), model)
         full = loop_lc_threshold(ev)
         np.testing.assert_array_equal(ev.lc_threshold, full)
-        n_swing = config.lc_time_samples - 1
-        for k in range(n_swing, n_swing + config.lc_time_samples):
+        n_swing = LC_TIME_SAMPLES - 1
+        for k in range(n_swing, n_swing + LC_TIME_SAMPLES):
             assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
 
-    def test_sweep_outside_sanity_bound_raises(self, stairs, model, config, forward_velocity, gait):
+    def test_sweep_outside_sanity_bound_raises(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0, h_x=9, h_y=9)
-        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model, config)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model)
         for z in ([0.5, 0.0], [2.1, 0.5], [-0.3, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError, match="sanity bound"):
                 ev.sweep_counts(np.array(z))

@@ -6,7 +6,7 @@ import pytest
 
 import vital.sim as sim
 from vital.cli import main as cli_main
-from vital.fec import FecEvaluator
+from vital.fec import FC_ARC_SAMPLES, FecEvaluator
 from vital.sim import (
     PLANNERS,
     ConfigError,
@@ -118,6 +118,32 @@ class TestRunScenario:
             history.append(p_td)
         assert linked >= len(captured) - 4
         assert linked >= 4
+
+    def test_criteria_check_the_arc_the_feet_fly(self, monkeypatch):
+        # A scenario step_height sets the apex of the swings the tick flies,
+        # and every FEC build, at lift-off and in pose evaluation, samples
+        # its swing arcs at that apex, not at the robot's default.
+        tick_apex, builds = set(), []
+        swing_points, init = sim.swing_points, FecEvaluator.__init__
+
+        def tick(p_lo, p_td, s, apex):
+            tick_apex.add(apex)
+            return swing_points(p_lo, p_td, s, apex)
+
+        def build(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            builds.append(self)
+
+        monkeypatch.setattr(sim, "swing_points", tick)
+        monkeypatch.setattr(FecEvaluator, "__init__", build)
+        run_scenario(short_flat(step_height=0.3, duration=0.5))
+        assert tick_apex == {0.3} and builds
+        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1]
+        for ev in builds:
+            # The arc heights from the lift-off foot to the centre cell.
+            c = ev.heightmap.h_x // 2
+            flown = swing_points([0.0, 0.0, ev._lo_z], [0.0, 0.0, ev.Z[c, c]], s, 0.3)[:, 2]
+            np.testing.assert_array_equal(ev.arc_z[:, c, c], flown)
 
     def test_crawl_gait_runs(self):
         m = run_scenario(short_flat(gait="crawl", duration=3.0, vx=0.1))
@@ -336,6 +362,7 @@ class TestCli:
         "values",
         [
             "cost=max",
+            "cost=smooth",
             "cost=int\nmargin=0",
             "robot=spot",
             "terrain_kind=lava",

@@ -84,39 +84,39 @@ class TestSelection:
 
 
 class TestFootholdEvaluation:
-    def test_flat_selects_nominal(self, flat, model, config, zero_velocity, gait):
+    def test_flat_selects_nominal(self, flat, model, zero_velocity, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
         hip = np.array([0.5, 0.1, 0.55])
-        d = foothold_evaluation(hm, hip, zero_velocity, gait, model, config, current_foot=np.array([0.4, 0.1, 0.0]))
+        d = foothold_evaluation(hm, hip, zero_velocity, gait, model, current_foot=np.array([0.4, 0.1, 0.0]))
         assert d.fallback == FALLBACK_SELECTED
         np.testing.assert_allclose(d.optimal[:2], nominal[:2], atol=1e-9)
         assert d.safe_count > 0
 
-    def test_no_safe_cell_flags_fallback(self, flat, model, config, zero_velocity, gait):
+    def test_no_safe_cell_flags_fallback(self, flat, model, zero_velocity, gait):
         nominal = np.array([0.5, 0.1, 0.0])
         hm = extract_heightmap(flat, (0.5, 0.1), 0.0)
         hip = np.array([0.5, 0.1, 1.9])  # far out of reach
-        d = foothold_evaluation(hm, hip, zero_velocity, gait, model, config)
+        d = foothold_evaluation(hm, hip, zero_velocity, gait, model)
         assert d.fallback == FALLBACK_NO_SAFE_CELL
         np.testing.assert_array_equal(d.optimal, nominal)
 
-    def test_selection_survives_erosion(self, stairs, model, config, forward_velocity, gait):
+    def test_selection_survives_erosion(self, stairs, model, forward_velocity, gait):
         hip = np.array([0.2, 0.0, 0.65])
         nominal = nominal_foothold(hip, forward_velocity, gait, stairs)
         hm = extract_heightmap(stairs, nominal[:2], 0.0)
         foot = np.array([0.2, 0.0, sample_height(stairs, 0.2, 0.0)])
-        d = foothold_evaluation(hm, hip, forward_velocity, gait, model, config, current_foot=foot)
+        d = foothold_evaluation(hm, hip, forward_velocity, gait, model, current_foot=foot)
         assert d.fallback == FALLBACK_SELECTED
-        grid = eval_fec(hm, hip, forward_velocity, gait, model, config, current_foot=foot)
+        grid = eval_fec(hm, hip, forward_velocity, gait, model, current_foot=foot)
         assert grid.cells[d.cell]
         np.testing.assert_array_equal(d.grid.cells, grid.cells)
 
-    def test_determinism(self, stairs, model, config, forward_velocity, gait):
+    def test_determinism(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.31, 0.02), 0.2)
         hip = np.array([0.2, 0.02, 0.6])
-        a = foothold_evaluation(hm, hip, forward_velocity, gait, model, config)
-        b = foothold_evaluation(hm, hip, forward_velocity, gait, model, config)
+        a = foothold_evaluation(hm, hip, forward_velocity, gait, model)
+        b = foothold_evaluation(hm, hip, forward_velocity, gait, model)
         assert a.cell == b.cell
         np.testing.assert_array_equal(a.optimal, b.optimal)
 
