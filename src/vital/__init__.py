@@ -22,17 +22,15 @@ from .fec import (
 )
 from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
-    HipHeightSet,
     PoseOptProblem,
     PoseOptResult,
     SafeFootholdFunction,
-    SafeFootholdSamples,
     fit_rbf,
     objective_batch,
     optimize_pose_receding,
     pose_evaluation,
 )
-from .tbr import TbrReference, tbr_pose
+from .tbr import tbr_pose
 from .sim import ConfigError, RunMetrics, Scenario, compare_scenarios, run_scenario
 
 __version__ = "0.1.0"

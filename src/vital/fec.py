@@ -68,10 +68,9 @@ def check_hip_height(z_h) -> None:
 
 @dataclass
 class SafetyGrid:
-    """Per-criterion grids, their conjunction, and the eroded safe set."""
+    """Per-criterion grids and the eroded safe set."""
 
     cells: np.ndarray  # eroded conjunction; the safe set
-    raw: np.ndarray  # conjunction before erosion
     tr: np.ndarray
     lc: np.ndarray
     kf: np.ndarray
@@ -285,9 +284,7 @@ class FecEvaluator:
         kf = self.kf_grid(z_h)
         raw = self.tr & lc & kf & self.fc
         cells = erode_safe_set(raw, EROSION_RADIUS)
-        return SafetyGrid(
-            cells=cells, raw=raw, tr=self.tr.copy(), lc=lc, kf=kf, fc=self.fc.copy()
-        )
+        return SafetyGrid(cells=cells, tr=self.tr.copy(), lc=lc, kf=kf, fc=self.fc.copy())
 
     def sweep_counts(self, z_values) -> np.ndarray:
         """Safe-foothold count for each hip height in ``z_values``: the

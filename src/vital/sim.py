@@ -13,11 +13,12 @@ order: the touchdown targets, the lift-off points and the feet.  A stance
 foot is its leg's last target, so the targets are also the legs' ground
 contacts.
 
-Pose evaluation sweeps the hip-height set relative to the ground under the
-centre cell of each leg's heightmap (:func:`vital.vpa.pose_evaluation`).
-The planner fits one RBF model of count vs hip height above that per-leg
-ground, and uses the ground for the model's input, the held NSF and the
-shift of the pose box.
+:class:`RunSetup` is the one place a scenario becomes run inputs; a
+:class:`Scenario` validates itself by building one.  Pose evaluation sweeps
+the hip-height array relative to the ground under the centre cell of each
+leg's heightmap (:func:`vital.vpa.pose_evaluation`).  The planner fits one
+RBF model of count vs hip height above that per-leg ground, and uses the
+ground for the model's input, the held NSF and the shift of the pose box.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .tbr import tbr_pose
 from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
 from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
-    HipHeightSet,
     PoseOptProblem,
     SafeFootholdFunction,
     check_cost,
@@ -55,7 +55,6 @@ from .vpa import (
     fit_rbf,
     optimize_pose_receding,
     pose_evaluation,
-    rbf_centers_and_width,
 )
 
 GAITS = ("trot", "crawl")
@@ -129,7 +128,6 @@ class Scenario:
     zh_max: float = 0.8
     zh_count: int = 31
     rbf_count: int = 30
-    delta_h: float = -1.0  # <0: half the heightmap extent
 
     def __post_init__(self):
         if self.gait not in GAITS:
@@ -151,15 +149,14 @@ class Scenario:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if not (0.0 < self.zh_min < self.zh_max <= 2.0):
+            raise ConfigError("hip heights need 0 < zh_min < zh_max <= 2 m")
+        if min(self.zh_count, self.rbf_count) < 2:
+            raise ConfigError("zh_count and rbf_count must be >= 2")
         try:
             check_cost(self)
-            robot_preset(self.robot)
-            self.build_terrain()
             check_patch_shape(self.map_cells, self.map_cells, self.map_resolution)
-            HipHeightSet(self.zh_min, self.zh_max, self.zh_count)
-            rbf_centers_and_width(self.rbf_count, self.zh_min, self.zh_max)
-            self.gait_params()
-            check_pose_box(*self.pose_box())
+            RunSetup(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -198,33 +195,6 @@ class Scenario:
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(values)
-
-    def gait_params(self) -> GaitParams:
-        """The gait's frequency and duty factor; ``t_remaining`` is set per use."""
-        duty = self.duty_factor if self.duty_factor > 0 else _GAIT_DUTY[self.gait]
-        return GaitParams(step_frequency=self.step_frequency, duty_factor=duty)
-
-    def pose_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the pose (z_b, roll, pitch)."""
-        return (
-            np.array([self.u_z_min, -self.u_roll_max, -self.u_pitch_max]),
-            np.array([self.u_z_max, self.u_roll_max, self.u_pitch_max]),
-        )
-
-    def build_terrain(self) -> TerrainMap:
-        return TerrainMap(
-            kind=self.terrain_kind,
-            rise=self.terrain_rise,
-            going=self.terrain_going,
-            n_steps=self.terrain_steps,
-            start_x=self.terrain_start_x,
-            gap_width=self.terrain_gap_width,
-            gap_depth=self.terrain_gap_depth,
-            plateau=self.terrain_plateau,
-            cell=self.terrain_cell,
-            amplitude=self.terrain_amplitude,
-            seed=self.terrain_seed,
-        )
 
 
 @dataclass
@@ -286,20 +256,39 @@ def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float, tau: float)
 
 
 class RunSetup:
-    """What a run derives once from its scenario."""
+    """The run inputs derived from a scenario: terrain, robot model, gait,
+    swept hip heights, pose box and rate box.  This is the only place a
+    scenario is turned into them; building one also validates them."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.terrain = scenario.build_terrain()
-        self.model = robot_preset(scenario.robot)
-        if scenario.step_height > 0:
-            self.model = dataclasses.replace(self.model, step_height=scenario.step_height)
-        self.gait = scenario.gait_params()
-        self.heights = HipHeightSet(scenario.zh_min, scenario.zh_max, scenario.zh_count)
-        self.u_min, self.u_max = scenario.pose_box()
-        self.du = np.array([scenario.du_z, scenario.du_roll, scenario.du_pitch])
-        extent = scenario.map_cells * scenario.map_resolution
-        self.delta_h = scenario.delta_h if scenario.delta_h > 0 else extent / 2.0
+        sc = scenario
+        self.scenario = sc
+        self.terrain = TerrainMap(
+            kind=sc.terrain_kind,
+            rise=sc.terrain_rise,
+            going=sc.terrain_going,
+            n_steps=sc.terrain_steps,
+            start_x=sc.terrain_start_x,
+            gap_width=sc.terrain_gap_width,
+            gap_depth=sc.terrain_gap_depth,
+            plateau=sc.terrain_plateau,
+            cell=sc.terrain_cell,
+            amplitude=sc.terrain_amplitude,
+            seed=sc.terrain_seed,
+        )
+        self.model = robot_preset(sc.robot)
+        if sc.step_height > 0:
+            self.model = dataclasses.replace(self.model, step_height=sc.step_height)
+        # t_remaining is set per use.
+        duty = sc.duty_factor if sc.duty_factor > 0 else _GAIT_DUTY[sc.gait]
+        self.gait = GaitParams(step_frequency=sc.step_frequency, duty_factor=duty)
+        self.heights = np.linspace(sc.zh_min, sc.zh_max, sc.zh_count)
+        self.u_min = np.array([sc.u_z_min, -sc.u_roll_max, -sc.u_pitch_max])
+        self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
+        check_pose_box(self.u_min, self.u_max)
+        self.du = np.array([sc.du_z, sc.du_roll, sc.du_pitch])
+        # Horizon steps are half a heightmap extent apart.
+        self.delta_h = sc.map_cells * sc.map_resolution / 2.0
 
     def velocity(self, yaw: float) -> np.ndarray:
         """The commanded world (vx, vy) at heading ``yaw``."""
@@ -377,8 +366,10 @@ def planner_update(
     speed = float(np.hypot(velocity[0], velocity[1]))
     direction = velocity / speed if speed > 1e-9 else np.zeros(2)
 
-    samples = [
-        pose_evaluation(
+    counts = np.zeros((n_h, 4, len(setup.heights)), dtype=np.int64)
+    ground = np.zeros((n_h, 4))
+    for j in range(n_h):
+        counts[j], ground[j] = pose_evaluation(
             [setup.heightmap(c, yaw) for c in hips[:, :2] + direction * (j * setup.delta_h)],
             velocity,
             gait,
@@ -386,15 +377,11 @@ def planner_update(
             model,
             current_feet=targets if j == 0 else None,
         )
-        for j in range(n_h)
-    ]
-    now = samples[0]
-    ground = np.array([s.ground for s in samples])
-    rbf = fit_rbf(now.heights, [s.counts for s in samples], n_basis=sc.rbf_count, z_min=sc.zh_min, z_max=sc.zh_max)
+    rbf = fit_rbf(setup.heights, counts, n_basis=sc.rbf_count)
     z_actual = hip_height_from(actual[0], actual[1], actual[2], model.hip_offsets)
-    nsf = tuple(float(np.interp(z - g, now.heights, c)) for z, g, c in zip(z_actual, now.ground, now.counts))
+    nsf = tuple(float(np.interp(z - g, setup.heights, c)) for z, g, c in zip(z_actual, ground[0], counts[0]))
 
-    shift = np.array([float(np.mean(now.ground)), 0.0, 0.0])
+    shift = np.array([float(np.mean(ground[0])), 0.0, 0.0])
     objective = float("nan")
     cost_label = sc.planner
     if sc.planner == "vpa":
@@ -416,14 +403,13 @@ def planner_update(
         cost_label = sc.cost
     elif sc.planner == "tbr":
         try:
-            tref = tbr_pose(targets, height_offset=sc.d_ref)
-            ref = np.clip([tref.z_b, tref.roll, tref.pitch], setup.u_min + shift, setup.u_max + shift)
+            ref = np.clip(tbr_pose(targets, height_offset=sc.d_ref), setup.u_min + shift, setup.u_max + shift)
         except ValueError:
             pass  # degenerate support: keep the previous reference
 
     # The step-0 models at the reference pose's hip heights above ground, and
     # that height -margin and +margin.
-    z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets) - now.ground
+    z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets) - ground[0]
     step0 = dataclasses.replace(rbf, weights=rbf.weights[0])
     (f_lo, f_ref, f_hi), _ = step0.value_and_slope(z_ref + sc.margin * np.array([[-1.0], [0.0], [1.0]]))
     envelope = np.abs(f_hi - f_lo).sum()
@@ -536,9 +522,10 @@ def run_scenario(
     nsf = (0.0, 0.0, 0.0, 0.0)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        if dump_criteria:
-            for path in glob.glob(os.path.join(out_dir, "fec_*.csv")):
-                os.remove(path)  # grids of an earlier run
+        # Dumps of an earlier run, whether or not this run dumps them.
+        for pattern in ("fec_*.csv", "rbf.csv"):
+            for path in glob.glob(os.path.join(out_dir, pattern)):
+                os.remove(path)
 
     prev_stance = np.ones(4, dtype=bool)
     for k in range(n_ticks):

@@ -1,25 +1,19 @@
 """Terrain-based reference baseline: plane fit through the selected
 footholds, orientation from the plane normal, height a constant offset
-above the plane center.  Deliberately ignores safe-foothold counts."""
+above the plane center.  Deliberately ignores safe-foothold counts.  The
+result is a plain (z_b, roll, pitch) pose array, like every pose of the
+planner."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TbrReference:
-    roll: float
-    pitch: float
-    z_b: float
-    normal: np.ndarray
-
-
-def tbr_pose(footholds, height_offset: float = 0.55) -> TbrReference:
-    """Least-squares plane z = a*x + b*y + c through the footholds.
+def tbr_pose(footholds, height_offset: float = 0.55) -> np.ndarray:
+    """Least-squares plane z = a*x + b*y + c through the footholds; returns
+    the pose (z_b, roll, pitch).
 
     Roll/pitch come from the upward plane normal under the roll-pitch-yaw
     Cardan convention; the height reference is the foothold centroid height
@@ -41,4 +35,4 @@ def tbr_pose(footholds, height_offset: float = 0.55) -> TbrReference:
     roll = -math.asin(float(np.clip(normal[1], -1.0, 1.0)))
     pitch = math.atan2(float(normal[0]), float(normal[2]))
     z_b = float(pts[:, 2].mean() + height_offset)
-    return TbrReference(roll, pitch, z_b, normal)
+    return np.array([z_b, roll, pitch])

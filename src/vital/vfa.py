@@ -19,13 +19,12 @@ FALLBACK_NO_SAFE_CELL = "no_safe_cell"
 
 @dataclass(frozen=True)
 class FootholdDecision:
-    """The chosen foothold, the safe-cell count and fallback label, the
-    chosen cell, and the criteria grid the choice was made on."""
+    """The chosen foothold, the safe-cell count and fallback label, and the
+    criteria grid the choice was made on."""
 
     optimal: np.ndarray
     safe_count: int
     fallback: str
-    cell: tuple[int, int] | None = None
     grid: SafetyGrid | None = field(default=None, repr=False, compare=False)
 
 
@@ -37,7 +36,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     mu = grid.cells
     n_safe = count_safe(grid)
     if n_safe == 0:
-        return FootholdDecision(nominal.copy(), 0, FALLBACK_NO_SAFE_CELL, None, grid)
+        return FootholdDecision(nominal.copy(), 0, FALLBACK_NO_SAFE_CELL, grid)
     wx, wy = heightmap.world_points()
     dx = np.abs(wx - nominal[0])
     dy = np.abs(wy - nominal[1])
@@ -48,7 +47,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     order = np.lexsort((ti * heightmap.h_y + tj, dy[ti, tj], dx[ti, tj]))
     i, j = int(ti[order[0]]), int(tj[order[0]])
     optimal = np.array([wx[i, j], wy[i, j], heightmap.cells[i, j]])
-    return FootholdDecision(optimal, n_safe, FALLBACK_SELECTED, (i, j), grid)
+    return FootholdDecision(optimal, n_safe, FALLBACK_SELECTED, grid)
 
 
 def foothold_evaluation(

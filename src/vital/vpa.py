@@ -1,8 +1,9 @@
 """Vision-based pose adaptation.
 
-Pipeline: evaluate the safe-foothold count over a finite hip-height set for
-every leg (pose evaluation), fit one Gaussian radial-basis model of count vs
-hip height above ground for every leg and horizon step in one solve
+Pipeline: count the safe footholds of every leg over an array of hip
+heights above the leg's ground (pose evaluation), fit one Gaussian
+radial-basis model of count vs hip height above ground for every leg and
+horizon step in one solve, its centres spanning the swept heights
 (function approximation), then maximize a cost built from that model over
 the body pose (height, roll, pitch) inside box constraints.  One
 multi-start optimizer serves every horizon length; at horizon 1 it is the
@@ -34,80 +35,36 @@ from .robot import GaitParams, RobotModel, hip_height_from
 COST_KINDS = ("sum", "prod", "int")
 
 
-@dataclass(frozen=True)
-class HipHeightSet:
-    """Equally spaced hip heights swept during pose evaluation."""
-
-    z_min: float = 0.2
-    z_max: float = 0.8
-    count: int = 31
-
-    def __post_init__(self):
-        if not (0.0 < self.z_min < self.z_max <= 2.0):
-            raise ValueError("hip heights need 0 < z_min < z_max <= 2 m")
-        if self.count < 2:
-            raise ValueError("count must be >= 2")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.count)
-
-
-@dataclass
-class SafeFootholdSamples:
-    """Per-leg safe-foothold counts over the hip-height set.
-
-    counts[l, i] is the count for leg l with its hip heights[i] above
-    ground[l], the terrain height under the centre cell of leg l's
-    heightmap; legs are ordered LF, RF, LH, RH.
-    """
-
-    heights: np.ndarray
-    counts: np.ndarray
-    ground: np.ndarray
-
-
 def pose_evaluation(
     heightmaps,
     velocity,
     gait: GaitParams,
-    heights: HipHeightSet,
+    heights: np.ndarray,
     model: RobotModel,
     current_feet=None,
-) -> SafeFootholdSamples:
+) -> tuple[np.ndarray, np.ndarray]:
     """Count safe footholds for every leg at every hip height.
 
     One heightmap per leg, centered on the leg hip's ground projection;
-    ``velocity`` is the world (vx, vy) base velocity.  The hip heights of
-    ``heights`` are relative to the ground under the heightmap's centre
-    cell, which is returned per leg as ``ground``.  ``current_feet``
-    optionally gives each leg's lift-off foot; by default the foot is
-    assumed under the hip (the heightmap center cell).
+    ``velocity`` is the world (vx, vy) base velocity.  The hip ``heights``
+    are relative to the ground under the heightmap's centre cell.  Returns
+    ``(counts, ground)``: counts[l, i] is the count of leg l with its hip
+    heights[i] above ground[l]; legs are ordered LF, RF, LH, RH.
+    ``current_feet`` optionally gives each leg's lift-off foot; by default
+    the foot is assumed under the hip (the heightmap center cell).
     """
-    z_values = heights.values
     ground = np.array([hm.cells[hm.h_x // 2, hm.h_y // 2] for hm in heightmaps])
-    counts = np.zeros((len(heightmaps), len(z_values)), dtype=np.int64)
+    counts = np.zeros((len(heightmaps), len(heights)), dtype=np.int64)
     for l, hm in enumerate(heightmaps):
         foot = None if current_feet is None else current_feet[l]
         ev = FecEvaluator(hm, hm.center, velocity, gait, model, current_foot=foot)
-        counts[l] = ev.sweep_counts(z_values + ground[l])
-    return SafeFootholdSamples(z_values, counts, ground)
+        counts[l] = ev.sweep_counts(heights + ground[l])
+    return counts, ground
 
 
 # ---------------------------------------------------------------------------
 # Function approximation
 # ---------------------------------------------------------------------------
-
-
-def rbf_centers_and_width(n_basis: int, z_min: float, z_max: float) -> tuple[np.ndarray, float]:
-    """Equidistant Gaussian centers; width chosen so adjacent Gaussians
-    intersect at value 0.5: sigma = (spacing/2) / sqrt(2 ln 2)."""
-    if n_basis < 2:
-        raise ValueError("need at least 2 basis functions")
-    centers = np.linspace(z_min, z_max, n_basis)
-    spacing = (z_max - z_min) / (n_basis - 1)
-    width = (spacing / 2.0) / math.sqrt(2.0 * math.log(2.0))
-    return centers, width
 
 
 @dataclass
@@ -131,22 +88,23 @@ class SafeFootholdFunction:
         return g.sum(axis=-1), -(g * r).sum(axis=-1) / self.width
 
 
-def fit_rbf(
-    heights,
-    counts,
-    n_basis: int = 30,
-    z_min: float = 0.2,
-    z_max: float = 0.8,
-) -> SafeFootholdFunction:
+def fit_rbf(heights, counts, n_basis: int = 30) -> SafeFootholdFunction:
     """Least-squares fit of RBF weights to counts sampled at ``heights``.
 
-    ``counts`` has shape (..., n_heights) and gives one model per leading
-    index; all of them are fitted in one minimum-norm least-squares solve
-    against one design matrix, so a rank-deficient design never fails.
+    The ``n_basis`` centers are equidistant from the first height to the
+    last, and the width makes adjacent Gaussians intersect at value 0.5:
+    sigma = (spacing/2) / sqrt(2 ln 2).  ``counts`` has shape
+    (..., n_heights) and gives one model per leading index; all of them are
+    fitted in one minimum-norm least-squares solve against one design
+    matrix, so a rank-deficient design never fails.
     """
+    if n_basis < 2:
+        raise ValueError("need at least 2 basis functions")
     heights = np.asarray(heights, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
-    centers, width = rbf_centers_and_width(n_basis, z_min, z_max)
+    centers = np.linspace(heights[0], heights[-1], n_basis)
+    spacing = (heights[-1] - heights[0]) / (n_basis - 1)
+    width = (spacing / 2.0) / math.sqrt(2.0 * math.log(2.0))
     r = (heights[:, None] - centers) / width
     rhs = counts.reshape(-1, len(heights)).T
     weights, *_ = np.linalg.lstsq(np.exp(-0.5 * r * r), rhs, rcond=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vital.fec import (
+    EROSION_RADIUS,
     LC_CLEARANCE,
     LC_TIME_SAMPLES,
     FecEvaluator,
@@ -13,7 +14,6 @@ from vital.fec import (
 )
 from vital.robot import GaitParams, robot_preset
 from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
-from vital.vpa import HipHeightSet
 
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
 
@@ -179,9 +179,10 @@ class TestEvalFec:
     def test_conjunction_invariant(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
         grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_velocity, gait, model)
-        np.testing.assert_array_equal(grid.raw, grid.tr & grid.lc & grid.kf & grid.fc)
+        raw = grid.tr & grid.lc & grid.kf & grid.fc
+        np.testing.assert_array_equal(grid.cells, erode_safe_set(raw, EROSION_RADIUS))
         # erosion only removes
-        assert not np.any(grid.cells & ~grid.raw)
+        assert not np.any(grid.cells & ~raw)
 
     def test_hip_height_extremes_empty(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
@@ -198,16 +199,16 @@ class TestEvalFec:
         grid_true = np.ones((33, 33), dtype=bool)
         from vital.fec import SafetyGrid
 
-        g = SafetyGrid(grid_true, grid_true, grid_true, grid_true, grid_true, grid_true)
+        g = SafetyGrid(grid_true, grid_true, grid_true, grid_true, grid_true)
         assert count_safe(g) == 1089
-        g2 = SafetyGrid(~grid_true, grid_true, grid_true, grid_true, grid_true, grid_true)
+        g2 = SafetyGrid(~grid_true, grid_true, grid_true, grid_true, grid_true)
         assert count_safe(g2) == 0
 
     def test_single_false_cell_erodes_block(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         grid = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model).evaluate(0.50)
         assert count_safe(grid) == 1089
-        forced = grid.raw.copy()
+        forced = grid.tr & grid.lc & grid.kf & grid.fc
         forced[10, 10] = False
         eroded = erode_safe_set(forced, 1)
         assert int(eroded.sum()) == 1089 - 9
@@ -249,7 +250,7 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(fast.fc, naive["fc"])
         np.testing.assert_array_equal(fast.kf, naive["kf"])
         np.testing.assert_array_equal(fast.lc, naive["lc"])
-        np.testing.assert_array_equal(fast.raw, naive["raw"])
+        np.testing.assert_array_equal(fast.tr & fast.lc & fast.kf & fast.fc, naive["raw"])
         np.testing.assert_array_equal(fast.cells, naive["cells"])
 
 
@@ -282,8 +283,9 @@ class TestOracleProperties:
         ev = FecEvaluator(hm, hip, velocity, gait, model, current_foot=foot)
         fast = ev.evaluate(z_h)
         naive = NaiveFec(hm, hip, velocity, gait, model, current_foot=foot).evaluate(z_h)
-        for name in ("tr", "lc", "kf", "fc", "raw", "cells"):
+        for name in ("tr", "lc", "kf", "fc", "cells"):
             np.testing.assert_array_equal(getattr(fast, name), naive[name], err_msg=name)
+        np.testing.assert_array_equal(fast.tr & fast.lc & fast.kf & fast.fc, naive["raw"])
         z = z_h + np.linspace(-0.25, 0.25, 11)
         np.testing.assert_array_equal(ev.sweep_counts(z), loop_sweep_counts(ev, z))
 
@@ -316,7 +318,7 @@ class TestReferenceLoops:
         assert np.isfinite(lc).any()
         np.testing.assert_array_equal(lc, loop_lc_threshold(ev))
         np.testing.assert_array_equal(ev.fc, loop_fc(ev))
-        z = HipHeightSet().values + hm.cells[16, 16]
+        z = np.linspace(0.2, 0.8, 31) + hm.cells[16, 16]
         counts = ev.sweep_counts(z)
         assert counts.any()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))

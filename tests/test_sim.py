@@ -77,6 +77,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             Scenario.from_file("/nonexistent/path.cfg")
 
+    def test_run_setup_defaults(self):
+        setup = sim.RunSetup(Scenario())
+        assert len(setup.heights) == 31
+        assert setup.heights[0] == 0.2 and setup.heights[-1] == 0.8
+        np.testing.assert_allclose(np.diff(setup.heights), 0.02, atol=1e-12)
+        # horizon steps are half the 33-cell, 0.02-m heightmap apart
+        assert setup.delta_h == pytest.approx(0.33)
+
 
 class TestRunScenario:
     def test_flat_walk_advances_base(self):
@@ -384,11 +392,12 @@ class TestCli:
             "start_yaw=inf",
             "start_x0=inf",
             "start_y0=inf",
-            "delta_h=inf",
+            "yaw_rate=inf",
             "du_z=-0.1",
             "zh_max=2.5",
             "zh_min=0",
             "zh_min=-0.1",
+            "zh_min=0.9",
             "seed=-1",
             "q=0",
             "smooth_weight=-1",
@@ -401,6 +410,18 @@ class TestCli:
         cfg.write_text("duration=1\n" + values + "\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("terrain_kind=flat\nplanner=none\nduration=0.6\n")
+        assert cli_main(["run", str(cfg), "--out", str(out), "--dump-rbf", "--dump-criteria"]) == 0
+        assert (out / "rbf.csv").exists() and any(n.startswith("fec_") for n in os.listdir(out))
+        cfg.write_text("terrain_kind=flat\nplanner=none\nduration=0.3\n")
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "rbf.csv").exists()
+        assert not any(n.startswith("fec_") for n in os.listdir(out))
+        assert len((out / "planner.csv").read_text().splitlines()) == 1 + 2
 
     def test_compare_cli(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"

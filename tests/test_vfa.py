@@ -14,7 +14,14 @@ from vital.vfa import (
 
 
 def grid_from_mask(mask):
-    return SafetyGrid(mask, mask, mask, mask, mask, mask)
+    return SafetyGrid(mask, mask, mask, mask, mask)
+
+
+def cell_of(hm, point):
+    """The one heightmap cell whose world point is ``point``."""
+    wx, wy = hm.world_points()
+    ((i, j),) = np.argwhere((wx == point[0]) & (wy == point[1]) & (hm.cells == point[2]))
+    return int(i), int(j)
 
 
 class TestSelection:
@@ -24,7 +31,7 @@ class TestSelection:
         nominal = np.array([1.0, 2.0, 0.0])
         d = select_closest_safe(grid_from_mask(mask), hm, nominal)
         assert d.fallback == FALLBACK_SELECTED
-        assert d.cell == (4, 4)
+        assert cell_of(hm, d.optimal) == (4, 4)
         np.testing.assert_allclose(d.optimal, nominal, atol=1e-12)
 
     def test_single_safe_column_one_cell_left(self, flat):
@@ -33,7 +40,7 @@ class TestSelection:
         mask[3, :] = True  # one cell toward -x of the nominal
         nominal = np.array([0.0, 0.0, 0.0])
         d = select_closest_safe(grid_from_mask(mask), hm, nominal)
-        assert d.cell == (3, 4)
+        assert cell_of(hm, d.optimal) == (3, 4)
         assert np.hypot(*(d.optimal[:2] - nominal[:2])) == pytest.approx(0.02)
 
     def test_exhaustive_scan_optimality(self, flat):
@@ -65,13 +72,13 @@ class TestSelection:
         d = select_closest_safe(grid_from_mask(mask), hm, nominal)
         # |dx| breaks the tie first: the two cells offset purely in y have
         # |dx| = 0, and the lower row-major index wins among those
-        assert d.cell == (4, 3)
+        assert cell_of(hm, d.optimal) == (4, 3)
         d2 = select_closest_safe(grid_from_mask(mask), hm, nominal)
-        assert d2.cell == d.cell
+        np.testing.assert_array_equal(d2.optimal, d.optimal)
         mask2 = np.zeros((9, 9), dtype=bool)
         mask2[3, 4] = mask2[5, 4] = True
         d3 = select_closest_safe(grid_from_mask(mask2), hm, nominal)
-        assert d3.cell == (3, 4)
+        assert cell_of(hm, d3.optimal) == (3, 4)
 
     def test_all_false_keeps_nominal(self, flat):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0, h_x=9, h_y=9)
@@ -109,7 +116,7 @@ class TestFootholdEvaluation:
         d = foothold_evaluation(hm, hip, forward_velocity, gait, model, current_foot=foot)
         assert d.fallback == FALLBACK_SELECTED
         grid = eval_fec(hm, hip, forward_velocity, gait, model, current_foot=foot)
-        assert grid.cells[d.cell]
+        assert grid.cells[cell_of(hm, d.optimal)]
         np.testing.assert_array_equal(d.grid.cells, grid.cells)
 
     def test_determinism(self, stairs, model, forward_velocity, gait):
@@ -117,21 +124,20 @@ class TestFootholdEvaluation:
         hip = np.array([0.2, 0.02, 0.6])
         a = foothold_evaluation(hm, hip, forward_velocity, gait, model)
         b = foothold_evaluation(hm, hip, forward_velocity, gait, model)
-        assert a.cell == b.cell
         np.testing.assert_array_equal(a.optimal, b.optimal)
 
 
 class TestAdjustTrajectory:
     def test_endpoints_bind_to_decision(self):
-        d = FootholdDecision(np.array([0.3, 0.1, 0.05]), 10, FALLBACK_SELECTED, (1, 2))
+        d = FootholdDecision(np.array([0.3, 0.1, 0.05]), 10, FALLBACK_SELECTED)
         foot = np.array([0.1, 0.1, 0.0])
         np.testing.assert_array_equal(swing_points(foot, d.optimal, 0.0, 0.12), foot)
         np.testing.assert_array_equal(swing_points(foot, d.optimal, 1.0, 0.12), d.optimal)
 
     def test_shifted_touchdown_shifts_endpoint_only(self):
         foot = np.array([0.0, 0.0, 0.0])
-        d1 = FootholdDecision(np.array([0.3, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
-        d2 = FootholdDecision(np.array([0.32, 0.0, 0.0]), 5, FALLBACK_SELECTED, None)
+        d1 = FootholdDecision(np.array([0.3, 0.0, 0.0]), 5, FALLBACK_SELECTED)
+        d2 = FootholdDecision(np.array([0.32, 0.0, 0.0]), 5, FALLBACK_SELECTED)
         td1, td2 = (swing_points(foot, d.optimal, 1.0, 0.12) for d in (d1, d2))
         assert td2[0] - td1[0] == pytest.approx(0.02)
         mid1, mid2 = (swing_points(foot, d.optimal, 0.5, 0.12) for d in (d1, d2))

@@ -6,7 +6,6 @@ import pytest
 import vital.vpa
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
-    HipHeightSet,
     PoseOptProblem,
     SafeFootholdFunction,
     feasible_box,
@@ -14,19 +13,25 @@ from vital.vpa import (
     objective_batch,
     optimize_pose_receding,
     pose_evaluation,
-    rbf_centers_and_width,
 )
 
 HIP_OFFSETS = np.array(
     [[0.37, 0.21, -0.1], [0.37, -0.21, -0.1], [-0.37, 0.21, -0.1], [-0.37, -0.21, -0.1]]
 )
-# The scenario's default pose bounds.
+# The scenario's default pose bounds and swept hip heights.
 U_MIN = np.array([0.2, -0.35, -0.35])
 U_MAX = np.array([0.8, 0.35, 0.35])
+HEIGHTS = np.linspace(0.2, 0.8, 31)
 
 
 def value(f, z):
     return f.value_and_slope(z)[0]
+
+
+def basis(n_basis, heights=HEIGHTS):
+    """The centers and width that ``fit_rbf`` gives ``n_basis`` Gaussians."""
+    fitted = fit_rbf(heights, np.zeros(len(heights)), n_basis=n_basis)
+    return fitted.centers, fitted.width
 
 
 def bumps(centers, height=100.0, width=0.08):
@@ -78,27 +83,9 @@ def dense_grid_best(problem, step=0.005):
     return float(vals[k]), pts[k]
 
 
-class TestHipHeightSet:
-    def test_default_sampling(self):
-        hs = HipHeightSet()
-        vals = hs.values
-        assert len(vals) == 31
-        assert vals[0] == 0.2 and vals[-1] == 0.8
-        np.testing.assert_allclose(np.diff(vals), 0.02, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HipHeightSet(z_min=0.8, z_max=0.2)
-        with pytest.raises(ValueError):
-            HipHeightSet(count=1)
-        for z_min, z_max in ((0.0, 0.8), (-0.1, 0.8), (0.2, 2.5)):
-            with pytest.raises(ValueError, match="0 < z_min < z_max <= 2"):
-                HipHeightSet(z_min=z_min, z_max=z_max)
-
-
 class TestRbfBasis:
     def test_widths_match_intersection_rule(self):
-        centers, width = rbf_centers_and_width(3, 0.2, 0.8)
+        centers, width = basis(3)
         np.testing.assert_allclose(centers, [0.2, 0.5, 0.8], atol=1e-12)
         assert width == pytest.approx(0.15 / math.sqrt(2 * math.log(2)), abs=1e-15)
         # adjacent Gaussians intersect at value 0.5
@@ -107,16 +94,26 @@ class TestRbfBasis:
         assert g == pytest.approx(0.5, abs=1e-12)
 
     def test_default_count_centers(self):
-        centers, width = rbf_centers_and_width(30, 0.2, 0.8)
+        centers, width = basis(30)
         assert len(centers) == 30
         spacing = centers[1] - centers[0]
         assert width == pytest.approx((spacing / 2) / math.sqrt(2 * math.log(2)))
+
+    def test_centers_span_the_heights(self):
+        centers, width = basis(7, np.linspace(0.3, 0.6, 16))
+        assert centers[0] == 0.3 and centers[-1] == 0.6
+        np.testing.assert_allclose(np.diff(centers), 0.05, atol=1e-12)
+        assert width == pytest.approx(0.025 / math.sqrt(2 * math.log(2)), abs=1e-15)
+
+    def test_fewer_than_two_bases_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 basis functions"):
+            basis(1)
 
 
 class TestFitRbf:
     def test_model_class_recovery(self):
         rng = np.random.default_rng(21)
-        centers, width = rbf_centers_and_width(5, 0.2, 0.8)
+        centers, width = basis(5)
         w_true = rng.uniform(-2, 5, size=5)
         truth = SafeFootholdFunction(w_true, centers, width)
         z = np.linspace(0.2, 0.8, 31)
@@ -147,7 +144,7 @@ class TestFitRbf:
         assert rmse_fit <= rmse_zero
 
     def test_symmetric_weights_symmetric_function(self):
-        centers, width = rbf_centers_and_width(7, 0.2, 0.8)
+        centers, width = basis(7)
         w = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0])
         f = SafeFootholdFunction(w, centers, width)
         for dz in (0.05, 0.11, 0.2):
@@ -194,7 +191,7 @@ class TestCosts:
     @pytest.mark.parametrize("cost", ["sum", "prod", "int"])
     def test_gradient_matches_central_differences(self, cost, n_h):
         rng = np.random.default_rng(11)
-        centers, width = rbf_centers_and_width(10, 0.2, 0.8)
+        centers, width = basis(10)
         model = SafeFootholdFunction(rng.uniform(0.5, 3.0, (n_h, 4, 10)), centers, width)
         u = np.tile([0.55, 0.0, 0.0], n_h) + rng.uniform(-0.1, 0.1, 3 * n_h)
         prob = make_problem(model, rng.uniform(-0.05, 0.05, (n_h, 4)), cost=cost)
@@ -209,39 +206,37 @@ class TestCosts:
 class TestPoseEvaluation:
     def test_flat_sweep_counts(self, model, zero_velocity, gait, flat):
         hms = [extract_heightmap(flat, (off[0], off[1]), 0.0) for off in model.hip_offsets]
-        heights = HipHeightSet()
-        samples = pose_evaluation(hms, zero_velocity, gait, heights, model)
-        assert samples.counts.shape == (4, 31)
-        z = samples.heights
-        full = samples.counts == 33 * 33
+        z = HEIGHTS
+        counts, ground = pose_evaluation(hms, zero_velocity, gait, z, model)
+        assert counts.shape == (4, 31)
+        np.testing.assert_array_equal(ground, 0.0)
+        full = counts == 33 * 33
         # a hip-height band exists where the whole patch is safe
         assert full[:, (z >= 0.46) & (z <= 0.58)].all()
         # unreachable beyond the outer workspace radius
-        assert (samples.counts[:, z > model.r_max + 0.011] == 0).all()
+        assert (counts[:, z > model.r_max + 0.011] == 0).all()
 
     def test_matches_direct_eval(self, model, forward_velocity, gait, stairs):
         from vital.fec import FecEvaluator
 
         hms = [extract_heightmap(stairs, (0.3 + off[0], off[1]), 0.0) for off in model.hip_offsets]
-        heights = HipHeightSet(count=7)
-        samples = pose_evaluation(hms, forward_velocity, gait, heights, model)
+        heights = np.linspace(0.2, 0.8, 7)
+        counts, ground = pose_evaluation(hms, forward_velocity, gait, heights, model)
         for l, hm in enumerate(hms):
             ev = FecEvaluator(hm, hm.center, forward_velocity, gait, model)
-            assert samples.ground[l] == hm.cells[16, 16]
-            np.testing.assert_array_equal(samples.counts[l], ev.sweep_counts(heights.values + samples.ground[l]))
+            assert ground[l] == hm.cells[16, 16]
+            np.testing.assert_array_equal(counts[l], ev.sweep_counts(heights + ground[l]))
 
     def test_extreme_heights_zero(self, model, zero_velocity, gait, flat):
         hms = [extract_heightmap(flat, (off[0], off[1]), 0.0) for off in model.hip_offsets]
-        heights = HipHeightSet(z_min=0.05, z_max=1.9, count=2)
-        samples = pose_evaluation(hms, zero_velocity, gait, heights, model)
-        assert (samples.counts == 0).all()
+        counts, _ = pose_evaluation(hms, zero_velocity, gait, np.array([0.05, 1.9]), model)
+        assert (counts == 0).all()
 
     def test_front_hind_differ_on_stairs(self, model, forward_velocity, gait):
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.2)
         hms = [extract_heightmap(stairs, (off[0], off[1]), 0.0) for off in model.hip_offsets]
-        heights = HipHeightSet()
-        samples = pose_evaluation(hms, forward_velocity, gait, heights, model)
-        assert not np.array_equal(samples.counts[0], samples.counts[2])
+        counts, _ = pose_evaluation(hms, forward_velocity, gait, HEIGHTS, model)
+        assert not np.array_equal(counts[0], counts[2])
 
 
 class TestOptimizeSingle:
