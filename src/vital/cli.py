@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .sim import ConfigError, Scenario, compare_scenarios, comparison_csv, run_scenario
@@ -46,8 +47,6 @@ def main(argv=None) -> int:
         table = compare_scenarios(a, b, args.pair)
         text = comparison_csv(table)
         print(text, end="")
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
             fh.write(text)

@@ -14,11 +14,17 @@ foot is its leg's last target, so the targets are also the legs' ground
 contacts.
 
 :class:`RunSetup` is the one place a scenario becomes run inputs; a
-:class:`Scenario` validates itself by building one.  Pose evaluation sweeps
-the hip-height array relative to the ground under the centre cell of each
-leg's heightmap (:func:`vital.vpa.pose_evaluation`).  The planner fits one
-RBF model of count vs hip height above that per-leg ground, and uses the
-ground for the model's input, the held NSF and the shift of the pose box.
+:class:`Scenario` validates itself by building one.  A scenario sets what
+the experiments vary: terrain, robot, gait, twist, planner, cost, horizon,
+pose and rate boxes, duration and rates.  What none of them varies is a
+module constant: here the heightmap size, the swept hip heights, the
+horizon spacing, the pose tracking lag and the start height; in
+:mod:`vital.vpa` the cost's ``MARGIN`` and ``SMOOTH_WEIGHT`` and the
+``RBF_COUNT``.  Pose evaluation sweeps the hip-height array relative to the
+ground under the centre cell of each leg's heightmap
+(:func:`vital.vpa.pose_evaluation`).  The planner fits one RBF model of
+count vs hip height above that per-leg ground, and uses the ground for the
+model's input, the held NSF and the shift of the pose box.
 """
 
 from __future__ import annotations
@@ -45,12 +51,13 @@ from .robot import (
     swing_points,
 )
 from .tbr import tbr_pose
-from .terrain import Heightmap, TerrainMap, check_patch_shape, extract_heightmap, sample_height
+from .terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
 from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
+    COST_KINDS,
+    MARGIN,
     PoseOptProblem,
     SafeFootholdFunction,
-    check_cost,
     check_pose_box,
     fit_rbf,
     optimize_pose_receding,
@@ -66,6 +73,17 @@ _GAIT_OFFSETS = {
     "crawl": (0.25, 0.75, 0.0, 0.5),  # lift order LH, LF, RH, RF
 }
 _GAIT_DUTY = {"trot": 0.5, "crawl": 0.8}
+
+# Heightmaps have MAP_CELLS x MAP_CELLS cells of MAP_RESOLUTION m, and
+# horizon steps are half a heightmap extent apart.
+MAP_CELLS = 33
+MAP_RESOLUTION = 0.02
+DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
+# Pose evaluation sweeps ZH_COUNT hip heights from ZH_MIN to ZH_MAX m above
+# each leg's ground.
+ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
+TAU_TRACK = 0.15  # s, lag of the pose tracking
+D_REF = 0.55  # m, start height and TBR height above the footholds
 
 
 class ConfigError(Exception):
@@ -102,8 +120,6 @@ class Scenario:
     planner: str = "vpa"
     cost: str = "int"
     horizon: int = 2
-    margin: float = 0.025
-    smooth_weight: float = 10.0
     du_z: float = 0.02
     du_roll: float = 0.02
     du_pitch: float = 0.02
@@ -112,28 +128,18 @@ class Scenario:
     u_roll_max: float = 0.35
     u_pitch_max: float = 0.35
     # harness
-    tau_track: float = 0.15
     duration: float = 30.0
     planner_rate: float = 5.0
     tick_rate: float = 100.0
     seed: int = 0
-    d_ref: float = 0.55
-    start_x0: float = 0.0
-    start_y0: float = 0.0
-    start_yaw: float = 0.0
-    # maps and pose evaluation
-    map_cells: int = 33
-    map_resolution: float = 0.02
-    zh_min: float = 0.2
-    zh_max: float = 0.8
-    zh_count: int = 31
-    rbf_count: int = 30
 
     def __post_init__(self):
         if self.gait not in GAITS:
             raise ConfigError(f"unknown gait {self.gait!r}")
         if self.planner not in PLANNERS:
             raise ConfigError(f"unknown planner {self.planner!r}")
+        if self.cost not in COST_KINDS:
+            raise ConfigError(f"unknown cost kind {self.cost!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -143,19 +149,13 @@ class Scenario:
                 raise ConfigError(f"{name} must be > 0")
         if round(self.duration * self.tick_rate) < 1:
             raise ConfigError("duration must be at least one tick")
-        if min(self.du_z, self.du_roll, self.du_pitch, self.tau_track) < 0:
-            raise ConfigError("du_z, du_roll, du_pitch and tau_track must be >= 0")
+        if min(self.du_z, self.du_roll, self.du_pitch) < 0:
+            raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not (0.0 < self.zh_min < self.zh_max <= 2.0):
-            raise ConfigError("hip heights need 0 < zh_min < zh_max <= 2 m")
-        if min(self.zh_count, self.rbf_count) < 2:
-            raise ConfigError("zh_count and rbf_count must be >= 2")
         try:
-            check_cost(self)
-            check_patch_shape(self.map_cells, self.map_cells, self.map_resolution)
             RunSetup(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -247,12 +247,10 @@ class RunMetrics:
         }
 
 
-def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float, tau: float) -> np.ndarray:
-    """First-order lag toward the reference (exact discretization)."""
-    if tau <= 0:
-        return reference.copy()
-    alpha = math.exp(-dt / tau)
-    return reference + (actual - reference) * alpha
+def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float) -> np.ndarray:
+    """First-order lag of time constant ``TAU_TRACK`` toward the reference
+    (exact discretization)."""
+    return reference + (actual - reference) * math.exp(-dt / TAU_TRACK)
 
 
 class RunSetup:
@@ -282,13 +280,11 @@ class RunSetup:
         # t_remaining is set per use.
         duty = sc.duty_factor if sc.duty_factor > 0 else _GAIT_DUTY[sc.gait]
         self.gait = GaitParams(step_frequency=sc.step_frequency, duty_factor=duty)
-        self.heights = np.linspace(sc.zh_min, sc.zh_max, sc.zh_count)
+        self.heights = np.linspace(ZH_MIN, ZH_MAX, ZH_COUNT)
         self.u_min = np.array([sc.u_z_min, -sc.u_roll_max, -sc.u_pitch_max])
         self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
         check_pose_box(self.u_min, self.u_max)
         self.du = np.array([sc.du_z, sc.du_roll, sc.du_pitch])
-        # Horizon steps are half a heightmap extent apart.
-        self.delta_h = sc.map_cells * sc.map_resolution / 2.0
 
     def velocity(self, yaw: float) -> np.ndarray:
         """The commanded world (vx, vy) at heading ``yaw``."""
@@ -297,15 +293,7 @@ class RunSetup:
         return np.array([c * sc.vx - s * sc.vy, s * sc.vx + c * sc.vy])
 
     def heightmap(self, center, yaw: float) -> Heightmap:
-        cells = self.scenario.map_cells
-        return extract_heightmap(
-            self.terrain,
-            (center[0], center[1]),
-            yaw=yaw,
-            h_x=cells,
-            h_y=cells,
-            resolution=self.scenario.map_resolution,
-        )
+        return extract_heightmap(self.terrain, (center[0], center[1]), yaw, MAP_CELLS, MAP_CELLS, MAP_RESOLUTION)
 
     def hips_world(self, base: np.ndarray, pose: np.ndarray, yaw: float) -> np.ndarray:
         rot = rotation_matrix(pose[1], pose[2], yaw)
@@ -370,14 +358,14 @@ def planner_update(
     ground = np.zeros((n_h, 4))
     for j in range(n_h):
         counts[j], ground[j] = pose_evaluation(
-            [setup.heightmap(c, yaw) for c in hips[:, :2] + direction * (j * setup.delta_h)],
+            [setup.heightmap(c, yaw) for c in hips[:, :2] + direction * (j * DELTA_H)],
             velocity,
             gait,
             setup.heights,
             model,
             current_feet=targets if j == 0 else None,
         )
-    rbf = fit_rbf(setup.heights, counts, n_basis=sc.rbf_count)
+    rbf = fit_rbf(setup.heights, counts)
     z_actual = hip_height_from(actual[0], actual[1], actual[2], model.hip_offsets)
     nsf = tuple(float(np.interp(z - g, setup.heights, c)) for z, g, c in zip(z_actual, ground[0], counts[0]))
 
@@ -394,8 +382,6 @@ def planner_update(
             u_max=setup.u_max + shift,
             du=setup.du,
             cost=sc.cost,
-            margin=sc.margin,
-            smooth_weight=sc.smooth_weight,
         )
         result = optimize_pose_receding(problem)
         ref = result.poses[0]
@@ -403,15 +389,15 @@ def planner_update(
         cost_label = sc.cost
     elif sc.planner == "tbr":
         try:
-            ref = np.clip(tbr_pose(targets, height_offset=sc.d_ref), setup.u_min + shift, setup.u_max + shift)
+            ref = np.clip(tbr_pose(targets, height_offset=D_REF), setup.u_min + shift, setup.u_max + shift)
         except ValueError:
             pass  # degenerate support: keep the previous reference
 
     # The step-0 models at the reference pose's hip heights above ground, and
-    # that height -margin and +margin.
+    # that height -MARGIN and +MARGIN.
     z_ref = hip_height_from(ref[0], ref[1], ref[2], model.hip_offsets) - ground[0]
     step0 = dataclasses.replace(rbf, weights=rbf.weights[0])
-    (f_lo, f_ref, f_hi), _ = step0.value_and_slope(z_ref + sc.margin * np.array([[-1.0], [0.0], [1.0]]))
+    (f_lo, f_ref, f_hi), _ = step0.value_and_slope(z_ref + MARGIN * np.array([[-1.0], [0.0], [1.0]]))
     envelope = np.abs(f_hi - f_lo).sum()
     row = dict(
         time=float(t),
@@ -501,9 +487,10 @@ def run_scenario(
 
     rng = np.random.default_rng(scenario.seed)
     phase0 = float(rng.uniform(0.0, 1.0))
-    base = np.array([scenario.start_x0 + float(rng.uniform(-0.05, 0.05)), scenario.start_y0])
-    yaw = scenario.start_yaw
-    ref = np.array([float(np.clip(scenario.d_ref, setup.u_min[0], setup.u_max[0])), 0.0, 0.0])
+    # The base starts near the origin, heading along +x.
+    base = np.array([float(rng.uniform(-0.05, 0.05)), 0.0])
+    yaw = 0.0
+    ref = np.array([float(np.clip(D_REF, setup.u_min[0], setup.u_max[0])), 0.0, 0.0])
     actual = ref.copy()
 
     dt = 1.0 / scenario.tick_rate
@@ -564,7 +551,7 @@ def run_scenario(
                 )
                 write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=k > 0)
 
-        actual = track_pose(actual, ref, dt, scenario.tau_track)
+        actual = track_pose(actual, ref, dt)
         hips = setup.hips_world(base, actual, yaw)
         collisions, workspace = detect_events(setup, feet, hips, stance, swing_s)
         rows.append(StepRow(t, base[0], base[1], yaw, *ref, *actual, nsf, tuple(decisions), collisions, workspace))
@@ -665,11 +652,11 @@ def compare_scenarios(a: Scenario, b: Scenario, factor: str) -> list[tuple]:
     """Run two scenarios that differ only in ``factor`` (comma-separated
     field names) and tabulate paired aggregates with deltas."""
     allowed = {name.strip() for name in factor.split(",") if name.strip()}
-    bad = {
-        f.name
-        for f in dataclasses.fields(Scenario)
-        if getattr(a, f.name) != getattr(b, f.name) and f.name not in allowed
-    }
+    keys = [f.name for f in dataclasses.fields(Scenario)]
+    unknown = allowed.difference(keys)
+    if unknown:
+        raise ConfigError(f"unknown scenario keys in the compared factor: {sorted(unknown)}")
+    bad = {key for key in keys if getattr(a, key) != getattr(b, key) and key not in allowed}
     if bad:
         raise ConfigError(f"scenarios differ outside the compared factor: {sorted(bad)}")
     ma = run_scenario(a)

@@ -15,7 +15,12 @@ summed over the legs, or multiplied over the legs for ``prod``:
 
     cost         offsets o_k (m)    weights w_k
     sum, prod    0                  1
-    int          -m, +m             m, m          (m: margin)
+    int          -m, +m             m, m          (m: MARGIN)
+
+Over a horizon the objective subtracts ``SMOOTH_WEIGHT`` times the squared
+change between consecutive poses.  ``MARGIN``, ``SMOOTH_WEIGHT`` and the
+model's ``RBF_COUNT`` Gaussians are module constants; a scenario picks only
+the cost kind and the horizon.
 
 :func:`objective_batch` evaluates the objective and its gradient for a batch
 of poses in one pass over poses, horizon steps, legs and offsets.
@@ -33,6 +38,9 @@ from .fec import FecEvaluator
 from .robot import GaitParams, RobotModel, hip_height_from
 
 COST_KINDS = ("sum", "prod", "int")
+MARGIN = 0.025  # m, half-width of the int cost
+SMOOTH_WEIGHT = 10.0  # weight of the squared change between consecutive horizon poses
+RBF_COUNT = 30  # Gaussians per model
 
 
 def pose_evaluation(
@@ -88,7 +96,7 @@ class SafeFootholdFunction:
         return g.sum(axis=-1), -(g * r).sum(axis=-1) / self.width
 
 
-def fit_rbf(heights, counts, n_basis: int = 30) -> SafeFootholdFunction:
+def fit_rbf(heights, counts, n_basis: int = RBF_COUNT) -> SafeFootholdFunction:
     """Least-squares fit of RBF weights to counts sampled at ``heights``.
 
     The ``n_basis`` centers are equidistant from the first height to the
@@ -116,18 +124,6 @@ def fit_rbf(heights, counts, n_basis: int = 30) -> SafeFootholdFunction:
 # ---------------------------------------------------------------------------
 
 
-def check_cost(settings) -> None:
-    """Raise ValueError unless the cost settings of ``settings`` (a
-    :class:`PoseOptProblem` or a scenario: ``cost``, ``margin`` and
-    ``smooth_weight``) make a maximization of safe footholds."""
-    if settings.cost not in COST_KINDS:
-        raise ValueError(f"unknown cost kind {settings.cost!r}")
-    if settings.cost == "int" and not settings.margin > 0:
-        raise ValueError("cost 'int' needs margin > 0")
-    if not settings.smooth_weight >= 0:
-        raise ValueError("smooth_weight must be >= 0")
-
-
 def check_pose_box(u_min, u_max) -> None:
     """Raise ValueError unless every lower pose bound is <= its upper one."""
     if np.any(np.asarray(u_min) > np.asarray(u_max)):
@@ -148,9 +144,9 @@ class PoseOptProblem:
 
     ``cost`` picks the per-leg stencil s = sum_k w_k F(z + o_k) at the hip
     height z above ground, given as (offsets o_k in m; weights w_k): sum
-    and prod (0; 1), int (-margin, +margin; margin, margin).  The stage
+    and prod (0; 1), int (-MARGIN, +MARGIN; MARGIN, MARGIN).  The stage
     cost is s^2 summed over the legs, or multiplied over them for prod;
-    ``smooth_weight`` weighs the consecutive-pose deviation against it.
+    ``SMOOTH_WEIGHT`` weighs the consecutive-pose deviation against it.
     """
 
     rbf: SafeFootholdFunction
@@ -161,11 +157,10 @@ class PoseOptProblem:
     u_max: np.ndarray
     du: np.ndarray
     cost: str = "int"
-    margin: float = 0.025
-    smooth_weight: float = 10.0
 
     def __post_init__(self):
-        check_cost(self)
+        if self.cost not in COST_KINDS:
+            raise ValueError(f"unknown cost kind {self.cost!r}")
         for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         check_pose_box(self.u_min, self.u_max)
@@ -185,20 +180,16 @@ class PoseOptResult:
 def feasible_box(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray, bool]:
     """Intersect the global bounds with the rate box.  A disjoint rate box
     is clamped into the global bounds and flagged."""
-    prev = problem.u_prev
-    lo = np.maximum(problem.u_min, prev - problem.du)
-    hi = np.minimum(problem.u_max, prev + problem.du)
-    if np.any(lo > hi):
-        lo = np.clip(prev - problem.du, problem.u_min, problem.u_max)
-        hi = np.clip(prev + problem.du, problem.u_min, problem.u_max)
-        return lo, hi, True
-    return lo, hi, False
+    below, above = problem.u_prev - problem.du, problem.u_prev + problem.du
+    lo = np.clip(below, problem.u_min, problem.u_max)
+    hi = np.clip(above, problem.u_min, problem.u_max)
+    return lo, hi, bool(np.any((below > problem.u_max) | (above < problem.u_min)))
 
 
 def _stencil(problem: PoseOptProblem) -> tuple[np.ndarray, np.ndarray]:
     """Offsets o_k and weights w_k of the per-leg sum s = sum_k w_k F(z + o_k)."""
     if problem.cost == "int":
-        return problem.margin * np.array([-1.0, 1.0]), np.full(2, problem.margin)
+        return MARGIN * np.array([-1.0, 1.0]), np.full(2, MARGIN)
     return np.zeros(1), np.ones(1)
 
 
@@ -207,7 +198,7 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
 
     ``U`` has shape (n, 3*N_h): the poses (z_b, roll, pitch) of horizon
     steps 0..N_h-1 side by side.  The objective is the summed stage costs
-    minus ``smooth_weight`` times the squared deviation between consecutive
+    minus ``SMOOTH_WEIGHT`` times the squared deviation between consecutive
     poses.  Returns values (n,) and gradients (n, 3*N_h).
     """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
@@ -238,11 +229,10 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
     grad[..., 1] = (dterm * (y * cg * cb - zo * cg * sb)).sum(axis=-1)
     grad[..., 2] = (dterm * (-x * cg - y * sg * sb - zo * sg * cb)).sum(axis=-1)
 
-    lam = problem.smooth_weight
     d = P[:, :-1] - P[:, 1:]
-    value = stage.sum(axis=-1) - lam * (d * d).sum(axis=(1, 2))
-    grad[:, :-1] -= 2.0 * lam * d
-    grad[:, 1:] += 2.0 * lam * d
+    value = stage.sum(axis=-1) - SMOOTH_WEIGHT * (d * d).sum(axis=(1, 2))
+    grad[:, :-1] -= 2.0 * SMOOTH_WEIGHT * d
+    grad[:, 1:] += 2.0 * SMOOTH_WEIGHT * d
     return value, grad.reshape(n, 3 * n_h)
 
 

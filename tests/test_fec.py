@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from vital.fec import (
     EROSION_RADIUS,
@@ -257,6 +257,9 @@ class TestOracleEquivalence:
 class TestOracleProperties:
     """The fast evaluator against the per-cell oracle on 9x9 patches."""
 
+    # No shrink phase: each shrink step runs the per-cell oracle, and a
+    # fault that fails every example would shrink for minutes.
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     @given(
         kind=st.sampled_from(["flat", "stairs", "gapped_stairs", "rough", "composite"]),
         terrain_seed=st.integers(0, 1000),

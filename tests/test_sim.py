@@ -9,6 +9,7 @@ from vital.cli import main as cli_main
 from vital.fec import FC_ARC_SAMPLES, FecEvaluator
 from vital.sim import (
     PLANNERS,
+    TAU_TRACK,
     ConfigError,
     Scenario,
     compare_scenarios,
@@ -29,18 +30,14 @@ def short_flat(**overrides):
 
 class TestTracking:
     def test_converges_within_two_percent_after_four_taus(self):
-        dt, tau = 0.01, 0.15
+        dt = 0.01
         actual = np.array([0.0, 0.0, 0.0])
         ref = np.array([1.0, -0.5, 0.25])
-        steps = int(round(4 * tau / dt))
+        steps = int(round(4 * TAU_TRACK / dt))
         for _ in range(steps):
-            actual = track_pose(actual, ref, dt, tau)
+            actual = track_pose(actual, ref, dt)
         err = np.abs(actual - ref) / np.abs(ref)
         assert np.all(err < 0.02)
-
-    def test_zero_tau_snaps(self):
-        out = track_pose(np.array([0.0]), np.array([2.0]), 0.01, 0.0)
-        assert out[0] == 2.0
 
 
 class TestScenarioConfig:
@@ -83,7 +80,7 @@ class TestScenarioConfig:
         assert setup.heights[0] == 0.2 and setup.heights[-1] == 0.8
         np.testing.assert_allclose(np.diff(setup.heights), 0.02, atol=1e-12)
         # horizon steps are half the 33-cell, 0.02-m heightmap apart
-        assert setup.delta_h == pytest.approx(0.33)
+        assert sim.DELTA_H == pytest.approx(0.33)
 
 
 class TestRunScenario:
@@ -366,20 +363,35 @@ class TestCli:
         cfg.write_text("nonsense=1\n")
         assert cli_main(["run", str(cfg)]) == 1
 
+    # Values of keys that are module constants now: each file is rejected
+    # for setting an unknown key, whatever the value.
+    DELETED_KEY_VALUES = (
+        "cost=int\nmargin=0",
+        "smooth_weight=-1",
+        "map_cells=32",
+        "map_cells=0",
+        "map_cells=-1",
+        "map_resolution=0",
+        "zh_min=0",
+        "zh_min=-0.1",
+        "zh_min=0.9",
+        "zh_max=2.5",
+        "zh_count=1",
+        "rbf_count=1",
+        "tau_track=-0.1",
+        "d_ref=0.55",
+        "start_x0=inf",
+        "start_y0=inf",
+        "start_yaw=inf",
+    )
+
     @pytest.mark.parametrize(
         "values",
         [
             "cost=max",
             "cost=smooth",
-            "cost=int\nmargin=0",
             "robot=spot",
             "terrain_kind=lava",
-            "zh_count=1",
-            "map_cells=32",
-            "map_cells=0",
-            "map_cells=-1",
-            "map_resolution=0",
-            "rbf_count=1",
             "duration=nan",
             "duration=inf",
             "tick_rate=nan",
@@ -389,27 +401,23 @@ class TestCli:
             "duty_factor=1.5",
             "step_frequency=0",
             "u_z_min=0.9",
-            "start_yaw=inf",
-            "start_x0=inf",
-            "start_y0=inf",
             "yaw_rate=inf",
             "du_z=-0.1",
-            "zh_max=2.5",
-            "zh_min=0",
-            "zh_min=-0.1",
-            "zh_min=0.9",
             "seed=-1",
             "q=0",
-            "smooth_weight=-1",
             "duration=0.004",
-            "tau_track=-0.1",
+            *DELETED_KEY_VALUES,
         ],
     )
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, values):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("duration=1\n" + values + "\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if values in self.DELETED_KEY_VALUES:
+            key = values.splitlines()[-1].split("=")[0]
+            assert f"unknown scenario key {key!r}" in err
 
     def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -431,3 +439,12 @@ class TestCli:
         rc = cli_main(["compare", str(a), str(b), "--pair", "planner", "--out", str(tmp_path / "c")])
         assert rc == 0
         assert (tmp_path / "c" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("pair", ["planner,no_such_key", "map_cells"])
+    def test_compare_pair_must_name_scenario_keys(self, tmp_path, capsys, pair):
+        a = tmp_path / "a.cfg"
+        a.write_text("terrain_kind=flat\nplanner=none\nduration=0.05\n")
+        rc = cli_main(["compare", str(a), str(a), "--pair", pair, "--out", str(tmp_path / "c")])
+        assert rc == 1
+        assert "unknown scenario keys" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()

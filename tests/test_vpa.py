@@ -180,7 +180,7 @@ class TestCosts:
 
     def test_int_two_point_quadrature(self):
         # per-leg integral ~ m * (1 + 1) = 0.05, squared = 0.0025, x4 legs
-        assert stage_cost(constant([1.0] * 4), "int", margin=0.025) == pytest.approx(0.01, abs=1e-6)
+        assert stage_cost(constant([1.0] * 4), "int") == pytest.approx(0.01, abs=1e-6)
 
     def test_prod_zeroes_on_starved_leg(self):
         model = constant([0.0, 1.0, 1.0, 1.0])
@@ -270,7 +270,7 @@ class TestOptimizeSingle:
         for k in range(5):
             model = bumps(rng.uniform(0.35, 0.65, 4), height=rng.uniform(50, 500, 4))
             prev = np.array([rng.uniform(0.3, 0.7), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)])
-            prob = make_problem(*model, u_prev=prev, du=0.08, cost="int", margin=0.025)
+            prob = make_problem(*model, u_prev=prev, du=0.08, cost="int")
             res = optimize_pose_receding(prob)
             u = res.poses[0]
             lo, hi, _ = feasible_box(prob)
@@ -283,15 +283,40 @@ class TestOptimizeSingle:
         assert res.poses[0, 0] <= 0.8 + 1e-12
 
     def test_deterministic(self):
-        prob = make_problem(*bumps([0.45, 0.52, 0.48, 0.55]), cost="int", margin=0.025)
+        prob = make_problem(*bumps([0.45, 0.52, 0.48, 0.55]), cost="int")
         a = optimize_pose_receding(prob)
         b = optimize_pose_receding(prob)
         assert np.array_equal(a.poses, b.poses) and a.objective == b.objective
 
 
+class TestFeasibleBox:
+    def test_overlapping_rate_box_is_the_intersection(self):
+        prev = np.array([0.79, -0.34, 0.0])
+        lo, hi, clamped = feasible_box(make_problem(*bumps([0.5] * 4), u_prev=prev, du=0.02))
+        np.testing.assert_array_equal(lo, np.maximum(U_MIN, prev - 0.02))
+        np.testing.assert_array_equal(hi, np.minimum(U_MAX, prev + 0.02))
+        assert clamped is False
+
+    def test_rate_box_touching_a_bound_is_not_clamped(self):
+        lo, hi, clamped = feasible_box(make_problem(*bumps([0.5] * 4), u_prev=(0.8, 0.0, -0.35), du=0.0))
+        np.testing.assert_array_equal(lo, [0.8, 0.0, -0.35])
+        np.testing.assert_array_equal(hi, lo)
+        assert clamped is False
+
+    @pytest.mark.parametrize("prev, axis", [((1.5, 0.0, 0.0), 0), ((0.5, -0.5, 0.0), 1), ((0.5, 0.0, 0.4), 2)])
+    def test_disjoint_axis_is_clamped_to_the_nearer_bound(self, prev, axis):
+        lo, hi, clamped = feasible_box(make_problem(*bumps([0.5] * 4), u_prev=prev, du=0.02))
+        assert clamped is True
+        nearer = U_MAX[axis] if prev[axis] > U_MAX[axis] else U_MIN[axis]
+        assert lo[axis] == hi[axis] == nearer
+        others = np.arange(3) != axis
+        np.testing.assert_array_equal(lo[others], np.asarray(prev)[others] - 0.02)
+        np.testing.assert_array_equal(hi[others], np.asarray(prev)[others] + 0.02)
+
+
 class TestOptimizeReceding:
-    def make(self, centers, u_prev=(0.5, 0.0, 0.0), du=0.5, smooth=10.0, cost="sum"):
-        return make_problem(*bumps(centers), u_prev=u_prev, du=du, cost=cost, smooth_weight=smooth)
+    def make(self, centers, u_prev=(0.5, 0.0, 0.0), du=0.5, cost="sum"):
+        return make_problem(*bumps(centers), u_prev=u_prev, du=du, cost=cost)
 
     def test_identical_horizons_match_single(self):
         # horizon 2 with the same model at both steps against horizon 1
@@ -304,10 +329,11 @@ class TestOptimizeReceding:
         assert abs(u1[0] - us[0]) < 1e-3
         assert abs(u1[2] - us[2]) < 1e-3
 
-    def test_large_smoothness_locks_horizons_together(self):
+    def test_large_smoothness_locks_horizons_together(self, monkeypatch):
         gaps = []
         for lam in (10.0, 1e6, 1e9):
-            rec = optimize_pose_receding(self.make([[0.45] * 4, [0.6] * 4], smooth=lam))
+            monkeypatch.setattr(vital.vpa, "SMOOTH_WEIGHT", lam)
+            rec = optimize_pose_receding(self.make([[0.45] * 4, [0.6] * 4]))
             u1, u2 = rec.poses
             gaps.append(np.linalg.norm(u1 - u2))
         # the deviation shrinks as the penalty weight grows and vanishes
@@ -334,7 +360,7 @@ class TestOptimizeReceding:
         rng = np.random.default_rng(41)
         for trial in range(3):
             centers, heights = rng.uniform(0.4, 0.6, (2, 4)), rng.uniform(80, 300, (2, 4))
-            kw = dict(du=0.03, smooth_weight=10.0, cost="int", margin=0.025)
+            kw = dict(du=0.03, cost="int")
             prob = make_problem(*bumps(centers, heights), **kw)
             res = optimize_pose_receding(prob)
             # oracle: dense grid over pose pairs using precomputed stage costs
@@ -344,7 +370,7 @@ class TestOptimizeReceding:
             pts = np.stack([zz.ravel(), bb.ravel(), gg.ravel()], axis=1)
             c1, c2 = (objective_batch(make_problem(*bumps(c, h), **kw), pts)[0] for c, h in zip(centers, heights))
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            total = c1[:, None] + c2[None, :] - prob.smooth_weight * d2
+            total = c1[:, None] + c2[None, :] - vital.vpa.SMOOTH_WEIGHT * d2
             best = float(total.max())
             assert res.objective >= 0.99 * best
 
@@ -360,7 +386,3 @@ class TestCostValidation:
     def test_unknown_cost_kind(self):
         with pytest.raises(ValueError):
             make_problem(*bumps([0.5] * 4), cost="max")
-
-    def test_int_needs_positive_margin(self):
-        with pytest.raises(ValueError):
-            make_problem(*bumps([0.5] * 4), cost="int", margin=0.0)
