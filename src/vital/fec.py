@@ -20,7 +20,8 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
 The swing arc is the one the feet fly, with the robot model's
 ``step_height`` as its apex.  The safe set is the element-wise AND of the
 four criteria, shrunk by a Chebyshev erosion of ``EROSION_RADIUS`` cells as
-an uncertainty margin.
+an uncertainty margin, done with numpy slices like the rest of the
+module, which needs no scipy.
 
 The evaluator caches everything that does not depend on the hip height.
 The LC clearance grows with the hip height, which reduces LC to a per-cell
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .robot import GaitParams, RobotModel, swing_arc_z
 from .terrain import Heightmap
@@ -85,9 +85,17 @@ def count_safe(grid: SafetyGrid) -> int:
 def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev erosion over the last two axes, so a stack of grids erodes
     grid by grid: a true cell within ``radius`` of a false cell becomes
-    false.  Cells outside the grid do not erode the border."""
-    size = 2 * radius + 1
-    return ndimage.minimum_filter(mask, size=(1,) * (mask.ndim - 2) + (size, size), mode="constant", cval=1)
+    false.  Cells outside the grid count as true, so they do not erode the
+    border.  The square is separable, so each of ``radius`` rounds ANDs a
+    copy of the mask in place with itself shifted one cell each way along
+    rows, then along columns."""
+    out = mask.copy()
+    for _ in range(radius):
+        out[..., 1:, :] &= out[..., :-1, :]
+        out[..., :-1, :] &= out[..., 1:, :]
+        out[..., 1:] &= out[..., :-1]
+        out[..., :-1] &= out[..., 1:]
+    return out
 
 
 def eval_tr(heightmap: Heightmap) -> np.ndarray:

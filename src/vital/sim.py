@@ -256,7 +256,10 @@ def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float) -> np.ndarr
 class RunSetup:
     """The run inputs derived from a scenario: terrain, robot model, gait,
     swept hip heights, pose box and rate box.  This is the only place a
-    scenario is turned into them; building one also validates them."""
+    scenario is turned into them; building one also validates them.  For a
+    vpa scenario it also imports scipy's optimizer, so the import is paid
+    during set-up and not inside the first planner tick; tbr and none runs
+    never load scipy."""
 
     def __init__(self, scenario: Scenario):
         sc = scenario
@@ -285,6 +288,8 @@ class RunSetup:
         self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
         check_pose_box(self.u_min, self.u_max)
         self.du = np.array([sc.du_z, sc.du_roll, sc.du_pitch])
+        if sc.planner == "vpa":
+            import scipy.optimize  # noqa: F401
 
     def velocity(self, yaw: float) -> np.ndarray:
         """The commanded world (vx, vy) at heading ``yaw``."""

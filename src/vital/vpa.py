@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fec import FecEvaluator
 from .robot import GaitParams, RobotModel, hip_height_from
@@ -234,6 +233,15 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
     grad[:, :-1] -= 2.0 * SMOOTH_WEIGHT * d
     grad[:, 1:] += 2.0 * SMOOTH_WEIGHT * d
     return value, grad.reshape(n, 3 * n_h)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on call, so a run that never
+    optimizes a pose never loads scipy.  ``RunSetup`` imports it for a vpa
+    run, so the first planner tick does not pay for the import."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _coarse_grid(lo: np.ndarray, hi: np.ndarray, max_pts: int = 13) -> np.ndarray:

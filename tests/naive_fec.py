@@ -50,6 +50,28 @@ def naive_tr(heightmap):
     return out
 
 
+def naive_erode(raw, radius):
+    """Chebyshev erosion of one 2-D grid, cell by cell: a true cell stays
+    true only if no in-grid cell within ``radius`` is false."""
+    hx, hy = raw.shape
+    out = np.zeros_like(raw)
+    for i in range(hx):
+        for j in range(hy):
+            if not raw[i, j]:
+                continue
+            ok = True
+            for di in range(-radius, radius + 1):
+                for dj in range(-radius, radius + 1):
+                    ni, nj = i + di, j + dj
+                    if 0 <= ni < hx and 0 <= nj < hy and not raw[ni, nj]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            out[i, j] = ok
+    return out
+
+
 class NaiveFec:
     """Grid-frame per-cell evaluation of TR, LC, KF, FC plus erosion."""
 
@@ -171,28 +193,8 @@ class NaiveFec:
                 kf[i, j] = self.kf_cell(i, j, z_h)
                 fc[i, j] = self.fc_cell(i, j)
         raw = tr & lc & kf & fc
-        cells = self._erode(raw, EROSION_RADIUS)
+        cells = naive_erode(raw, EROSION_RADIUS)
         return dict(tr=tr, lc=lc, kf=kf, fc=fc, raw=raw, cells=cells)
-
-    def _erode(self, raw, radius):
-        if radius == 0:
-            return raw.copy()
-        out = np.zeros_like(raw)
-        for i in range(self.hx):
-            for j in range(self.hy):
-                if not raw[i, j]:
-                    continue
-                ok = True
-                for di in range(-radius, radius + 1):
-                    for dj in range(-radius, radius + 1):
-                        ni, nj = i + di, j + dj
-                        if 0 <= ni < self.hx and 0 <= nj < self.hy and not raw[ni, nj]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                out[i, j] = ok
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from vital.fec import (
 from vital.robot import GaitParams, robot_preset
 from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
 
-from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_tr
+from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_erode, naive_tr
 
 
 def origin_evaluator(terrain, velocity, gait, model, h=9, current_foot=None):
@@ -73,6 +73,27 @@ class TestErosion:
     def test_all_true_border_preserved(self):
         mask = np.ones((7, 7), dtype=bool)
         np.testing.assert_array_equal(erode_safe_set(mask, 1), mask)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 5), (7, 12), (33, 33)])
+    def test_matches_cell_loop(self, shape, radius):
+        rng = np.random.default_rng([radius, *shape])
+        for p_true in (0.0, 0.5, 0.8, 0.95, 1.0):
+            mask = rng.random(shape) < p_true
+            before = mask.copy()
+            out = erode_safe_set(mask, radius)
+            assert out.dtype == bool and out.shape == shape
+            np.testing.assert_array_equal(out, naive_erode(mask, radius))
+            np.testing.assert_array_equal(mask, before)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_stack_erodes_grid_by_grid(self, radius):
+        rng = np.random.default_rng(50 + radius)
+        for shape in [(3, 1, 1), (4, 1, 6), (4, 6, 1), (6, 9, 11)]:
+            stack = rng.random(shape) < rng.uniform(0.6, 0.97, (shape[0], 1, 1))
+            out = erode_safe_set(stack, radius)
+            assert out.dtype == bool and out.shape == shape
+            np.testing.assert_array_equal(out, np.array([naive_erode(grid, radius) for grid in stack]))
 
 
 class TestCriteriaOnFlat:
