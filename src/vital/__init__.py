@@ -15,7 +15,6 @@ from .robot import (
 from .fec import (
     FecEvaluator,
     SafetyGrid,
-    count_safe,
     erode_safe_set,
     eval_fec,
     eval_tr,

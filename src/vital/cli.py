@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .sim import ConfigError, Scenario, compare_scenarios, comparison_csv, run_scenario
@@ -44,16 +43,15 @@ def main(argv=None) -> int:
         # compare
         a = Scenario.from_file(args.scenario_a)
         b = Scenario.from_file(args.scenario_b)
-        table = compare_scenarios(a, b, args.pair)
-        text = comparison_csv(table)
-        print(text, end="")
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "comparison.csv"), "w") as fh:
-            fh.write(text)
+        table = compare_scenarios(a, b, args.pair, out_dir=args.out)
+        print(comparison_csv(table), end="")
         ok = all(row[1] == 1 and row[2] == 1 for row in table if row[0] == "success")
         return 0 if ok else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

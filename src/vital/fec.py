@@ -77,11 +77,6 @@ class SafetyGrid:
     fc: np.ndarray
 
 
-def count_safe(grid: SafetyGrid) -> int:
-    """Number of safe candidate footholds (true cells after erosion)."""
-    return int(np.count_nonzero(grid.cells))
-
-
 def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev erosion over the last two axes, so a stack of grids erodes
     grid by grid: a true cell within ``radius`` of a false cell becomes
@@ -292,7 +287,7 @@ class FecEvaluator:
         kf = self.kf_grid(z_h)
         raw = self.tr & lc & kf & self.fc
         cells = erode_safe_set(raw, EROSION_RADIUS)
-        return SafetyGrid(cells=cells, tr=self.tr.copy(), lc=lc, kf=kf, fc=self.fc.copy())
+        return SafetyGrid(cells=cells, tr=self.tr, lc=lc, kf=kf, fc=self.fc)
 
     def sweep_counts(self, z_values) -> np.ndarray:
         """Safe-foothold count for each hip height in ``z_values``: the

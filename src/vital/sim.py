@@ -6,7 +6,10 @@ lift-off (:func:`foothold_decision`), moves the swing feet along their
 arcs, runs the planner update at the planner rate (:func:`planner_update`),
 tracks the pose reference through a first-order lag, runs the collision and
 workspace detectors (:func:`detect_events`) and logs one step row;
-:func:`aggregate` turns the logs into the run metrics.  No contact
+:func:`aggregate` turns the logs into the run metrics.  The loop writes no
+file: the planner rows carry the fitted RBF weights and the foothold rows
+the criteria grids, and :func:`write_outputs` writes the logs and the dumps
+from them once the run ends.  No contact
 dynamics: stance feet are world-fixed and the base height equals the
 tracked pose.  The legs are (4, 3) arrays of world points in LF, RF, LH, RH
 order: the touchdown targets, the lift-off points and the feet.  A stance
@@ -40,7 +43,7 @@ import numpy as np
 
 # eval_fec is not called here; it stays importable as vital.sim.eval_fec
 # because perfbench/tracer.py wraps that name.
-from .fec import FC_CLEARANCE, LC_CLEARANCE, SafetyGrid, eval_fec  # noqa: F401
+from .fec import FC_CLEARANCE, LC_CLEARANCE, eval_fec  # noqa: F401
 from .robot import (
     GaitParams,
     LEG_NAMES,
@@ -57,7 +60,6 @@ from .vpa import (
     COST_KINDS,
     MARGIN,
     PoseOptProblem,
-    SafeFootholdFunction,
     check_pose_box,
     fit_rbf,
     optimize_pose_receding,
@@ -183,7 +185,7 @@ class Scenario:
     def from_file(cls, path: str) -> "Scenario":
         values = {}
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.split("#", 1)[0].strip()
                     if not line:
@@ -192,7 +194,7 @@ class Scenario:
                         raise ConfigError(f"{path}:{lineno}: expected key=value")
                     key, val = line.split("=", 1)
                     values[key.strip()] = val.strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(values)
 
@@ -230,21 +232,11 @@ class RunMetrics:
     rows: list = field(default_factory=list)
     planner_rows: list = field(default_factory=list)
     foothold_rows: list = field(default_factory=list)
-    envelope_errors: list = field(default_factory=list)
 
     def aggregates(self) -> dict:
-        return {
-            "success": int(self.success),
-            "collision_events": self.collision_events,
-            "workspace_events": self.workspace_events,
-            "mean_total_nsf": self.mean_total_nsf,
-            "mean_abs_dz_dx": self.mean_abs_dz_dx,
-            "mean_abs_dpitch_dx": self.mean_abs_dpitch_dx,
-            "tracking_mae_z": self.tracking_mae_z,
-            "tracking_mae_pitch": self.tracking_mae_pitch,
-            "mean_envelope_error": self.mean_envelope_error,
-            "final_x": self.final_x,
-        }
+        """The metric fields in order, the logs left out, ``success`` as 0/1."""
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {key: int(v) if key == "success" else v for key, v in values.items() if not isinstance(v, list)}
 
 
 def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float) -> np.ndarray:
@@ -309,7 +301,8 @@ class RunSetup:
 def foothold_decision(
     setup: RunSetup, leg: int, t: float, hip: np.ndarray, foot: np.ndarray, yaw: float, t_remaining: float
 ) -> tuple[FootholdDecision, dict]:
-    """VFA at one lift-off: the decision and its ``footholds.csv`` row."""
+    """VFA at one lift-off: the decision and its ``footholds.csv`` row; the
+    row also carries the decision's criteria ``grid``."""
     velocity = setup.velocity(yaw)
     gait = dataclasses.replace(setup.gait, t_remaining=t_remaining)
     nominal = nominal_foothold(hip, velocity, gait, setup.terrain)
@@ -326,16 +319,15 @@ def foothold_decision(
         optimal_z=float(decision.optimal[2]),
         n_sf=decision.safe_count,
         fallback=decision.fallback,
+        grid=decision.grid,
     )
     return decision, row
 
 
 class PlannerUpdate(NamedTuple):
     ref: np.ndarray  # pose reference (z_b, roll, pitch)
-    row: dict  # planner.csv row
+    row: dict  # planner.csv row, also carrying envelope_error and the rbf weights (N_h, 4, n_basis)
     nsf: tuple  # per-leg safe-foothold count at the tracked pose, held until the next update
-    envelope_error: float
-    rbf: SafeFootholdFunction  # fitted model, weights (N_h, 4, n_basis)
 
 
 def planner_update(
@@ -414,8 +406,10 @@ def planner_update(
         cost=cost_label,
         objective=float(objective),
         horizon=n_h,
+        envelope_error=float(envelope),
+        rbf=rbf.weights,
     )
-    return PlannerUpdate(ref, row, nsf, float(envelope), rbf)
+    return PlannerUpdate(ref, row, nsf)
 
 
 def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, swing_s) -> tuple[int, int]:
@@ -441,7 +435,7 @@ def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, s
     return int(collisions), int(np.count_nonzero(outside))
 
 
-def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_errors: list) -> RunMetrics:
+def aggregate(rows: list, planner_rows: list, foothold_rows: list) -> RunMetrics:
     """Run metrics from the step (at least one), planner and foothold logs."""
     collisions = sum(r.collisions for r in rows)
     workspace = sum(r.workspace_violations for r in rows)
@@ -464,12 +458,11 @@ def aggregate(rows: list, planner_rows: list, foothold_rows: list, envelope_erro
         mean_abs_dpitch_dx=mean(dpitch),
         tracking_mae_z=mean([abs(r.act_z - r.cmd_z) for r in rows]),
         tracking_mae_pitch=mean([abs(r.act_pitch - r.cmd_pitch) for r in rows]),
-        mean_envelope_error=mean(envelope_errors),
+        mean_envelope_error=mean([r["envelope_error"] for r in planner_rows]),
         final_x=float(rows[-1].x),
         rows=rows,
         planner_rows=planner_rows,
         foothold_rows=foothold_rows,
-        envelope_errors=envelope_errors,
     )
 
 
@@ -483,9 +476,13 @@ def run_scenario(
 
     Deterministic for a given scenario: the seed only jitters the initial
     gait phase and start position so repeated seeds give distinct but
-    reproducible runs.
+    reproducible runs.  With ``out_dir`` the directory is created before the
+    first tick, so a bad path fails before the run, and
+    :func:`write_outputs` writes every file after the last tick.
     """
     setup = RunSetup(scenario)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     duty, freq = setup.gait.duty_factor, setup.gait.step_frequency
     swing_time = setup.gait.swing_duration
     offsets = np.asarray(_GAIT_OFFSETS[scenario.gait])
@@ -510,14 +507,7 @@ def run_scenario(
     rows: list[StepRow] = []
     planner_rows: list[dict] = []
     foothold_rows: list[dict] = []
-    envelope_errors: list[float] = []
     nsf = (0.0, 0.0, 0.0, 0.0)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        # Dumps of an earlier run, whether or not this run dumps them.
-        for pattern in ("fec_*.csv", "rbf.csv"):
-            for path in glob.glob(os.path.join(out_dir, pattern)):
-                os.remove(path)
 
     prev_stance = np.ones(4, dtype=bool)
     for k in range(n_ticks):
@@ -533,8 +523,6 @@ def run_scenario(
             # target now.  A run that starts mid-swing plans the rest of it.
             t_remaining = swing_time if k > 0 else (1.0 - swing_s[l]) * swing_time
             decision, row = foothold_decision(setup, l, t, hips[l], targets[l], yaw, t_remaining)
-            if dump_criteria and out_dir is not None:
-                dump_criteria_grids(out_dir, len(foothold_rows), l, decision.grid)
             foothold_rows.append(row)
             lift[l] = targets[l]
             targets[l] = decision.optimal
@@ -547,14 +535,6 @@ def run_scenario(
             update = planner_update(setup, t, base, yaw, actual, ref, hips, targets)
             ref, nsf = update.ref, update.nsf
             planner_rows.append(update.row)
-            envelope_errors.append(update.envelope_error)
-            if dump_rbf and out_dir is not None:
-                rbf_rows = (
-                    (t, LEG_NAMES[l], j, ";".join(map(_cell, w)))
-                    for j, layer in enumerate(update.rbf.weights)
-                    for l, w in enumerate(layer)
-                )
-                write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, rbf_rows, append=k > 0)
 
         actual = track_pose(actual, ref, dt)
         hips = setup.hips_world(base, actual, yaw)
@@ -566,9 +546,9 @@ def run_scenario(
         base = base + setup.velocity(yaw) * dt
         yaw += scenario.yaw_rate * dt
 
-    metrics = aggregate(rows, planner_rows, foothold_rows, envelope_errors)
+    metrics = aggregate(rows, planner_rows, foothold_rows)
     if out_dir is not None:
-        write_outputs(metrics, out_dir)
+        write_outputs(metrics, out_dir, dump_criteria, dump_rbf)
     return metrics
 
 
@@ -584,6 +564,7 @@ STEPLOG_COLUMNS = (
 PLANNER_COLUMNS = "time,u_z,u_roll,u_pitch,nsf_lf,nsf_rf,nsf_lh,nsf_rh,cost,objective,horizon".split(",")
 FOOTHOLD_COLUMNS = "time,leg,nominal_x,nominal_y,nominal_z,optimal_x,optimal_y,optimal_z,n_sf,fallback".split(",")
 RBF_COLUMNS = ("time", "leg", "horizon", "weights")
+COMPARISON_COLUMNS = ("metric", "a", "b", "delta")
 CRITERIA = ("tr", "lc", "kf", "fc", "mu")
 
 
@@ -599,12 +580,10 @@ def csv_text(columns, rows) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_csv(path: str, columns, rows, append: bool = False) -> None:
-    """Write :func:`csv_text` to ``path``; with ``append``, add the rows to
-    an existing file without repeating its header."""
-    header = columns if not (append and os.path.exists(path)) else ()
-    with open(path, "a" if append else "w") as fh:
-        fh.write(csv_text(header, rows))
+def write_csv(path: str, columns, rows) -> None:
+    """Write :func:`csv_text` to ``path``."""
+    with open(path, "w") as fh:
+        fh.write(csv_text(columns, rows))
 
 
 def _dict_rows(columns, rows):
@@ -624,15 +603,17 @@ def steplog_csv(metrics: RunMetrics) -> str:
     return csv_text(STEPLOG_COLUMNS, map(_step_values, metrics.rows))
 
 
-def dump_criteria_grids(out_dir: str, index: int, leg: int, grid: SafetyGrid) -> None:
-    """Write the criterion grids and the safe set of one foothold decision."""
-    for tag, cells in zip(CRITERIA, (grid.tr, grid.lc, grid.kf, grid.fc, grid.cells)):
-        path = os.path.join(out_dir, f"fec_{index:05d}_{LEG_NAMES[leg]}_{tag}.csv")
-        write_csv(path, (), cells.astype(int).tolist())
+def write_outputs(metrics: RunMetrics, out_dir: str, dump_criteria: bool, dump_rbf: bool) -> None:
+    """Write a finished run's files into the existing ``out_dir``.
 
-
-def write_outputs(metrics: RunMetrics, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    First the ``rbf.csv`` and ``fec_*.csv`` dumps of an earlier run are
+    deleted, whether or not this run dumps them.  Then the four logs are
+    written, and the dumps the flags ask for, from the rows' ``rbf`` weights
+    and criteria ``grid``.
+    """
+    for pattern in ("fec_*.csv", "rbf.csv"):
+        for path in glob.glob(os.path.join(out_dir, pattern)):
+            os.remove(path)
     for name, columns, rows in (
         ("steplog.csv", STEPLOG_COLUMNS, map(_step_values, metrics.rows)),
         ("metrics.csv", ("metric", "value"), metrics.aggregates().items()),
@@ -640,6 +621,19 @@ def write_outputs(metrics: RunMetrics, out_dir: str) -> None:
         ("footholds.csv", FOOTHOLD_COLUMNS, _dict_rows(FOOTHOLD_COLUMNS, metrics.foothold_rows)),
     ):
         write_csv(os.path.join(out_dir, name), columns, rows)
+    if dump_rbf:
+        weights = (
+            (row["time"], LEG_NAMES[l], j, ";".join(map(_cell, w)))
+            for row in metrics.planner_rows
+            for j, layer in enumerate(row["rbf"])
+            for l, w in enumerate(layer)
+        )
+        write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, weights)
+    for index, row in enumerate(metrics.foothold_rows if dump_criteria else ()):
+        grid = row["grid"]
+        for tag, cells in zip(CRITERIA, (grid.tr, grid.lc, grid.kf, grid.fc, grid.cells)):
+            path = os.path.join(out_dir, f"fec_{index:05d}_{row['leg']}_{tag}.csv")
+            write_csv(path, (), cells.astype(int).tolist())
 
 
 COMPARED_METRICS = (
@@ -653,9 +647,11 @@ COMPARED_METRICS = (
 )
 
 
-def compare_scenarios(a: Scenario, b: Scenario, factor: str) -> list[tuple]:
+def compare_scenarios(a: Scenario, b: Scenario, factor: str, out_dir: str | None = None) -> list[tuple]:
     """Run two scenarios that differ only in ``factor`` (comma-separated
-    field names) and tabulate paired aggregates with deltas."""
+    field names) and tabulate paired aggregates with deltas.  With
+    ``out_dir`` the directory is created before the runs and the table is
+    written to ``comparison.csv`` in it."""
     allowed = {name.strip() for name in factor.split(",") if name.strip()}
     keys = [f.name for f in dataclasses.fields(Scenario)]
     unknown = allowed.difference(keys)
@@ -664,11 +660,14 @@ def compare_scenarios(a: Scenario, b: Scenario, factor: str) -> list[tuple]:
     bad = {key for key in keys if getattr(a, key) != getattr(b, key) and key not in allowed}
     if bad:
         raise ConfigError(f"scenarios differ outside the compared factor: {sorted(bad)}")
-    ma = run_scenario(a)
-    mb = run_scenario(b)
-    agg_a, agg_b = ma.aggregates(), mb.aggregates()
-    return [(name, agg_a[name], agg_b[name], agg_b[name] - agg_a[name]) for name in COMPARED_METRICS]
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    agg_a, agg_b = run_scenario(a).aggregates(), run_scenario(b).aggregates()
+    table = [(name, agg_a[name], agg_b[name], agg_b[name] - agg_a[name]) for name in COMPARED_METRICS]
+    if out_dir is not None:
+        write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS, table)
+    return table
 
 
 def comparison_csv(table: list[tuple]) -> str:
-    return csv_text(("metric", "a", "b", "delta"), table)
+    return csv_text(COMPARISON_COLUMNS, table)

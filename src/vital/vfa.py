@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fec import SafetyGrid, count_safe, eval_fec
+from .fec import SafetyGrid, eval_fec
 from .robot import GaitParams, RobotModel
 from .terrain import Heightmap
 
@@ -34,7 +34,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     lower row-major grid index, so selection is deterministic."""
     nominal = np.asarray(nominal, dtype=np.float64)
     mu = grid.cells
-    n_safe = count_safe(grid)
+    n_safe = int(np.count_nonzero(mu))
     if n_safe == 0:
         return FootholdDecision(nominal.copy(), 0, FALLBACK_NO_SAFE_CELL, grid)
     wx, wy = heightmap.world_points()

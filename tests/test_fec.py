@@ -7,7 +7,6 @@ from vital.fec import (
     LC_CLEARANCE,
     LC_TIME_SAMPLES,
     FecEvaluator,
-    count_safe,
     erode_safe_set,
     eval_fec,
     eval_tr,
@@ -195,7 +194,7 @@ class TestEvalFec:
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         grid = eval_fec(hm, (0.0, 0.0, 0.50), zero_velocity, gait, model)
         assert grid.cells.all()
-        assert count_safe(grid) == 33 * 33
+        assert np.count_nonzero(grid.cells) == 33 * 33
 
     def test_conjunction_invariant(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
@@ -208,7 +207,7 @@ class TestEvalFec:
     def test_hip_height_extremes_empty(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         for z_h in (0.05, 1.9):
-            assert count_safe(eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model)) == 0
+            assert np.count_nonzero(eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model).cells) == 0
 
     def test_input_sanity_bound(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0, 0), 0.0, h_x=9, h_y=9)
@@ -216,19 +215,10 @@ class TestEvalFec:
             with pytest.raises(ValueError, match="sanity bound"):
                 eval_fec(hm, (0.0, 0.0, z_h), zero_velocity, gait, model)
 
-    def test_count_safe_examples(self):
-        grid_true = np.ones((33, 33), dtype=bool)
-        from vital.fec import SafetyGrid
-
-        g = SafetyGrid(grid_true, grid_true, grid_true, grid_true, grid_true)
-        assert count_safe(g) == 1089
-        g2 = SafetyGrid(~grid_true, grid_true, grid_true, grid_true, grid_true)
-        assert count_safe(g2) == 0
-
     def test_single_false_cell_erodes_block(self, flat, model, zero_velocity, gait):
         hm = extract_heightmap(flat, (0.0, 0.0), 0.0)
         grid = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model).evaluate(0.50)
-        assert count_safe(grid) == 1089
+        assert np.count_nonzero(grid.cells) == 1089
         forced = grid.tr & grid.lc & grid.kf & grid.fc
         forced[10, 10] = False
         eroded = erode_safe_set(forced, 1)
@@ -240,7 +230,7 @@ class TestEvalFec:
         zs = np.linspace(0.3, 0.9, 7)
         counts = ev.sweep_counts(zs)
         for z, n in zip(zs, counts):
-            assert count_safe(ev.evaluate(float(z))) == n
+            assert np.count_nonzero(ev.evaluate(float(z)).cells) == n
 
     def test_deterministic(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)

@@ -238,6 +238,26 @@ class TestRunScenario:
         grids = [n for n in os.listdir(out) if n.startswith("fec_")]
         assert len(grids) == 5 * len(m.foothold_rows)
 
+    def test_tick_loop_writes_no_file(self, tmp_path, monkeypatch):
+        # The run only appends rows; write_outputs deletes the stale dump
+        # and writes every file, the grids from the foothold rows.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fec_99999_LF_tr.csv").write_text("1\n")
+        seen = []
+        write_outputs = sim.write_outputs
+
+        def spy(metrics, *args):
+            seen.append(sorted(os.listdir(out)))
+            write_outputs(metrics, *args)
+
+        monkeypatch.setattr(sim, "write_outputs", spy)
+        m = run_scenario(short_flat(planner="vpa", duration=0.6), out_dir=str(out), dump_criteria=True, dump_rbf=True)
+        assert seen == [["fec_99999_LF_tr.csv"]]
+        names = os.listdir(out)
+        assert "fec_99999_LF_tr.csv" not in names
+        assert sum(n.startswith("fec_") for n in names) == 5 * len(m.foothold_rows) > 0
+
 
 class TestDetectEvents:
     """Hand-built ticks on flat ground: four vertical legs stand under hips
@@ -430,6 +450,24 @@ class TestCli:
         assert not (out / "rbf.csv").exists()
         assert not any(n.startswith("fec_") for n in os.listdir(out))
         assert len((out / "planner.csv").read_text().splitlines()) == 1 + 2
+
+    def test_undecodable_scenario_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"duration=1\nplanner=\xff\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("terrain_kind=flat\nplanner=none\nduration=0.05\n")
+        out = tmp_path / "taken"
+        out.write_text("")
+        ticks = []
+        monkeypatch.setattr(sim, "track_pose", lambda *args: ticks.append(1) or args[0])
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 1
+        assert cli_main(["compare", str(cfg), str(cfg), "--pair", "planner", "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 2
+        assert ticks == []
 
     def test_compare_cli(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"
