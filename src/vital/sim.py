@@ -18,13 +18,14 @@ contacts.
 
 :class:`RunSetup` is the one place a scenario becomes run inputs; a
 :class:`Scenario` validates itself by building one.  A scenario sets what
-the experiments vary: terrain, robot, gait, twist, planner, cost, horizon,
-pose and rate boxes, duration and rates.  What none of them varies is a
-module constant: here the heightmap size, the swept hip heights, the
-horizon spacing, the pose tracking lag and the start height; in
-:mod:`vital.vpa` the cost's ``MARGIN`` and ``SMOOTH_WEIGHT`` and the
-``RBF_COUNT``.  Pose evaluation sweeps the hip-height array relative to the
-ground under the centre cell of each leg's heightmap
+the experiments vary: terrain, robot, gait, forward speed, yaw rate,
+planner, cost, horizon, pose and rate boxes, duration and rates.  What none
+of them varies is defined once: here the gaits (:data:`GAITS`), the swept
+hip heights, the horizon spacing and the pose tracking lag; elsewhere the
+``TerrainMap``, ``GaitParams`` and ``extract_heightmap`` defaults, the
+start height ``vital.tbr.D_REF`` and the cost and RBF constants of
+:mod:`vital.vpa`.  Pose evaluation sweeps the hip-height array relative
+to the ground under the centre cell of each leg's heightmap
 (:func:`vital.vpa.pose_evaluation`).  The planner fits one RBF model of
 count vs hip height above that per-leg ground, and uses the ground for the
 model's input, the held NSF and the shift of the pose box.
@@ -53,8 +54,8 @@ from .robot import (
     rotation_matrix,
     swing_points,
 )
-from .tbr import tbr_pose
-from .terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
+from .tbr import D_REF, tbr_pose
+from .terrain import MAP_CELLS, MAP_RESOLUTION, Heightmap, TerrainMap, extract_heightmap, sample_height
 from .vfa import FootholdDecision, foothold_evaluation
 from .vpa import (
     COST_KINDS,
@@ -66,26 +67,21 @@ from .vpa import (
     pose_evaluation,
 )
 
-GAITS = ("trot", "crawl")
 PLANNERS = ("vpa", "tbr", "none")
 
-# Leg phase offsets within the gait cycle, in LF, RF, LH, RH order.
-_GAIT_OFFSETS = {
-    "trot": (0.0, 0.5, 0.5, 0.0),
-    "crawl": (0.25, 0.75, 0.0, 0.5),  # lift order LH, LF, RH, RF
+# Per gait: the leg phase offsets within the gait cycle, in LF, RF, LH, RH
+# order, and the duty factor.
+GAITS = {
+    "trot": ((0.0, 0.5, 0.5, 0.0), 0.5),
+    "crawl": ((0.25, 0.75, 0.0, 0.5), 0.8),  # lift order LH, LF, RH, RF
 }
-_GAIT_DUTY = {"trot": 0.5, "crawl": 0.8}
 
-# Heightmaps have MAP_CELLS x MAP_CELLS cells of MAP_RESOLUTION m, and
-# horizon steps are half a heightmap extent apart.
-MAP_CELLS = 33
-MAP_RESOLUTION = 0.02
+# Horizon steps are half a heightmap extent apart.
 DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
 # Pose evaluation sweeps ZH_COUNT hip heights from ZH_MIN to ZH_MAX m above
 # each leg's ground.
 ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
 TAU_TRACK = 0.15  # s, lag of the pose tracking
-D_REF = 0.55  # m, start height and TBR height above the footholds
 
 
 class ConfigError(Exception):
@@ -102,21 +98,15 @@ class Scenario:
     terrain_going: float = 0.25
     terrain_steps: int = 5
     terrain_start_x: float = 1.0
-    terrain_gap_width: float = 0.08
-    terrain_gap_depth: float = 1.0
-    terrain_plateau: float = 0.5
     terrain_cell: float = 0.30
     terrain_amplitude: float = 0.06
     terrain_seed: int = 7
     # robot and gait
     robot: str = "hyq-like"
     gait: str = "trot"
-    step_frequency: float = 1.4
-    duty_factor: float = -1.0  # <0: use the gait default
-    step_height: float = -1.0  # <0: use the robot default
+    step_height: float = -1.0  # -1: use the robot default
     # commanded twist
     vx: float = 0.2
-    vy: float = 0.0
     yaw_rate: float = 0.0
     # planner
     planner: str = "vpa"
@@ -153,6 +143,8 @@ class Scenario:
             raise ConfigError("duration must be at least one tick")
         if min(self.du_z, self.du_roll, self.du_pitch) < 0:
             raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
+        if not (self.step_height > 0 or self.step_height == -1.0):
+            raise ConfigError("step_height must be > 0, or -1 for the robot's default")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
@@ -262,9 +254,6 @@ class RunSetup:
             going=sc.terrain_going,
             n_steps=sc.terrain_steps,
             start_x=sc.terrain_start_x,
-            gap_width=sc.terrain_gap_width,
-            gap_depth=sc.terrain_gap_depth,
-            plateau=sc.terrain_plateau,
             cell=sc.terrain_cell,
             amplitude=sc.terrain_amplitude,
             seed=sc.terrain_seed,
@@ -273,8 +262,7 @@ class RunSetup:
         if sc.step_height > 0:
             self.model = dataclasses.replace(self.model, step_height=sc.step_height)
         # t_remaining is set per use.
-        duty = sc.duty_factor if sc.duty_factor > 0 else _GAIT_DUTY[sc.gait]
-        self.gait = GaitParams(step_frequency=sc.step_frequency, duty_factor=duty)
+        self.gait = GaitParams(duty_factor=GAITS[sc.gait][1])
         self.heights = np.linspace(ZH_MIN, ZH_MAX, ZH_COUNT)
         self.u_min = np.array([sc.u_z_min, -sc.u_roll_max, -sc.u_pitch_max])
         self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
@@ -284,13 +272,11 @@ class RunSetup:
             import scipy.optimize  # noqa: F401
 
     def velocity(self, yaw: float) -> np.ndarray:
-        """The commanded world (vx, vy) at heading ``yaw``."""
-        sc = self.scenario
-        c, s = math.cos(yaw), math.sin(yaw)
-        return np.array([c * sc.vx - s * sc.vy, s * sc.vx + c * sc.vy])
+        """The commanded world (vx, vy): ``vx`` along the heading ``yaw``."""
+        return np.array([math.cos(yaw), math.sin(yaw)]) * self.scenario.vx
 
     def heightmap(self, center, yaw: float) -> Heightmap:
-        return extract_heightmap(self.terrain, (center[0], center[1]), yaw, MAP_CELLS, MAP_CELLS, MAP_RESOLUTION)
+        return extract_heightmap(self.terrain, (center[0], center[1]), yaw)
 
     def hips_world(self, base: np.ndarray, pose: np.ndarray, yaw: float) -> np.ndarray:
         rot = rotation_matrix(pose[1], pose[2], yaw)
@@ -386,7 +372,7 @@ def planner_update(
         cost_label = sc.cost
     elif sc.planner == "tbr":
         try:
-            ref = np.clip(tbr_pose(targets, height_offset=D_REF), setup.u_min + shift, setup.u_max + shift)
+            ref = np.clip(tbr_pose(targets), setup.u_min + shift, setup.u_max + shift)
         except ValueError:
             pass  # degenerate support: keep the previous reference
 
@@ -485,7 +471,7 @@ def run_scenario(
         os.makedirs(out_dir, exist_ok=True)
     duty, freq = setup.gait.duty_factor, setup.gait.step_frequency
     swing_time = setup.gait.swing_duration
-    offsets = np.asarray(_GAIT_OFFSETS[scenario.gait])
+    offsets = np.asarray(GAITS[scenario.gait][0])
 
     rng = np.random.default_rng(scenario.seed)
     phase0 = float(rng.uniform(0.0, 1.0))
@@ -580,10 +566,9 @@ def csv_text(columns, rows) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_csv(path: str, columns, rows) -> None:
-    """Write :func:`csv_text` to ``path``."""
+def write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
-        fh.write(csv_text(columns, rows))
+        fh.write(text)
 
 
 def _dict_rows(columns, rows):
@@ -614,13 +599,13 @@ def write_outputs(metrics: RunMetrics, out_dir: str, dump_criteria: bool, dump_r
     for pattern in ("fec_*.csv", "rbf.csv"):
         for path in glob.glob(os.path.join(out_dir, pattern)):
             os.remove(path)
-    for name, columns, rows in (
-        ("steplog.csv", STEPLOG_COLUMNS, map(_step_values, metrics.rows)),
-        ("metrics.csv", ("metric", "value"), metrics.aggregates().items()),
-        ("planner.csv", PLANNER_COLUMNS, _dict_rows(PLANNER_COLUMNS, metrics.planner_rows)),
-        ("footholds.csv", FOOTHOLD_COLUMNS, _dict_rows(FOOTHOLD_COLUMNS, metrics.foothold_rows)),
+    for name, text in (
+        ("steplog.csv", steplog_csv(metrics)),
+        ("metrics.csv", csv_text(("metric", "value"), metrics.aggregates().items())),
+        ("planner.csv", csv_text(PLANNER_COLUMNS, _dict_rows(PLANNER_COLUMNS, metrics.planner_rows))),
+        ("footholds.csv", csv_text(FOOTHOLD_COLUMNS, _dict_rows(FOOTHOLD_COLUMNS, metrics.foothold_rows))),
     ):
-        write_csv(os.path.join(out_dir, name), columns, rows)
+        write_text(os.path.join(out_dir, name), text)
     if dump_rbf:
         weights = (
             (row["time"], LEG_NAMES[l], j, ";".join(map(_cell, w)))
@@ -628,12 +613,12 @@ def write_outputs(metrics: RunMetrics, out_dir: str, dump_criteria: bool, dump_r
             for j, layer in enumerate(row["rbf"])
             for l, w in enumerate(layer)
         )
-        write_csv(os.path.join(out_dir, "rbf.csv"), RBF_COLUMNS, weights)
+        write_text(os.path.join(out_dir, "rbf.csv"), csv_text(RBF_COLUMNS, weights))
     for index, row in enumerate(metrics.foothold_rows if dump_criteria else ()):
         grid = row["grid"]
         for tag, cells in zip(CRITERIA, (grid.tr, grid.lc, grid.kf, grid.fc, grid.cells)):
             path = os.path.join(out_dir, f"fec_{index:05d}_{row['leg']}_{tag}.csv")
-            write_csv(path, (), cells.astype(int).tolist())
+            write_text(path, csv_text((), cells.astype(int).tolist()))
 
 
 COMPARED_METRICS = (
@@ -665,7 +650,7 @@ def compare_scenarios(a: Scenario, b: Scenario, factor: str, out_dir: str | None
     agg_a, agg_b = run_scenario(a).aggregates(), run_scenario(b).aggregates()
     table = [(name, agg_a[name], agg_b[name], agg_b[name] - agg_a[name]) for name in COMPARED_METRICS]
     if out_dir is not None:
-        write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS, table)
+        write_text(os.path.join(out_dir, "comparison.csv"), comparison_csv(table))
     return table
 
 

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
+D_REF = 0.55  # m, height above the footholds; also a run's start height
 
-def tbr_pose(footholds, height_offset: float = 0.55) -> np.ndarray:
+
+def tbr_pose(footholds, height_offset: float = D_REF) -> np.ndarray:
     """Least-squares plane z = a*x + b*y + c through the footholds; returns
     the pose (z_b, roll, pitch).
 

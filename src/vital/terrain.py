@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TERRAIN_KINDS = ("flat", "stairs", "gapped_stairs", "rough", "composite")
+MAP_CELLS = 33  # default heightmap cells per side
+MAP_RESOLUTION = 0.02  # m, default heightmap cell size
 
 # splitmix64 constants for the deterministic lattice-noise hash
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -198,9 +200,9 @@ def extract_heightmap(
     terrain: TerrainMap,
     center: tuple[float, float],
     yaw: float = 0.0,
-    h_x: int = 33,
-    h_y: int = 33,
-    resolution: float = 0.02,
+    h_x: int = MAP_CELLS,
+    h_y: int = MAP_CELLS,
+    resolution: float = MAP_RESOLUTION,
 ) -> Heightmap:
     """Sample a (h_x, h_y) patch around ``center``, rotated by ``yaw``.
 

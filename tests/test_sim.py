@@ -81,6 +81,8 @@ class TestScenarioConfig:
         np.testing.assert_allclose(np.diff(setup.heights), 0.02, atol=1e-12)
         # horizon steps are half the 33-cell, 0.02-m heightmap apart
         assert sim.DELTA_H == pytest.approx(0.33)
+        assert setup.gait.duty_factor == 0.5 and setup.gait.step_frequency == 1.4
+        assert sim.RunSetup(Scenario(gait="crawl")).gait.duty_factor == 0.8
 
 
 class TestRunScenario:
@@ -403,6 +405,12 @@ class TestCli:
         "start_x0=inf",
         "start_y0=inf",
         "start_yaw=inf",
+        "duty_factor=1.5",
+        "step_frequency=0",
+        "vy=0.1",
+        "terrain_gap_width=0.08",
+        "terrain_gap_depth=1.0",
+        "terrain_plateau=0.5",
     )
 
     @pytest.mark.parametrize(
@@ -418,8 +426,8 @@ class TestCli:
             "planner_rate=inf",
             "vx=nan",
             "vx=inf",
-            "duty_factor=1.5",
-            "step_frequency=0",
+            "step_height=0",
+            "step_height=-0.5",
             "u_z_min=0.9",
             "yaw_rate=inf",
             "du_z=-0.1",
