@@ -7,9 +7,9 @@ arcs, runs the planner update at the planner rate (:func:`planner_update`),
 tracks the pose reference through a first-order lag, runs the collision and
 workspace detectors (:func:`detect_events`) and logs one step row;
 :func:`aggregate` turns the logs into the run metrics.  The loop writes no
-file: the planner rows carry the fitted RBF weights and the foothold rows
-the criteria grids, and :func:`write_outputs` writes the logs and the dumps
-from them once the run ends.  No contact
+file: when the run dumps them, the planner rows keep the fitted RBF
+weights and the foothold rows the criteria grids, and :func:`write_outputs`
+writes the logs and the dumps from them once the run ends.  No contact
 dynamics: stance feet are world-fixed and the base height equals the
 tracked pose.  The legs are (4, 3) arrays of world points in LF, RF, LH, RH
 order: the touchdown targets, the lift-off points and the feet.  A stance
@@ -240,10 +240,7 @@ def track_pose(actual: np.ndarray, reference: np.ndarray, dt: float) -> np.ndarr
 class RunSetup:
     """The run inputs derived from a scenario: terrain, robot model, gait,
     swept hip heights, pose box and rate box.  This is the only place a
-    scenario is turned into them; building one also validates them.  For a
-    vpa scenario it also imports scipy's optimizer, so the import is paid
-    during set-up and not inside the first planner tick; tbr and none runs
-    never load scipy."""
+    scenario is turned into them; building one also validates them."""
 
     def __init__(self, scenario: Scenario):
         sc = scenario
@@ -268,8 +265,6 @@ class RunSetup:
         self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
         check_pose_box(self.u_min, self.u_max)
         self.du = np.array([sc.du_z, sc.du_roll, sc.du_pitch])
-        if sc.planner == "vpa":
-            import scipy.optimize  # noqa: F401
 
     def velocity(self, yaw: float) -> np.ndarray:
         """The commanded world (vx, vy): ``vx`` along the heading ``yaw``."""
@@ -464,7 +459,9 @@ def run_scenario(
     gait phase and start position so repeated seeds give distinct but
     reproducible runs.  With ``out_dir`` the directory is created before the
     first tick, so a bad path fails before the run, and
-    :func:`write_outputs` writes every file after the last tick.
+    :func:`write_outputs` writes every file after the last tick.  The rows
+    keep each decision's criteria grid only with ``dump_criteria`` and each
+    planner tick's RBF weights only with ``dump_rbf``.
     """
     setup = RunSetup(scenario)
     if out_dir is not None:
@@ -509,6 +506,8 @@ def run_scenario(
             # target now.  A run that starts mid-swing plans the rest of it.
             t_remaining = swing_time if k > 0 else (1.0 - swing_s[l]) * swing_time
             decision, row = foothold_decision(setup, l, t, hips[l], targets[l], yaw, t_remaining)
+            if not dump_criteria:
+                del row["grid"]
             foothold_rows.append(row)
             lift[l] = targets[l]
             targets[l] = decision.optimal
@@ -520,6 +519,8 @@ def run_scenario(
         if k % planner_every == 0:
             update = planner_update(setup, t, base, yaw, actual, ref, hips, targets)
             ref, nsf = update.ref, update.nsf
+            if not dump_rbf:
+                del update.row["rbf"]
             planner_rows.append(update.row)
 
         actual = track_pose(actual, ref, dt)

@@ -1,7 +1,6 @@
-"""`vital` needs scipy only for the pose optimizer's L-BFGS-B.  A tbr or none
-run never loads scipy, and a vpa scenario loads the optimizer while it is
-set up, before its run starts.  Each check runs in a fresh interpreter, so
-modules that other tests imported do not count."""
+"""`vital` runs on numpy alone: no run, under any planner, needs scipy.  The
+check runs in a fresh interpreter, so modules that other tests imported do
+not count."""
 
 import os
 import subprocess
@@ -20,33 +19,20 @@ def run_fresh(code: str, cwd) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def test_tbr_and_none_runs_load_no_scipy(tmp_path):
+def test_no_run_needs_scipy(tmp_path):
     last = run_fresh(
         """
         import sys
-        import vital, vital.cli
 
-        for planner in ("tbr", "none"):
+        sys.modules["scipy"] = None  # every import of scipy now fails
+        import vital.cli
+
+        for planner in ("vpa", "tbr", "none"):
             with open(planner + ".cfg", "w") as fh:
                 fh.write(f"terrain_kind=flat\\nplanner={planner}\\nduration=0.05\\n")
-            assert vital.cli.main(["run", planner + ".cfg", "--out", planner + "_out"]) == 0
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            assert vital.cli.main(["run", planner + ".cfg", "--out", planner + "_out"]) == 0, planner
+        print(sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None))
         """,
         tmp_path,
     )
     assert last == "[]"
-
-
-def test_vpa_scenario_loads_the_optimizer_at_set_up(tmp_path):
-    last = run_fresh(
-        """
-        import sys
-        import vital.sim
-
-        before = "scipy.optimize" in sys.modules
-        vital.sim.Scenario(terrain_kind="flat", planner="vpa", duration=0.05)
-        print(before, "scipy.optimize" in sys.modules)
-        """,
-        tmp_path,
-    )
-    assert last == "False True"

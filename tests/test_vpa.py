@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import vital.sim
 import vital.vpa
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
@@ -343,18 +345,19 @@ class TestOptimizeReceding:
 
     @pytest.mark.parametrize("n_h", [1, 2])
     def test_one_multi_start_of_eight_ascents(self, monkeypatch, n_h):
-        # the 6 best coarse-grid points, the previous pose and the box centre
-        ascents = []
+        # one batched ascent from the 6 best coarse-grid points, the previous
+        # pose and the box centre
+        seed_batches = []
         minimize = vital.vpa.minimize
 
-        def spy(*args, **kwargs):
-            ascents.append(1)
-            return minimize(*args, **kwargs)
+        def spy(problem, seeds, lo, hi):
+            seed_batches.append(np.shape(seeds))
+            return minimize(problem, seeds, lo, hi)
 
         monkeypatch.setattr(vital.vpa, "minimize", spy)
         prob = self.make([[0.5, 0.52, 0.5, 0.48]] * n_h, du=0.02, cost="int")
         optimize_pose_receding(prob)
-        assert len(ascents) == 8
+        assert seed_batches == [(8, 3 * n_h)]
 
     def test_pairwise_grid_oracle(self):
         rng = np.random.default_rng(41)
@@ -380,6 +383,68 @@ class TestOptimizeReceding:
         lo, hi, _ = feasible_box(prob)
         assert res.poses.shape == (2, 3)
         assert np.all(res.poses >= lo - 1e-12) and np.all(res.poses <= hi + 1e-12)
+
+
+# The benchmark's two vpa workloads, cut to 1 s.
+REPLAYED_RUNS = {
+    "stairs_vpa": dict(
+        terrain_kind="stairs",
+        terrain_steps=10,
+        terrain_rise=0.10,
+        terrain_going=0.25,
+        terrain_start_x=0.4,
+        planner="vpa",
+        cost="int",
+        horizon=2,
+    ),
+    "composite_diag": dict(terrain_kind="composite", terrain_start_x=0.4, gait="crawl", planner="vpa", horizon=1, cost="prod"),
+}
+
+
+def pairwise_grid_best(problem, step=0.005):
+    """Dense-grid maximum of a horizon-2 objective over pose pairs, from the
+    stage costs of each step alone on the grid of the feasible box."""
+    lo, hi, _ = feasible_box(problem)
+    axes = [lo[d] + step * np.arange(int((hi[d] - lo[d]) / step) + 1) for d in range(3)]
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    stage = []
+    for j in range(2):
+        rbf = dataclasses.replace(problem.rbf, weights=problem.rbf.weights[j : j + 1])
+        alone = dataclasses.replace(problem, rbf=rbf, ground=problem.ground[j : j + 1])
+        stage.append(objective_batch(alone, pts)[0])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return float((stage[0][:, None] + stage[1][None, :] - vital.vpa.SMOOTH_WEIGHT * d2).max())
+
+
+@pytest.mark.parametrize("workload", sorted(REPLAYED_RUNS))
+def test_replayed_run_problems(monkeypatch, workload):
+    """Every pose problem of a 1-s run: the result lies in the feasible box,
+    beats the best seed and is within 1% of the dense-grid optimum."""
+    solved, seed_batches = [], []
+    optimize, minimize = vital.sim.optimize_pose_receding, vital.vpa.minimize
+
+    def spy_optimize(problem):
+        result = optimize(problem)
+        solved.append((problem, result))
+        return result
+
+    def spy_minimize(problem, seeds, lo, hi):
+        seed_batches.append(np.array(seeds))
+        return minimize(problem, seeds, lo, hi)
+
+    monkeypatch.setattr(vital.sim, "optimize_pose_receding", spy_optimize)
+    monkeypatch.setattr(vital.vpa, "minimize", spy_minimize)
+    vital.sim.run_scenario(vital.sim.Scenario(**REPLAYED_RUNS[workload], duration=1.0, seed=1))
+    assert len(solved) == len(seed_batches) == 5
+    for (problem, result), seeds in zip(solved, seed_batches):
+        lo, hi, _ = feasible_box(problem)
+        assert np.all(result.poses >= lo) and np.all(result.poses <= hi)
+        assert result.objective >= objective_batch(problem, seeds)[0].max()
+        if problem.n_horizons == 1:
+            best, _ = dense_grid_best(problem)
+        else:
+            best = pairwise_grid_best(problem)
+        assert result.objective >= best - 0.01 * abs(best)
 
 
 class TestCostValidation:
