@@ -19,7 +19,7 @@ def run_fresh(code: str, cwd) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def test_no_run_needs_scipy(tmp_path):
+def test_tbr_and_none_runs_load_no_scipy(tmp_path):
     last = run_fresh(
         """
         import sys
@@ -27,7 +27,7 @@ def test_no_run_needs_scipy(tmp_path):
         sys.modules["scipy"] = None  # every import of scipy now fails
         import vital.cli
 
-        for planner in ("vpa", "tbr", "none"):
+        for planner in ("tbr", "none"):
             with open(planner + ".cfg", "w") as fh:
                 fh.write(f"terrain_kind=flat\\nplanner={planner}\\nduration=0.05\\n")
             assert vital.cli.main(["run", planner + ".cfg", "--out", planner + "_out"]) == 0, planner
@@ -36,3 +36,26 @@ def test_no_run_needs_scipy(tmp_path):
         tmp_path,
     )
     assert last == "[]"
+
+
+def test_vpa_scenario_loads_the_optimizer_at_set_up(tmp_path):
+    """The optimizer is `vital.vpa`, loaded once a vpa scenario is set up; the
+    run then exits 0 with scipy blocked and loads no scipy module."""
+    last = run_fresh(
+        """
+        import sys
+
+        sys.modules["scipy"] = None  # every import of scipy now fails
+        import vital.cli, vital.sim
+
+        vital.sim.Scenario(terrain_kind="flat", planner="vpa", duration=0.05)
+        loaded = "vital.vpa" in sys.modules
+        with open("vpa.cfg", "w") as fh:
+            fh.write("terrain_kind=flat\\nplanner=vpa\\nduration=0.05\\n")
+        assert vital.cli.main(["run", "vpa.cfg", "--out", "vpa_out"]) == 0
+        scipy = sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None)
+        print(loaded, scipy)
+        """,
+        tmp_path,
+    )
+    assert last == "True []"
