@@ -60,12 +60,6 @@ FC_ARC_SAMPLES = 12
 EROSION_RADIUS = 1
 
 
-def check_hip_height(z_h) -> None:
-    """Raise ValueError unless every hip height is in (0, 2] m."""
-    if not np.all((z_h > 0.0) & (z_h <= 2.0)):
-        raise ValueError("hip_height outside the (0, 2] m sanity bound")
-
-
 @dataclass
 class SafetyGrid:
     """Per-criterion grids and the eroded safe set."""
@@ -119,9 +113,9 @@ def eval_tr(heightmap: Heightmap) -> np.ndarray:
 
 
 class FecEvaluator:
-    """Evaluates the criteria for one (heightmap, hip, velocity, gait) tuple
-    at any hip height.  Build once, then call :meth:`evaluate` per hip
-    height, or :meth:`sweep_counts` for the safe-foothold counts of many.
+    """The criteria of one (heightmap, hip, velocity, gait) tuple at any hip
+    height; a hip out of reach of the map, or NaN, has no safe cell.  Build
+    once, then :meth:`evaluate` one height or :meth:`sweep_counts` many.
 
     ``hip_world_xy`` is the hip's world (x, y) at lift-off and ``velocity``
     the world (vx, vy) base velocity.  ``current_foot`` is the swing lift-off
@@ -282,7 +276,6 @@ class FecEvaluator:
         return ok
 
     def evaluate(self, z_h: float) -> SafetyGrid:
-        check_hip_height(z_h)
         lc = self.lc_grid(z_h)
         kf = self.kf_grid(z_h)
         raw = self.tr & lc & kf & self.fc
@@ -293,7 +286,6 @@ class FecEvaluator:
         """Safe-foothold count for each hip height in ``z_values``: the
         conjunctions of all heights as one stack and one erosion."""
         z = np.asarray(z_values, dtype=np.float64)[:, None, None]
-        check_hip_height(z)
         raw = self.lc_grid(z) & self.kf_grid(z) & (self.tr & self.fc)
         cells = erode_safe_set(raw, EROSION_RADIUS)
         return np.count_nonzero(cells, axis=(1, 2)).astype(np.int64)

@@ -252,6 +252,7 @@ class Ascent(NamedTuple):
     """The end of every ascent of :func:`minimize`."""
 
     x: np.ndarray  # (n_seeds, 3*N_h) end points
+    values: np.ndarray  # (n_seeds,) objective at the end points
     nit: int  # the most steps any one ascent took
     nfev: int  # objective_batch calls
 
@@ -299,8 +300,13 @@ def minimize(problem: PoseOptProblem, seeds, lo: np.ndarray, hi: np.ndarray) -> 
     while True:
         if turn.any():
             free = ~(fixed | ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0)))
-            B_free = np.where(free[:, :, None] & free[:, None, :], B, eye)
-            step = np.linalg.solve(B_free, (g * width * free)[..., None])[..., 0]
+            pinned = ~(free[:, :, None] & free[:, None, :])
+            rhs = (g * width * free)[..., None]
+            try:
+                step = np.linalg.solve(np.where(pinned, eye, B), rhs)[..., 0]
+            except np.linalg.LinAlgError:  # rounding left some B singular: restart those about to step
+                B[turn] = eye * np.maximum(np.abs(rhs[turn]).max(axis=1), 1e-300)[..., None]
+                step = np.linalg.solve(np.where(pinned, eye, B), rhs)[..., 0]
             longest = np.abs(step).max(axis=1)
             cut = np.minimum(1.0, STEP_CAP / np.maximum(longest, 1e-300))
             p[turn] = (step * cut[:, None] * width)[turn]
@@ -325,10 +331,13 @@ def minimize(problem: PoseOptProblem, seeds, lo: np.ndarray, hi: np.ndarray) -> 
             sBs = np.einsum("ij,ij->i", s_a, Bs)
             sr = np.einsum("ij,ij->i", s_a, r)
             # Powell's damping: mix B s into r until s.r >= 0.2 s.B.s.
-            theta = np.divide(0.8 * sBs, sBs - sr, out=np.ones(a.size), where=sr < 0.2 * sBs)[:, None]
+            theta = np.divide(0.8 * sBs, sBs - sr, out=np.ones(a.size), where=(sr < 0.2 * sBs) & (sBs > 0))[:, None]
             r = theta * r + (1.0 - theta) * Bs
             sr = np.einsum("ij,ij->i", s_a, r)
-            B[a] += r[:, :, None] * (r / sr[:, None])[:, None, :] - Bs[:, :, None] * (Bs / sBs[:, None])[:, None, :]
+            k, u = a, (sBs > 0) & (sr > 0)
+            if not u.all():  # rounding broke these updates: keep their B
+                k, r, Bs, sr, sBs = a[u], r[u], Bs[u], sr[u], sBs[u]
+            B[k] += r[:, :, None] * (r / sr[:, None])[:, None, :] - Bs[:, :, None] * (Bs / sBs[:, None])[:, None, :]
             done = gain[ok] <= FTOL * np.maximum(np.abs(f_trial[ok]), 1.0)
             x[a], f[a], g[a] = trial[ok], f_trial[ok], g_trial[ok]
             steps[a] += 1
@@ -338,7 +347,7 @@ def minimize(problem: PoseOptProblem, seeds, lo: np.ndarray, hi: np.ndarray) -> 
         if b.size:
             p[b] *= 0.25
             moving[b[~s[~ok].any(axis=1) | (np.abs(p[b] / width).max(axis=1) < 1e-10)]] = False
-    return Ascent(x, int(steps.max()), nfev)
+    return Ascent(x, f, int(steps.max()), nfev)
 
 
 def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
@@ -348,24 +357,22 @@ def optimize_pose_receding(problem: PoseOptProblem) -> PoseOptResult:
     Deterministic multi-start local ascent: the coarse grid of the box,
     with the same pose at every step, is ranked by the objective, and the 6
     best points, the clipped previous pose and the box centre seed one
-    batched :func:`minimize`.  Its end points are clipped into the box and
-    the best one wins; a later one wins only by more than 1e-15.  The
-    result is feasible exactly and its first pose is the one to execute; it
-    matches a dense-grid search to within 1% of the objective.
+    batched :func:`minimize`.  Its best end point wins; a later one wins
+    only by more than 1e-15.  The result is feasible exactly and its first
+    pose is the one to execute; it matches a dense-grid search to within 1%
+    of the objective.
     """
     n_h = problem.n_horizons
     lo, hi, clamped = feasible_box(problem)
     grid = np.tile(_coarse_grid(lo, hi), n_h)
     order = np.argsort(objective_batch(problem, grid)[0])[::-1]
     seeds = [*grid[order[:6]], np.tile(np.clip(problem.u_prev, lo, hi), n_h), np.tile((lo + hi) / 2.0, n_h)]
-    lo_full, hi_full = np.tile(lo, n_h), np.tile(hi, n_h)
-    ends = np.clip(minimize(problem, np.array(seeds), lo_full, hi_full).x, lo_full, hi_full)
-    values = objective_batch(problem, ends)[0]
+    ends = minimize(problem, np.array(seeds), np.tile(lo, n_h), np.tile(hi, n_h))
     best = 0
-    for k in range(1, len(values)):
-        if values[k] > values[best] + 1e-15:
+    for k in range(1, len(ends.values)):
+        if ends.values[k] > ends.values[best] + 1e-15:
             best = k
-    return PoseOptResult(ends[best].reshape(n_h, 3), float(values[best]), clamped)
+    return PoseOptResult(ends.x[best].reshape(n_h, 3), float(ends.values[best]), clamped)
 
 
 # perfbench/tracer.py wraps this name; every horizon runs the one multi-start.

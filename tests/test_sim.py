@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import vital.sim as sim
 from vital.cli import main as cli_main
@@ -21,6 +24,7 @@ from vital.sim import (
 )
 from vital.terrain import TERRAIN_KINDS, sample_height
 from vital.vfa import FALLBACK_NO_SAFE_CELL, FootholdDecision
+from vital.vpa import COST_KINDS
 
 
 def short_flat(**overrides):
@@ -325,22 +329,99 @@ class TestDetectEvents:
 
 # The stepped terrains start under the robot, so the two planner ticks see
 # their edges.  gapped_stairs then has the front hips over a gap: the centre
-# cell of a heightmap lies at the bottom of the gap, and hip heights swept
-# relative to it leave the (0, 2] m bound.
+# cell of a heightmap lies at the bottom of the gap, 1 m down, so the swept
+# hip heights sit below the tread and find no safe cell there.
 @pytest.mark.parametrize("planner", PLANNERS)
-@pytest.mark.parametrize(
-    "terrain",
-    [
-        pytest.param(kind, marks=pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 2"))
-        if kind == "gapped_stairs"
-        else kind
-        for kind in TERRAIN_KINDS
-    ],
-)
+@pytest.mark.parametrize("terrain", TERRAIN_KINDS)
 def test_every_terrain_and_planner_completes(terrain, planner):
     m = run_scenario(Scenario(terrain_kind=terrain, terrain_start_x=-0.08, planner=planner, duration=0.4, seed=1))
     assert len(m.rows) == 40 and len(m.planner_rows) == 2
     assert all(math.isfinite(v) for v in m.aggregates().values())
+
+
+SCENARIO_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
+# Each key's draw.  u_z_min can exceed u_z_max, a config error.
+SCENARIO_DRAWS = dict(
+    terrain_kind=st.sampled_from(TERRAIN_KINDS),
+    terrain_rise=st.floats(0.02, 0.2),
+    terrain_going=st.floats(0.1, 0.5),
+    terrain_steps=st.integers(1, 12),
+    terrain_start_x=st.floats(-5.0, 1.0),
+    terrain_cell=st.floats(0.05, 1.0),
+    terrain_amplitude=st.floats(0.0, 0.2),
+    terrain_seed=st.integers(0, 1000),
+    robot=st.sampled_from(["hyq-like", "hyqreal-like"]),
+    gait=st.sampled_from(sorted(sim.GAITS)),
+    step_height=st.one_of(st.just(-1.0), st.floats(0.05, 0.3)),
+    vx=st.floats(-0.5, 0.5),
+    yaw_rate=st.floats(-1.0, 1.0),
+    planner=st.sampled_from(PLANNERS),
+    cost=st.sampled_from(COST_KINDS),
+    horizon=st.integers(1, 3),
+    du_z=st.floats(0.0, 1.0),
+    du_roll=st.floats(0.0, 1.0),
+    du_pitch=st.floats(0.0, 1.0),
+    u_z_min=st.floats(0.0, 1.0),
+    u_z_max=st.floats(0.5, 1.5),
+    u_roll_max=st.floats(0.0, 0.6),
+    u_pitch_max=st.floats(0.0, 0.6),
+    duration=st.floats(0.05, 0.4),
+    planner_rate=st.floats(1.0, 10.0),
+    tick_rate=st.floats(20.0, 100.0),
+    seed=st.integers(0, 10**6),
+)
+
+
+def scenario_example(**overrides):
+    return example(values={**SCENARIO_DEFAULTS, **overrides})
+
+
+TALL_STAIRS_START = dict(terrain_kind="stairs", terrain_steps=10, terrain_rise=0.14, terrain_start_x=-5.0, duration=0.3)
+
+
+@settings(phases=(Phase.explicit, Phase.generate), max_examples=60)
+@scenario_example(**TALL_STAIRS_START, planner="vpa")
+@scenario_example(**TALL_STAIRS_START, planner="tbr")
+@scenario_example(**TALL_STAIRS_START, planner="none")
+@scenario_example(planner="vpa", u_z_min=0.88, u_z_max=1.34, du_z=0.5, duration=0.6, seed=0)
+@given(values=st.fixed_dictionaries(SCENARIO_DRAWS))
+def test_every_valid_scenario_runs(values):
+    """Draws every scenario key (``SCENARIO_DRAWS``) over these ranges:
+
+    - terrain: any kind; rise 0.02-0.2, going 0.1-0.5, 1-12 steps, start x
+      -5 to 1, rough cell 0.05-1, amplitude 0-0.2, seed 0-1000;
+    - robot, gait, planner and cost: any; step height -1 (the default) or
+      0.05-0.3; vx -0.5 to 0.5; yaw rate -1 to 1; horizon 1-3;
+    - pose box: u_z_min 0-1 and u_z_max 0.5-1.5 (a minimum above the
+      maximum is a config error), roll and pitch bounds 0-0.6; rate box 0-1
+      per coordinate;
+    - harness: duration 0.05-0.4 s, planner rate 1-10 Hz, tick rate
+      20-100 Hz, seed 0-10^6.
+
+    A drawn scenario is either a config error at construction (exit 1) or
+    runs to its end (exit 0 or 2) with finite metrics; ``vital run`` never
+    raises.  The explicit examples once crashed: the tall-stairs start, on a
+    bound on the hips' world height, and a large pose box, on an optimizer
+    model that rounding made singular.
+    """
+    assert values.keys() == SCENARIO_DEFAULTS.keys()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "scenario.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in values.items())
+        rc = cli_main(["run", cfg, "--out", out])
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            with pytest.raises(ConfigError):
+                Scenario(**values)
+            return
+        scenario = Scenario(**values)
+        with open(os.path.join(out, "steplog.csv")) as fh:
+            assert len(fh.readlines()) == 1 + round(scenario.duration * scenario.tick_rate)
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            metrics = dict(line.strip().split(",") for line in fh.readlines()[1:])
+        assert all(math.isfinite(float(v)) for v in metrics.values())
+        assert rc == (0 if metrics["success"] == "1" else 2)
 
 
 # FC checks 10 interior arc samples, and a riser can fall between two of

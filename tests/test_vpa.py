@@ -6,6 +6,7 @@ import pytest
 
 import vital.sim
 import vital.vpa
+from vital.robot import robot_preset
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
     PoseOptProblem,
@@ -377,6 +378,34 @@ class TestOptimizeReceding:
             best = float(total.max())
             assert res.objective >= 0.99 * best
 
+    # Narrow bumps that peak 0.8 m above ground, at or below the hips at the
+    # bottom of a pose box from 0.88 m: over most of the box the models read
+    # ~0, so the smoothing term, whose Hessian is singular, rules the
+    # objective.  Rounding then left a BFGS model singular (a LinAlgError)
+    # or made its update divide by zero.
+    @pytest.mark.parametrize(
+        "hips, width, cost",
+        [
+            (HIP_OFFSETS, 0.02, "sum"),
+            (HIP_OFFSETS, 0.02, "int"),
+            (HIP_OFFSETS, 0.02, "prod"),
+            (robot_preset("hyq-like").hip_offsets, 0.0088, "prod"),
+        ],
+        ids=["sum", "int", "prod", "prod-hyq-like"],
+    )
+    def test_models_that_vanish_over_the_box(self, hips, width, cost):
+        prob = dataclasses.replace(
+            make_problem(*bumps([[0.8] * 4] * 2, 1.0, width), u_prev=(0.88, 0.02, 0.02), cost=cost),
+            hip_offsets=hips,
+            u_min=np.array([0.88, -0.35, -0.35]),
+            u_max=np.array([1.34, 0.35, 0.35]),
+            du=np.array([0.5, 0.02, 0.02]),
+        )
+        res = optimize_pose_receding(prob)
+        lo, hi, _ = feasible_box(prob)
+        assert np.all(res.poses >= lo) and np.all(res.poses <= hi)
+        assert res.objective >= objective_batch(prob, np.tile(prob.u_prev, 2))[0][0]
+
     def test_feasibility(self):
         prob = self.make([[0.42] * 4, [0.58] * 4], du=0.05)
         res = optimize_pose_receding(prob)
@@ -418,7 +447,8 @@ def pairwise_grid_best(problem, step=0.005):
 
 @pytest.mark.parametrize("workload", sorted(REPLAYED_RUNS))
 def test_replayed_run_problems(monkeypatch, workload):
-    """Every pose problem of a 1-s run: the result lies in the feasible box,
+    """Every pose problem of a 1-s run: the ascent's values are the
+    objective at its end points, and the result lies in the feasible box,
     beats the best seed and is within 1% of the dense-grid optimum."""
     solved, seed_batches = [], []
     optimize, minimize = vital.sim.optimize_pose_receding, vital.vpa.minimize
@@ -430,7 +460,9 @@ def test_replayed_run_problems(monkeypatch, workload):
 
     def spy_minimize(problem, seeds, lo, hi):
         seed_batches.append(np.array(seeds))
-        return minimize(problem, seeds, lo, hi)
+        ascent = minimize(problem, seeds, lo, hi)
+        np.testing.assert_array_equal(ascent.values, objective_batch(problem, ascent.x)[0])
+        return ascent
 
     monkeypatch.setattr(vital.sim, "optimize_pose_receding", spy_optimize)
     monkeypatch.setattr(vital.vpa, "minimize", spy_minimize)
