@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import GaitParams, RobotModel, swing_arc_z
-from .terrain import Heightmap
+from .terrain import MAP_RESOLUTION, Heightmap
 
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 
@@ -90,7 +90,6 @@ def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
 def eval_tr(heightmap: Heightmap) -> np.ndarray:
     """Terrain-roughness grid: neighbor-slope mean/std under thresholds."""
     h = heightmap.cells
-    res = heightmap.resolution
     hx, hy = h.shape
     padded = np.full((hx + 2, hy + 2), np.nan)
     padded[1:-1, 1:-1] = h
@@ -99,7 +98,7 @@ def eval_tr(heightmap: Heightmap) -> np.ndarray:
     count = np.zeros_like(h)
     for di, dj in _NEIGHBOR_OFFSETS:
         nb = padded[1 + di : 1 + di + hx, 1 + dj : 1 + dj + hy]
-        dist = res * math.sqrt(2.0) if (di != 0 and dj != 0) else res
+        dist = MAP_RESOLUTION * math.sqrt(2.0) if (di != 0 and dj != 0) else MAP_RESOLUTION
         slope = np.abs(nb - h) / dist
         valid = ~np.isnan(slope)
         slope = np.where(valid, slope, 0.0)
@@ -179,9 +178,9 @@ class FecEvaluator:
         points index the border, so they read -inf and pass every clearance
         test."""
         hm = self.heightmap
-        gi = gx / hm.resolution
+        gi = gx / MAP_RESOLUTION
         gi += self._i0
-        gj = gy / hm.resolution
+        gj = gy / MAP_RESOLUTION
         gj += self._j0
         np.clip(np.floor(gi, out=gi), -1, hm.h_x, out=gi)
         np.clip(np.floor(gj, out=gj), -1, hm.h_y, out=gj)

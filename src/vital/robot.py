@@ -10,6 +10,7 @@ import numpy as np
 from .terrain import TerrainMap, sample_height
 
 LEG_NAMES = ("LF", "RF", "LH", "RH")
+STEP_FREQUENCY = 1.4  # Hz, gait cycles per second of every gait
 
 
 @dataclass(frozen=True)
@@ -22,10 +23,10 @@ class RobotModel:
     """
 
     hip_offsets: np.ndarray
-    r_min: float = 0.30
-    r_max: float = 0.75
-    foot_radius: float = 0.02
-    step_height: float = 0.12
+    r_min: float
+    r_max: float
+    foot_radius: float
+    step_height: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -81,21 +82,18 @@ def robot_preset(name: str) -> RobotModel:
         params = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown robot preset {name!r}") from None
-    return RobotModel(np.array(params["hip_offsets"]), **{k: v for k, v in params.items() if k != "hip_offsets"})
+    return RobotModel(**params)
 
 
 @dataclass(frozen=True)
 class GaitParams:
-    """Gait descriptors: step frequency, duty factor, and the time remaining
-    until the swinging leg touches down."""
+    """Gait descriptors: duty factor and the time remaining until the
+    swinging leg touches down.  Every gait cycles at ``STEP_FREQUENCY``."""
 
-    step_frequency: float = 1.4
     duty_factor: float = 0.5
     t_remaining: float = 0.0
 
     def __post_init__(self):
-        if self.step_frequency <= 0:
-            raise ValueError("step_frequency must be > 0")
         if not (0 < self.duty_factor < 1):
             raise ValueError("duty_factor must be in (0, 1)")
         if self.t_remaining < 0:
@@ -103,11 +101,11 @@ class GaitParams:
 
     @property
     def stance_duration(self) -> float:
-        return self.duty_factor / self.step_frequency
+        return self.duty_factor / STEP_FREQUENCY
 
     @property
     def swing_duration(self) -> float:
-        return (1.0 - self.duty_factor) / self.step_frequency
+        return (1.0 - self.duty_factor) / STEP_FREQUENCY
 
 
 def hip_height_from(z_b, roll, pitch, hip_offset) -> np.ndarray:
@@ -143,7 +141,7 @@ def nominal_foothold(hip_world, velocity, gait: GaitParams, terrain: TerrainMap)
     snaps to the terrain under that point.
     """
     hip_world = np.asarray(hip_world, dtype=np.float64)
-    lookahead = gait.t_remaining + 0.5 * gait.duty_factor / gait.step_frequency
+    lookahead = gait.t_remaining + 0.5 * gait.stance_duration
     xy = hip_world[:2] + np.asarray(velocity, dtype=np.float64) * lookahead
     z = sample_height(terrain, float(xy[0]), float(xy[1]))
     return np.array([xy[0], xy[1], z])

@@ -22,13 +22,13 @@ the experiments vary: terrain, robot, gait, forward speed, yaw rate,
 planner, cost, horizon, pose and rate boxes, duration and rates.  What none
 of them varies is defined once: here the gaits (:data:`GAITS`), the swept
 hip heights, the horizon spacing and the pose tracking lag; elsewhere the
-``TerrainMap``, ``GaitParams`` and ``extract_heightmap`` defaults, the
-start height ``vital.tbr.D_REF`` and the cost and RBF constants of
-:mod:`vital.vpa`.  Pose evaluation sweeps the hip-height array relative
-to the ground under the centre cell of each leg's heightmap
-(:func:`vital.vpa.pose_evaluation`).  The planner fits one RBF model of
-count vs hip height above that per-leg ground, and uses the ground for the
-model's input, the held NSF and the shift of the pose box.
+heightmap and terrain constants of :mod:`vital.terrain`, the step frequency
+``vital.robot.STEP_FREQUENCY``, the start height ``vital.tbr.D_REF`` and
+the cost and RBF constants of :mod:`vital.vpa`.  Pose evaluation sweeps
+the hip-height array relative to the ground under the centre cell of each
+leg's heightmap (:func:`vital.vpa.pose_evaluation`).  The planner fits one
+RBF model of count vs hip height above that per-leg ground, and uses the
+ground for the model's input, the held NSF and the shift of the pose box.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .fec import FC_CLEARANCE, LC_CLEARANCE, eval_fec  # noqa: F401
 from .robot import (
     GaitParams,
     LEG_NAMES,
+    STEP_FREQUENCY,
     hip_height_from,
     nominal_foothold,
     robot_preset,
@@ -139,6 +140,10 @@ class Scenario:
         for name in ("duration", "planner_rate", "tick_rate"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
+        if not math.isfinite(self.duration * self.tick_rate):
+            raise ConfigError("duration * tick_rate must be finite")
+        if not math.isfinite(self.tick_rate / self.planner_rate):
+            raise ConfigError("tick_rate / planner_rate must be finite")
         if round(self.duration * self.tick_rate) < 1:
             raise ConfigError("duration must be at least one tick")
         if min(self.du_z, self.du_roll, self.du_pitch) < 0:
@@ -466,7 +471,7 @@ def run_scenario(
     setup = RunSetup(scenario)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    duty, freq = setup.gait.duty_factor, setup.gait.step_frequency
+    duty = setup.gait.duty_factor
     swing_time = setup.gait.swing_duration
     offsets = np.asarray(GAITS[scenario.gait][0])
 
@@ -495,7 +500,7 @@ def run_scenario(
     prev_stance = np.ones(4, dtype=bool)
     for k in range(n_ticks):
         t = k * dt
-        phases = np.mod(phase0 + t * freq + offsets, 1.0)
+        phases = np.mod(phase0 + t * STEP_FREQUENCY + offsets, 1.0)
         stance = phases < duty
         swing_s = (phases - duty) / (1.0 - duty)
         hips = setup.hips_world(base, actual, yaw)

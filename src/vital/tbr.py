@@ -13,13 +13,13 @@ import numpy as np
 D_REF = 0.55  # m, height above the footholds; also a run's start height
 
 
-def tbr_pose(footholds, height_offset: float = D_REF) -> np.ndarray:
+def tbr_pose(footholds) -> np.ndarray:
     """Least-squares plane z = a*x + b*y + c through the footholds; returns
     the pose (z_b, roll, pitch).
 
     Roll/pitch come from the upward plane normal under the roll-pitch-yaw
     Cardan convention; the height reference is the foothold centroid height
-    plus ``height_offset`` (parallel to gravity).  Raises on degenerate
+    plus ``D_REF`` (parallel to gravity).  Raises on degenerate
     (collinear) footholds.
     """
     pts = np.asarray(footholds, dtype=np.float64)
@@ -36,5 +36,5 @@ def tbr_pose(footholds, height_offset: float = D_REF) -> np.ndarray:
     # n = (sin(pitch)cos(roll), -sin(roll), cos(pitch)cos(roll)).
     roll = -math.asin(float(np.clip(normal[1], -1.0, 1.0)))
     pitch = math.atan2(float(normal[0]), float(normal[2]))
-    z_b = float(pts[:, 2].mean() + height_offset)
+    z_b = float(pts[:, 2].mean() + D_REF)
     return np.array([z_b, roll, pitch])

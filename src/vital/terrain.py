@@ -15,7 +15,10 @@ import numpy as np
 
 TERRAIN_KINDS = ("flat", "stairs", "gapped_stairs", "rough", "composite")
 MAP_CELLS = 33  # default heightmap cells per side
-MAP_RESOLUTION = 0.02  # m, default heightmap cell size
+MAP_RESOLUTION = 0.02  # m, the cell size of every heightmap
+GAP_WIDTH = 0.08  # m, the gap at the end of each gapped_stairs tread
+GAP_DEPTH = 1.0  # m, how far below its tread a gap reads
+PLATEAU = 0.5  # m, the flat top of a composite between ascent and descent
 
 # splitmix64 constants for the deterministic lattice-noise hash
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,8 +32,6 @@ class TerrainMap:
 
     kind-specific parameters:
       stairs/gapped_stairs/composite: rise, going, n_steps, start_x
-      gapped_stairs: gap_width, gap_depth (gaps read gap_depth below the tread)
-      composite: plateau (length of the flat top between ascent and descent)
       rough: cell (lattice cell size), amplitude, seed
     """
 
@@ -39,9 +40,6 @@ class TerrainMap:
     going: float = 0.25
     n_steps: int = 5
     start_x: float = 0.0
-    gap_width: float = 0.08
-    gap_depth: float = 1.0
-    plateau: float = 0.5
     cell: float = 0.30
     amplitude: float = 0.06
     seed: int = 0
@@ -85,8 +83,8 @@ def _gapped_stairs_height(t: TerrainMap, x: np.ndarray) -> np.ndarray:
     u = x - t.start_x
     extent = t.n_steps * t.going
     pos = np.mod(u, t.going)
-    in_gap = (u >= 0.0) & (u < extent) & (pos >= t.going - t.gap_width)
-    return np.where(in_gap, h - t.gap_depth, h)
+    in_gap = (u >= 0.0) & (u < extent) & (pos >= t.going - GAP_WIDTH)
+    return np.where(in_gap, h - GAP_DEPTH, h)
 
 
 def _rough_height(t: TerrainMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,10 +111,9 @@ def _composite_height(t: TerrainMap, x: np.ndarray) -> np.ndarray:
     u = x - t.start_x
     extent = t.n_steps * t.going
     top = t.rise * t.n_steps
-    up = np.clip(t.rise * (1.0 + np.floor(u / t.going)), 0.0, top)
-    d = u - extent - t.plateau
+    d = u - extent - PLATEAU
     down = np.clip(top - t.rise * (1.0 + np.floor(d / t.going)), 0.0, top)
-    h = np.where(u < extent + t.plateau, up, down)
+    h = np.where(u < extent + PLATEAU, _stairs_height(t, x), down)
     return np.where(u >= 0.0, h, 0.0)
 
 
@@ -147,13 +144,12 @@ class Heightmap:
     """Discrete grid patch of terrain heights, oriented to the horizontal frame.
 
     cells[i, j] is the height at the world point obtained by rotating the
-    grid offset ((i - (h_x-1)/2) * res, (j - (h_y-1)/2) * res) by ``yaw``
-    about gravity and translating by ``center``.  Every cell is a candidate
-    foothold (cell world x, y, stored height).
+    grid offset ((i - (h_x-1)/2) * r, (j - (h_y-1)/2) * r), r = MAP_RESOLUTION,
+    by ``yaw`` about gravity and translating by ``center``.  Every cell is a
+    candidate foothold (cell world x, y, stored height).
     """
 
     cells: np.ndarray
-    resolution: float
     center: tuple[float, float]
     yaw: float = 0.0
 
@@ -161,8 +157,6 @@ class Heightmap:
         self.cells = np.asarray(self.cells, dtype=np.float64)
         if self.cells.ndim != 2 or self.cells.size == 0:
             raise ValueError("heightmap cells must be a non-empty 2-D array")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be > 0")
 
     @property
     def h_x(self) -> int:
@@ -174,8 +168,8 @@ class Heightmap:
 
     def grid_offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid-frame x/y offsets of every cell, shape (h_x, h_y) each."""
-        ox = (np.arange(self.h_x) - (self.h_x - 1) / 2.0) * self.resolution
-        oy = (np.arange(self.h_y) - (self.h_y - 1) / 2.0) * self.resolution
+        ox = (np.arange(self.h_x) - (self.h_x - 1) / 2.0) * MAP_RESOLUTION
+        oy = (np.arange(self.h_y) - (self.h_y - 1) / 2.0) * MAP_RESOLUTION
         return np.meshgrid(ox, oy, indexing="ij")
 
     def world_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,30 +181,18 @@ class Heightmap:
         return wx, wy
 
 
-def check_patch_shape(h_x: int, h_y: int, resolution: float) -> None:
-    """Raise ValueError unless a (h_x, h_y) patch has odd positive sides,
-    so a unique center cell exists, and a finite resolution > 0."""
-    if min(h_x, h_y) < 1 or h_x % 2 == 0 or h_y % 2 == 0:
-        raise ValueError("heightmap dimensions must be odd and >= 1")
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError("resolution must be finite and > 0")
-
-
 def extract_heightmap(
     terrain: TerrainMap,
     center: tuple[float, float],
     yaw: float = 0.0,
     h_x: int = MAP_CELLS,
     h_y: int = MAP_CELLS,
-    resolution: float = MAP_RESOLUTION,
 ) -> Heightmap:
-    """Sample a (h_x, h_y) patch around ``center``, rotated by ``yaw``.
-
-    See :func:`check_patch_shape` for the valid shapes; the center cell
-    equals sample_height(center).
-    """
-    check_patch_shape(h_x, h_y, resolution)
-    hm = Heightmap(np.zeros((h_x, h_y)), resolution, (float(center[0]), float(center[1])), yaw)
+    """Sample a (h_x, h_y) patch around ``center``, rotated by ``yaw``; the
+    sides must be odd, and the center cell equals sample_height(center)."""
+    if min(h_x, h_y) < 1 or h_x % 2 == 0 or h_y % 2 == 0:
+        raise ValueError("heightmap dimensions must be odd and >= 1")
+    hm = Heightmap(np.zeros((h_x, h_y)), (float(center[0]), float(center[1])), yaw)
     wx, wy = hm.world_points()
     hm.cells = sample_height(terrain, wx, wy)
     return hm

@@ -98,27 +98,25 @@ class SafeFootholdFunction:
         return g.sum(axis=-1), -(g * r).sum(axis=-1) / self.width
 
 
-def fit_rbf(heights, counts, n_basis: int = RBF_COUNT) -> SafeFootholdFunction:
+def fit_rbf(heights, counts) -> SafeFootholdFunction:
     """Least-squares fit of RBF weights to counts sampled at ``heights``.
 
-    The ``n_basis`` centers are equidistant from the first height to the
+    The ``RBF_COUNT`` centers are equidistant from the first height to the
     last, and the width makes adjacent Gaussians intersect at value 0.5:
     sigma = (spacing/2) / sqrt(2 ln 2).  ``counts`` has shape
     (..., n_heights) and gives one model per leading index; all of them are
     fitted in one minimum-norm least-squares solve against one design
     matrix, so a rank-deficient design never fails.
     """
-    if n_basis < 2:
-        raise ValueError("need at least 2 basis functions")
     heights = np.asarray(heights, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
-    centers = np.linspace(heights[0], heights[-1], n_basis)
-    spacing = (heights[-1] - heights[0]) / (n_basis - 1)
+    centers = np.linspace(heights[0], heights[-1], RBF_COUNT)
+    spacing = (heights[-1] - heights[0]) / (RBF_COUNT - 1)
     width = (spacing / 2.0) / math.sqrt(2.0 * math.log(2.0))
     r = (heights[:, None] - centers) / width
     rhs = counts.reshape(-1, len(heights)).T
     weights, *_ = np.linalg.lstsq(np.exp(-0.5 * r * r), rhs, rcond=None)
-    return SafeFootholdFunction(weights.T.reshape(counts.shape[:-1] + (n_basis,)), centers, width)
+    return SafeFootholdFunction(weights.T.reshape(counts.shape[:-1] + (RBF_COUNT,)), centers, width)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +236,11 @@ def objective_batch(problem: PoseOptProblem, U) -> tuple[np.ndarray, np.ndarray]
     return value, grad.reshape(n, 3 * n_h)
 
 
-def _coarse_grid(lo: np.ndarray, hi: np.ndarray, max_pts: int = 13) -> np.ndarray:
+def _coarse_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     axes = []
     for d in range(3):
         span = hi[d] - lo[d]
-        n = int(min(max_pts, max(2, math.ceil(span / 0.04) + 1))) if span > 0 else 1
+        n = int(min(13, max(2, math.ceil(span / 0.04) + 1))) if span > 0 else 1
         axes.append(np.linspace(lo[d], hi[d], n))
     g = np.meshgrid(*axes, indexing="ij")
     return np.stack([a.ravel() for a in g], axis=1)

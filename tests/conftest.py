@@ -38,4 +38,4 @@ def forward_velocity():
 
 @pytest.fixture
 def gait():
-    return GaitParams(step_frequency=1.4, duty_factor=0.5, t_remaining=0.357)
+    return GaitParams(duty_factor=0.5, t_remaining=0.357)

@@ -20,6 +20,7 @@ from vital.fec import (
     TR_STD_MAX,
 )
 from vital.robot import swing_arc_z
+from vital.terrain import MAP_RESOLUTION
 
 NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -27,7 +28,7 @@ NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1
 def naive_tr(heightmap):
     h = heightmap.cells
     hx, hy = h.shape
-    res = heightmap.resolution
+    res = MAP_RESOLUTION
     out = np.zeros((hx, hy), dtype=bool)
     for i in range(hx):
         for j in range(hy):
@@ -79,7 +80,7 @@ class NaiveFec:
         self.hm = heightmap
         self.model = model
         hm = heightmap
-        self.res = hm.resolution
+        self.res = MAP_RESOLUTION
         self.hx, self.hy = hm.cells.shape
         gx = (np.arange(self.hx) - (self.hx - 1) / 2.0) * self.res
         gy = (np.arange(self.hy) - (self.hy - 1) / 2.0) * self.res
@@ -210,8 +211,8 @@ class NaiveFec:
 def _heights_in_grid(ev, gx, gy):
     """Nearest-cell heights under grid-frame points; flags in-grid."""
     hm = ev.heightmap
-    gi = np.floor(gx / hm.resolution + (0.5 + (hm.h_x - 1) / 2.0))
-    gj = np.floor(gy / hm.resolution + (0.5 + (hm.h_y - 1) / 2.0))
+    gi = np.floor(gx / MAP_RESOLUTION + (0.5 + (hm.h_x - 1) / 2.0))
+    gj = np.floor(gy / MAP_RESOLUTION + (0.5 + (hm.h_y - 1) / 2.0))
     ingrid = (gi >= 0) & (gi < hm.h_x) & (gj >= 0) & (gj < hm.h_y)
     ii = np.clip(gi.astype(np.intp), 0, hm.h_x - 1)
     jj = np.clip(gj.astype(np.intp), 0, hm.h_y - 1)

@@ -1,10 +1,15 @@
-"""The README documents the scenario keys that exist, and only those, and
-every column and metric of the output files."""
+"""The README documents the scenario keys that exist, and only those, the
+constants that stand for removed options, and every column and metric of
+the output files."""
 
 import dataclasses
 import os
 import re
 
+import vital.robot
+import vital.tbr
+import vital.terrain
+import vital.vpa
 from vital.sim import (
     COMPARISON_COLUMNS,
     CRITERIA,
@@ -44,6 +49,18 @@ DELETED_KEYS = (
     "vy",
 )
 
+# Library options that became module constants, by the module that holds
+# each one.
+FIXED_CONSTANTS = {
+    "GAP_WIDTH": vital.terrain,
+    "GAP_DEPTH": vital.terrain,
+    "PLATEAU": vital.terrain,
+    "MAP_RESOLUTION": vital.terrain,
+    "STEP_FREQUENCY": vital.robot,
+    "RBF_COUNT": vital.vpa,
+    "D_REF": vital.tbr,
+}
+
 
 def readme_section(title: str) -> str:
     with open(README) as fh:
@@ -61,6 +78,12 @@ def test_readme_names_no_deleted_key():
     named = set(re.findall(r"`(\w+)`", readme_section("Scenario keys")))
     assert named.isdisjoint(DELETED_KEYS)
     assert {f.name for f in dataclasses.fields(Scenario)}.isdisjoint(DELETED_KEYS)
+
+
+def test_readme_names_every_fixed_constant():
+    named = set(re.findall(r"`(\w+)`", readme_section("Scenario keys")))
+    assert [name for name, module in FIXED_CONSTANTS.items() if not hasattr(module, name)] == []
+    assert [name for name in FIXED_CONSTANTS if name not in named] == []
 
 
 def test_readme_names_every_output_column_and_metric():

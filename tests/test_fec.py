@@ -12,7 +12,7 @@ from vital.fec import (
     eval_tr,
 )
 from vital.robot import GaitParams, robot_preset
-from vital.terrain import Heightmap, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import MAP_RESOLUTION, Heightmap, TerrainMap, extract_heightmap, sample_height
 
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_erode, naive_tr
 
@@ -32,7 +32,7 @@ class TestTerrainRoughness:
         # single 0.10 m rise across one 0.02 m cell: slope 5 across the edge
         cells = np.zeros((9, 9))
         cells[5:, :] = 0.10
-        hm = Heightmap(cells, 0.02, (0.0, 0.0))
+        hm = Heightmap(cells, (0.0, 0.0))
         tr = eval_tr(hm)
         assert not tr[4].any() and not tr[5].any()
         assert tr[0].all() and tr[8].all()
@@ -40,13 +40,13 @@ class TestTerrainRoughness:
     def test_uniform_ramp_passes(self):
         # slope 0.2 along x stays under both thresholds
         x = np.arange(9)[:, None] * 0.02
-        hm = Heightmap(np.broadcast_to(0.2 * x, (9, 9)).copy(), 0.02, (0.0, 0.0))
+        hm = Heightmap(np.broadcast_to(0.2 * x, (9, 9)).copy(), (0.0, 0.0))
         assert eval_tr(hm).all()
 
     def test_matches_naive(self):
         rng = np.random.default_rng(5)
         cells = rng.uniform(0, 0.05, size=(9, 9))
-        hm = Heightmap(cells, 0.02, (0.0, 0.0))
+        hm = Heightmap(cells, (0.0, 0.0))
         np.testing.assert_array_equal(eval_tr(hm), naive_tr(hm))
 
 
@@ -107,14 +107,14 @@ class TestCriteriaOnFlat:
         # advanced well past the lip and the shin cuts through it
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=3, start_x=0.1)
         velocity = np.array([0.6, 0.0])
-        gait = GaitParams(1.0, 0.6, 0.2)
+        gait = GaitParams(duty_factor=0.6, t_remaining=0.2)
         hm = extract_heightmap(stairs, (0.06, 0.0), 0.0, h_x=9, h_y=9)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
         ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, current_foot=np.array([-0.2, 0.0, 0.0]))
         ok = ev.lc_grid(0.42)[4, 4]
         # oracle: densely sample the final stance instant's segment
-        hip_end = np.array([-0.15 + 0.6 * (0.2 + 0.6), 0.0, 0.42])
+        hip_end = np.array([-0.15 + 0.6 * (0.2 + gait.stance_duration), 0.0, 0.42])
         foot = np.array([0.06, 0.0, 0.0])
         grazed = False
         for s in np.linspace(0, 1, 2001):
@@ -122,8 +122,8 @@ class TestCriteriaOnFlat:
             if np.hypot(q[0] - foot[0], q[1] - foot[1]) <= model.foot_radius:
                 continue
             # nearest cell of the yaw-0 map centred at (0.06, 0)
-            i = int(np.floor((q[0] - 0.06) / hm.resolution + 0.5 + 4))
-            j = int(np.floor(q[1] / hm.resolution + 0.5 + 4))
+            i = int(np.floor((q[0] - 0.06) / MAP_RESOLUTION + 0.5 + 4))
+            j = int(np.floor(q[1] / MAP_RESOLUTION + 0.5 + 4))
             if 0 <= i < 9 and 0 <= j < 9 and q[2] - hm.cells[i, j] < LC_CLEARANCE:
                 grazed = True
                 break
@@ -137,14 +137,16 @@ class TestCriteriaOnFlat:
         assert not origin_evaluator(flat, zero_velocity, gait, model).kf_grid(1.9).any()
 
     def test_kf_sunken_tread_out_of_reach(self, model, zero_velocity, gait):
-        # a tread 0.10 m below the surroundings pushes touchdown past r_max
-        terrain = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.4, n_steps=2,
-                             start_x=-10.0, gap_width=0.4, gap_depth=0.85)
-        hm = extract_heightmap(terrain, (-9.8, 0.0), 0.0, h_x=9, h_y=9)
+        # a gap 1 m below its tread pushes touchdown past r_max; the tread
+        # cell of the first row, beside the lift-off foot, stays in reach
+        terrain = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.4, n_steps=2, start_x=-10.0)
+        hm = extract_heightmap(terrain, (-9.64, 0.0), 0.0, h_x=9, h_y=9)
         low = np.argwhere(hm.cells < -0.5)
-        assert len(low) > 0
+        assert len(low) > 0 and hm.cells[0, 4] == 0.10
         i, j = low[0]
-        assert not FecEvaluator(hm, (-9.8, 0.0), zero_velocity, gait, model).kf_grid(0.74)[i, j]
+        foot = np.array([-9.7, 0.0, 0.10])
+        kf = FecEvaluator(hm, (-9.64, 0.0), zero_velocity, gait, model, current_foot=foot).kf_grid(0.74)
+        assert not kf[i, j] and kf[0, 4]
 
     def test_kf_last_arc_sample_inside_r_min(self, flat, model, zero_velocity, gait):
         # Touchdown is 0.3005 m from the hip and arc sample 9/11 is 0.3011 m,
@@ -174,12 +176,13 @@ class TestCriteriaOnFlat:
         assert origin_evaluator(flat, zero_velocity, gait, model, current_foot=foot).fc.all()
 
     def test_fc_tall_riser_blocks_arc(self, model, zero_velocity, gait):
-        # a wall taller than the arc apex between the foot and the candidate
-        terrain = TerrainMap(kind="composite", rise=0.40, going=0.14, n_steps=1,
-                             start_x=0.07, plateau=0.0)
+        # a 0.40 m wall, taller than the arc apex, across x = 0.08..0.20 m
+        # between the foot and the candidate
+        cells = np.zeros((33, 33))
+        cells[20:27] = 0.40
         foot = np.array([-0.06, 0.0, 0.0])
-        ev = origin_evaluator(terrain, zero_velocity, gait, model, h=33, current_foot=foot)
-        hm = ev.heightmap
+        hm = Heightmap(cells, (0.0, 0.0))
+        ev = FecEvaluator(hm, (0.0, 0.0), zero_velocity, gait, model, current_foot=foot)
         # candidate on ground level beyond the wall: the arc must cross it
         assert hm.cells[31, 16] == 0.0
         fc = ev.fc
@@ -252,7 +255,7 @@ class TestOracleEquivalence:
         yaw = rng.uniform(-np.pi, np.pi)
         z_h = rng.uniform(0.4, 0.75)
         velocity = np.array([rng.uniform(-0.3, 0.5), rng.uniform(-0.2, 0.2)])
-        gait = GaitParams(1.4, 0.5, rng.uniform(0.05, 0.4))
+        gait = GaitParams(duty_factor=0.5, t_remaining=rng.uniform(0.05, 0.4))
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         hip = (center[0] + rng.uniform(-0.05, 0.05), center[1] + rng.uniform(-0.05, 0.05))
         fast = eval_fec(hm, (*hip, z_h), velocity, gait, model)
@@ -289,7 +292,7 @@ class TestOracleProperties:
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
         hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
-        gait = GaitParams(1.4, 0.5, t_remaining)
+        gait = GaitParams(duty_factor=0.5, t_remaining=t_remaining)
         foot = None
         if foot_offset is not None:
             xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
@@ -311,9 +314,8 @@ class TestReferenceLoops:
     TERRAINS = {
         "stairs": dict(kind="stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.2),
         "rough": dict(kind="rough", cell=0.2, amplitude=0.15, seed=4),
-        "composite": dict(kind="composite", rise=0.12, going=0.2, n_steps=3, start_x=0.1, plateau=0.3),
-        "gapped_stairs": dict(kind="gapped_stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.1,
-                              gap_width=0.08, gap_depth=1.0),
+        "composite": dict(kind="composite", rise=0.12, going=0.2, n_steps=3, start_x=0.1),
+        "gapped_stairs": dict(kind="gapped_stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.1),
     }
 
     @pytest.mark.parametrize("kind", TERRAINS)
@@ -324,7 +326,7 @@ class TestReferenceLoops:
         center = (0.42, 0.05)
         hm = extract_heightmap(terrain, center, 0.3)
         velocity = np.array([0.3, 0.08])
-        gait = GaitParams(1.4, 0.5, 0.3)
+        gait = GaitParams(duty_factor=0.5, t_remaining=0.3)
         foot_xy = (center[0] + foot_dx, center[1] - 0.04)
         foot = np.array([*foot_xy, sample_height(terrain, *foot_xy)])
         ev = FecEvaluator(hm, (center[0] + hip_dx, center[1] + 0.02), velocity, gait, model, foot)
@@ -344,8 +346,8 @@ class TestReferenceLoops:
         # any one of them out of the LC threshold changes it.
         cells = np.zeros((33, 33))
         cells[16, 20] = 0.3
-        hm = Heightmap(cells, 0.02, (0.0, 0.0))
-        ev = FecEvaluator(hm, (0.0, 0.0), np.array([0.0, 0.5]), GaitParams(1.4, 0.5, 0.1), model)
+        hm = Heightmap(cells, (0.0, 0.0))
+        ev = FecEvaluator(hm, (0.0, 0.0), np.array([0.0, 0.5]), GaitParams(duty_factor=0.5, t_remaining=0.1), model)
         full = loop_lc_threshold(ev)
         np.testing.assert_array_equal(ev.lc_threshold, full)
         n_swing = LC_TIME_SAMPLES - 1

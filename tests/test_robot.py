@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from vital.robot import (
     GaitParams,
-    RobotModel,
     hip_height_from,
     nominal_foothold,
     robot_preset,
@@ -60,10 +60,10 @@ class TestNominalFoothold:
         np.testing.assert_allclose(p, [1.0, 0.5, 0.0])
 
     def test_velocity_lookahead_offset(self, flat):
-        gait = GaitParams(step_frequency=1.0, duty_factor=0.5, t_remaining=0.25)
+        gait = GaitParams(duty_factor=0.5, t_remaining=0.25)
         p = nominal_foothold((0.0, 0.0, 0.6), np.array([0.2, 0.0]), gait, flat)
-        # lookahead = t_remaining + half the stance = 0.25 + 0.25
-        assert p[0] == pytest.approx(0.2 * 0.5)
+        # lookahead = t_remaining + half the stance = 0.25 + 0.5 * 0.5 / 1.4
+        assert p[0] == pytest.approx(0.2 * (0.25 + 0.25 / 1.4))
         assert p[1] == 0.0
 
     def test_height_snaps_to_tread(self, stairs, gait):
@@ -117,18 +117,16 @@ class TestModelValidation:
     def test_asymmetric_hips_rejected(self):
         bad = [[0.3, 0.2, 0], [0.3, -0.25, 0], [-0.3, 0.2, 0], [-0.3, -0.2, 0]]
         with pytest.raises(ValueError):
-            RobotModel(np.array(bad))
+            dataclasses.replace(robot_preset("hyq-like"), hip_offsets=np.array(bad))
 
     def test_shell_ordering_enforced(self):
-        offs = robot_preset("hyq-like").hip_offsets
         with pytest.raises(ValueError):
-            RobotModel(offs, r_min=0.8, r_max=0.5)
+            dataclasses.replace(robot_preset("hyq-like"), r_min=0.8, r_max=0.5)
 
     def test_gait_durations(self):
-        g = GaitParams(step_frequency=2.0, duty_factor=0.6, t_remaining=0.0)
-        assert g.stance_duration == pytest.approx(0.3)
-        assert g.swing_duration == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            GaitParams(step_frequency=0.0)
+        # At 1.4 Hz a cycle lasts 1 / 1.4 s: 3/7 s of stance and 2/7 s of swing.
+        g = GaitParams(duty_factor=0.6, t_remaining=0.0)
+        assert g.stance_duration == pytest.approx(3 / 7)
+        assert g.swing_duration == pytest.approx(2 / 7)
         with pytest.raises(ValueError):
             GaitParams(duty_factor=1.0)

@@ -10,7 +10,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import vital.sim as sim
 from vital.cli import main as cli_main
 from vital.fec import FC_ARC_SAMPLES, FC_CLEARANCE, FecEvaluator
-from vital.robot import swing_points
+from vital.robot import STEP_FREQUENCY, swing_points
 from vital.sim import (
     PLANNERS,
     TAU_TRACK,
@@ -86,7 +86,7 @@ class TestScenarioConfig:
         np.testing.assert_allclose(np.diff(setup.heights), 0.02, atol=1e-12)
         # horizon steps are half the 33-cell, 0.02-m heightmap apart
         assert sim.DELTA_H == pytest.approx(0.33)
-        assert setup.gait.duty_factor == 0.5 and setup.gait.step_frequency == 1.4
+        assert setup.gait.duty_factor == 0.5 and STEP_FREQUENCY == 1.4
         assert sim.RunSetup(Scenario(gait="crawl")).gait.duty_factor == 0.8
 
 
@@ -525,6 +525,8 @@ class TestCli:
             "seed=-1",
             "q=0",
             "duration=0.004",
+            "duration=1e307",
+            "planner_rate=1e-320",
             *DELETED_KEY_VALUES,
         ],
     )

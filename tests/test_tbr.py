@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vital.robot import hip_height_from
-from vital.tbr import tbr_pose
+from vital.tbr import D_REF, tbr_pose
 
 
 def normal(pose):
@@ -17,7 +17,7 @@ def normal(pose):
 class TestTbrPose:
     def test_level_footholds_identity_reference(self):
         feet = np.array([[0.4, 0.3, 0.0], [0.4, -0.3, 0.0], [-0.4, 0.3, 0.0], [-0.4, -0.3, 0.0]])
-        z_b, roll, pitch = tbr_pose(feet, height_offset=0.55)
+        z_b, roll, pitch = tbr_pose(feet)
         assert roll == pytest.approx(0.0, abs=1e-12)
         assert pitch == pytest.approx(0.0, abs=1e-12)
         assert z_b == pytest.approx(0.55)
@@ -31,7 +31,7 @@ class TestTbrPose:
             [-0.4, 0.3, -0.08],
             [-0.4, -0.3, -0.08],
         ])
-        z_b, roll, pitch = tbr_pose(feet, height_offset=0.55)
+        z_b, roll, pitch = tbr_pose(feet)
         assert pitch == pytest.approx(-math.atan(0.2), abs=1e-9)
         assert roll == pytest.approx(0.0, abs=1e-12)
         front = hip_height_from(z_b, roll, pitch, (0.4, 0.3, 0.0))
@@ -46,7 +46,7 @@ class TestTbrPose:
             [-0.4, 0.3, 0.03],
             [-0.4, -0.3, -0.03],
         ])
-        z_b, roll, pitch = tbr_pose(feet, height_offset=0.5)
+        z_b, roll, pitch = tbr_pose(feet)
         assert pitch == pytest.approx(0.0, abs=1e-12)
         assert abs(roll) == pytest.approx(math.asin(0.1 / math.sqrt(1.01)), abs=1e-9)
         left = hip_height_from(z_b, roll, pitch, (0.4, 0.3, 0.0))
@@ -61,7 +61,7 @@ class TestTbrPose:
             x, y = rng.uniform(-0.5, 0.5, size=2)
             pts.append([x, y, a * x + b * y + c])
         pts = np.array(pts)
-        n = normal(tbr_pose(pts, height_offset=0.0))
+        n = normal(tbr_pose(pts))
         # residuals of the fitted plane are zero for coplanar inputs
         d = n @ np.array([0.0, 0.0, c])  # plane passes through (0, 0, c)
         for p in pts:
@@ -91,6 +91,6 @@ class TestTbrPose:
 
     def test_height_is_centroid_plus_offset(self):
         feet = np.array([[0.4, 0.3, 0.3], [0.4, -0.3, 0.2], [-0.4, 0.3, 0.1], [-0.4, -0.3, 0.2]])
-        pose = tbr_pose(feet, height_offset=0.6)
+        pose = tbr_pose(feet)
         assert pose.shape == (3,)
-        assert pose[0] == pytest.approx(0.2 + 0.6)
+        assert pose[0] == pytest.approx(0.2 + D_REF)

@@ -41,16 +41,14 @@ class TestSampleHeight:
         assert np.all(np.abs(hs) <= 0.03 + 1e-12)
 
     def test_gapped_stairs_reads_below_tread(self):
-        t = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.25, n_steps=5,
-                       start_x=0.0, gap_width=0.08, gap_depth=1.0)
+        t = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.25, n_steps=5, start_x=0.0)
         tread = sample_height(t, 0.30, 0.0)
         gap = sample_height(t, 0.45, 0.0)  # last 8 cm of the second tread
         assert tread == pytest.approx(0.20)
         assert gap == pytest.approx(0.20 - 1.0)
 
     def test_composite_up_plateau_down(self):
-        t = TerrainMap(kind="composite", rise=0.10, going=0.25, n_steps=5,
-                       start_x=0.0, plateau=0.5)
+        t = TerrainMap(kind="composite", rise=0.10, going=0.25, n_steps=5, start_x=0.0)
         assert sample_height(t, -0.1, 0.0) == 0.0
         assert sample_height(t, 1.0, 0.0) == pytest.approx(0.50)  # top
         assert sample_height(t, 1.5, 0.0) == pytest.approx(0.50)  # plateau end

@@ -9,6 +9,7 @@ import vital.vpa
 from vital.robot import robot_preset
 from vital.terrain import TerrainMap, extract_heightmap
 from vital.vpa import (
+    RBF_COUNT,
     PoseOptProblem,
     SafeFootholdFunction,
     feasible_box,
@@ -31,9 +32,16 @@ def value(f, z):
     return f.value_and_slope(z)[0]
 
 
-def basis(n_basis, heights=HEIGHTS):
-    """The centers and width that ``fit_rbf`` gives ``n_basis`` Gaussians."""
-    fitted = fit_rbf(heights, np.zeros(len(heights)), n_basis=n_basis)
+def basis(n):
+    """Centers and width of ``n`` Gaussians laid out by ``fit_rbf``'s rule:
+    from the first of HEIGHTS to the last, adjacent ones intersecting at 0.5."""
+    spacing = (HEIGHTS[-1] - HEIGHTS[0]) / (n - 1)
+    return np.linspace(HEIGHTS[0], HEIGHTS[-1], n), (spacing / 2.0) / math.sqrt(2.0 * math.log(2.0))
+
+
+def fitted_basis(heights=HEIGHTS):
+    """The centers and width of the Gaussians that ``fit_rbf`` fits."""
+    fitted = fit_rbf(heights, np.zeros(len(heights)))
     return fitted.centers, fitted.width
 
 
@@ -88,39 +96,35 @@ def dense_grid_best(problem, step=0.005):
 
 class TestRbfBasis:
     def test_widths_match_intersection_rule(self):
-        centers, width = basis(3)
-        np.testing.assert_allclose(centers, [0.2, 0.5, 0.8], atol=1e-12)
-        assert width == pytest.approx(0.15 / math.sqrt(2 * math.log(2)), abs=1e-15)
+        centers, width = fitted_basis()
+        np.testing.assert_allclose(np.diff(centers), 0.6 / 29, atol=1e-12)
+        assert width == pytest.approx(0.3 / 29 / math.sqrt(2 * math.log(2)), abs=1e-15)
         # adjacent Gaussians intersect at value 0.5
-        mid = 0.35
-        g = math.exp(-0.5 * ((mid - 0.2) / width) ** 2)
+        mid = (centers[0] + centers[1]) / 2
+        g = math.exp(-0.5 * ((mid - centers[0]) / width) ** 2)
         assert g == pytest.approx(0.5, abs=1e-12)
 
     def test_default_count_centers(self):
-        centers, width = basis(30)
-        assert len(centers) == 30
+        centers, width = fitted_basis()
+        assert len(centers) == RBF_COUNT == 30
         spacing = centers[1] - centers[0]
         assert width == pytest.approx((spacing / 2) / math.sqrt(2 * math.log(2)))
 
     def test_centers_span_the_heights(self):
-        centers, width = basis(7, np.linspace(0.3, 0.6, 16))
+        centers, width = fitted_basis(np.linspace(0.3, 0.6, 16))
         assert centers[0] == 0.3 and centers[-1] == 0.6
-        np.testing.assert_allclose(np.diff(centers), 0.05, atol=1e-12)
-        assert width == pytest.approx(0.025 / math.sqrt(2 * math.log(2)), abs=1e-15)
-
-    def test_fewer_than_two_bases_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 basis functions"):
-            basis(1)
+        np.testing.assert_allclose(np.diff(centers), 0.3 / 29, atol=1e-12)
+        assert width == pytest.approx(0.15 / 29 / math.sqrt(2 * math.log(2)), abs=1e-15)
 
 
 class TestFitRbf:
     def test_model_class_recovery(self):
         rng = np.random.default_rng(21)
-        centers, width = basis(5)
-        w_true = rng.uniform(-2, 5, size=5)
+        centers, width = fitted_basis()
+        w_true = rng.uniform(-2, 5, size=30)
         truth = SafeFootholdFunction(w_true, centers, width)
         z = np.linspace(0.2, 0.8, 31)
-        fitted = fit_rbf(z, value(truth, z), n_basis=5)
+        fitted = fit_rbf(z, value(truth, z))
         assert np.max(np.abs(fitted.weights - w_true)) < 1e-8
         rmse = np.sqrt(np.mean((value(fitted, z) - value(truth, z)) ** 2))
         assert rmse < 1e-8
@@ -133,7 +137,7 @@ class TestFitRbf:
 
     def test_rank_deficient_minimum_norm(self):
         # two samples with 30 basis functions: underdetermined, must not fail
-        f = fit_rbf([0.4, 0.6], [10.0, 12.0], n_basis=30)
+        f = fit_rbf([0.4, 0.6], [10.0, 12.0])
         assert value(f, 0.4) == pytest.approx(10.0, abs=1e-6)
         assert value(f, 0.6) == pytest.approx(12.0, abs=1e-6)
 
