@@ -19,16 +19,18 @@ contacts.
 :class:`RunSetup` is the one place a scenario becomes run inputs; a
 :class:`Scenario` validates itself by building one.  A scenario sets what
 the experiments vary: terrain, robot, gait, forward speed, yaw rate,
-planner, cost, horizon, pose and rate boxes, duration and rates.  What none
-of them varies is defined once: here the gaits (:data:`GAITS`), the swept
-hip heights, the horizon spacing and the pose tracking lag; elsewhere the
-heightmap and terrain constants of :mod:`vital.terrain`, the step frequency
-``vital.robot.STEP_FREQUENCY``, the start height ``vital.tbr.D_REF`` and
-the cost and RBF constants of :mod:`vital.vpa`.  Pose evaluation sweeps
-the hip-height array relative to the ground under the centre cell of each
-leg's heightmap (:func:`vital.vpa.pose_evaluation`).  The planner fits one
-RBF model of count vs hip height above that per-leg ground, and uses the
-ground for the model's input, the held NSF and the shift of the pose box.
+planner, cost, horizon, the roll and pitch bounds of the pose box, the rate
+box, duration and rates.  What none of them varies is defined once: here
+the gaits (:data:`GAITS`), the swept hip heights, which also bound the pose
+box's base height, the horizon spacing and the pose tracking lag; elsewhere
+the heightmap and terrain constants of :mod:`vital.terrain`, the step
+frequency ``vital.robot.STEP_FREQUENCY``, the start height
+``vital.tbr.D_REF`` and the cost and RBF constants of :mod:`vital.vpa`.
+Pose evaluation sweeps the hip-height array relative to the ground under
+the centre cell of each leg's heightmap
+(:func:`vital.vpa.pose_evaluation`).  The planner fits one RBF model of
+count vs hip height above that per-leg ground, and uses the ground for the
+model's input, the held NSF and the shift of the pose box.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .vpa import (
     COST_KINDS,
     MARGIN,
     PoseOptProblem,
-    check_pose_box,
     fit_rbf,
     optimize_pose_receding,
     pose_evaluation,
@@ -116,8 +117,6 @@ class Scenario:
     du_z: float = 0.02
     du_roll: float = 0.02
     du_pitch: float = 0.02
-    u_z_min: float = 0.2
-    u_z_max: float = 0.8
     u_roll_max: float = 0.35
     u_pitch_max: float = 0.35
     # harness
@@ -148,6 +147,8 @@ class Scenario:
             raise ConfigError("duration must be at least one tick")
         if min(self.du_z, self.du_roll, self.du_pitch) < 0:
             raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
+        if min(self.u_roll_max, self.u_pitch_max) < 0:
+            raise ConfigError("u_roll_max and u_pitch_max must be >= 0")
         if not (self.step_height > 0 or self.step_height == -1.0):
             raise ConfigError("step_height must be > 0, or -1 for the robot's default")
         if self.horizon < 1:
@@ -266,9 +267,8 @@ class RunSetup:
         # t_remaining is set per use.
         self.gait = GaitParams(duty_factor=GAITS[sc.gait][1])
         self.heights = np.linspace(ZH_MIN, ZH_MAX, ZH_COUNT)
-        self.u_min = np.array([sc.u_z_min, -sc.u_roll_max, -sc.u_pitch_max])
-        self.u_max = np.array([sc.u_z_max, sc.u_roll_max, sc.u_pitch_max])
-        check_pose_box(self.u_min, self.u_max)
+        self.u_min = np.array([ZH_MIN, -sc.u_roll_max, -sc.u_pitch_max])
+        self.u_max = np.array([ZH_MAX, sc.u_roll_max, sc.u_pitch_max])
         self.du = np.array([sc.du_z, sc.du_roll, sc.du_pitch])
 
     def velocity(self, yaw: float) -> np.ndarray:
@@ -480,7 +480,7 @@ def run_scenario(
     # The base starts near the origin, heading along +x.
     base = np.array([float(rng.uniform(-0.05, 0.05)), 0.0])
     yaw = 0.0
-    ref = np.array([float(np.clip(D_REF, setup.u_min[0], setup.u_max[0])), 0.0, 0.0])
+    ref = np.array([D_REF, 0.0, 0.0])
     actual = ref.copy()
 
     dt = 1.0 / scenario.tick_rate
@@ -638,11 +638,11 @@ COMPARED_METRICS = (
 )
 
 
-def compare_scenarios(a: Scenario, b: Scenario, factor: str, out_dir: str | None = None) -> list[tuple]:
+def compare_scenarios(a: Scenario, b: Scenario, factor: str, out_dir: str) -> list[tuple]:
     """Run two scenarios that differ only in ``factor`` (comma-separated
-    field names) and tabulate paired aggregates with deltas.  With
-    ``out_dir`` the directory is created before the runs and the table is
-    written to ``comparison.csv`` in it."""
+    field names) and tabulate paired aggregates with deltas.  ``out_dir`` is
+    created before the runs, and the table is written to ``comparison.csv``
+    in it."""
     allowed = {name.strip() for name in factor.split(",") if name.strip()}
     keys = [f.name for f in dataclasses.fields(Scenario)]
     unknown = allowed.difference(keys)
@@ -651,12 +651,10 @@ def compare_scenarios(a: Scenario, b: Scenario, factor: str, out_dir: str | None
     bad = {key for key in keys if getattr(a, key) != getattr(b, key) and key not in allowed}
     if bad:
         raise ConfigError(f"scenarios differ outside the compared factor: {sorted(bad)}")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     agg_a, agg_b = run_scenario(a).aggregates(), run_scenario(b).aggregates()
     table = [(name, agg_a[name], agg_b[name], agg_b[name] - agg_a[name]) for name in COMPARED_METRICS]
-    if out_dir is not None:
-        write_text(os.path.join(out_dir, "comparison.csv"), comparison_csv(table))
+    write_text(os.path.join(out_dir, "comparison.csv"), comparison_csv(table))
     return table
 
 

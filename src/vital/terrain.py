@@ -50,6 +50,8 @@ class TerrainMap:
         if self.kind in ("stairs", "gapped_stairs", "composite"):
             if self.rise <= 0 or self.going <= 0 or self.n_steps < 1:
                 raise ValueError("stairs need rise > 0, going > 0, n_steps >= 1")
+        if self.kind == "gapped_stairs" and self.going <= GAP_WIDTH:
+            raise ValueError(f"gapped_stairs need going > GAP_WIDTH ({GAP_WIDTH} m), or every tread is gap")
         if self.kind == "rough" and (self.cell <= 0 or self.amplitude < 0):
             raise ValueError("rough terrain needs cell > 0 and amplitude >= 0")
 

@@ -124,12 +124,6 @@ def fit_rbf(heights, counts) -> SafeFootholdFunction:
 # ---------------------------------------------------------------------------
 
 
-def check_pose_box(u_min, u_max) -> None:
-    """Raise ValueError unless every lower pose bound is <= its upper one."""
-    if np.any(np.asarray(u_min) > np.asarray(u_max)):
-        raise ValueError("u_min must be <= u_max")
-
-
 @dataclass
 class PoseOptProblem:
     """Box-constrained pose maximization problem.
@@ -163,7 +157,8 @@ class PoseOptProblem:
             raise ValueError(f"unknown cost kind {self.cost!r}")
         for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        check_pose_box(self.u_min, self.u_max)
+        if np.any(self.u_min > self.u_max):
+            raise ValueError("u_min must be <= u_max")
 
     @property
     def n_horizons(self) -> int:

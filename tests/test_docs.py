@@ -1,8 +1,9 @@
 """The README documents the scenario keys that exist, and only those, the
 constants that stand for removed options, and every column and metric of
-the output files."""
+the output files; every ``vital.`` path it names can be imported."""
 
 import dataclasses
+import importlib
 import os
 import re
 
@@ -47,6 +48,8 @@ DELETED_KEYS = (
     "step_frequency",
     "duty_factor",
     "vy",
+    "u_z_min",
+    "u_z_max",
 )
 
 # Library options that became module constants, by the module that holds
@@ -102,3 +105,21 @@ def test_readme_names_every_output_column_and_metric():
         *metrics,
     )
     assert [name for name in expected if name not in named] == []
+
+
+def test_readme_names_only_importable_paths():
+    """Each backticked ``vital.<module>`` or ``vital.<module>.<name>``
+    resolves; the package itself exports no names."""
+    with open(README) as fh:
+        paths = set(re.findall(r"`(vital(?:\.\w+)+)`", fh.read()))
+
+    def resolves(path: str) -> bool:
+        try:
+            importlib.import_module(path)
+            return True
+        except ImportError:
+            module, _, name = path.rpartition(".")
+            return module != "vital" and hasattr(importlib.import_module(module), name)
+
+    assert paths
+    assert sorted(path for path in paths if not resolves(path)) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vital.terrain import TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import GAP_WIDTH, TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
 
 
 class TestSampleHeight:
@@ -58,6 +58,13 @@ class TestSampleHeight:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TerrainMap(kind="lava")
+
+    def test_gapped_stairs_need_a_tread_wider_than_the_gap(self):
+        # With going <= GAP_WIDTH every point of every tread is gap.
+        with pytest.raises(ValueError, match="GAP_WIDTH"):
+            TerrainMap(kind="gapped_stairs", going=GAP_WIDTH)
+        t = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.1, n_steps=5, start_x=0.0)
+        assert sample_height(t, 0.01, 0.0) == pytest.approx(0.10)
 
 
 class TestExtractHeightmap:
