@@ -25,14 +25,17 @@ module, which needs no scipy.
 
 The evaluator caches everything that does not depend on the hip height.
 The LC clearance grows with the hip height, which reduces LC to a per-cell
-hip-height threshold grid, built in one pass per segment sample over the
-stacked swing and stance instants.  Grid x depends only on the row and
-grid y only on the column, so sampled points and cell indices are computed
-per row and per column; only the lookups are full-size.  They read a copy
-of the map with a one-cell -inf border, so points off the map are exempt
-without a mask.  The stance instants share the foot, so their heights are
-maxed before one transform to a threshold.  A sweep over many hip heights
-(pose evaluation) stacks their conjunctions and erodes them in one call.
+hip-height threshold grid.  Grid x depends only on the row and grid y only
+on the column, so the segment points of all samples, and the row and column
+parts of their cell indices, are computed per row and per column in one
+call.  Each segment sample then makes a few full-size passes over the
+stacked swing and stance instants: the parts summed into one narrow-int
+index buffer, the foot-radius exemption in place, a lookup into a buffer and
+the transform to a threshold.  The lookups read a copy of the map with a
+one-cell -inf border that every index is clamped into, so points off the map
+are exempt without a mask.  The stance instants share the foot, so their
+heights are maxed before one transform.  A sweep over many hip heights (pose
+evaluation) stacks their conjunctions and erodes them in one call.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ class FecEvaluator:
         gx, gy = hm.grid_offsets()
         self.gx, self.gy = gx[:, :1], gy[:1]
         self.Z = hm.cells
-        # Row-major heights with a one-cell -inf border, for _cell_index.
+        # Row-major heights with a one-cell -inf border, for _index_parts.
         self._bordered = np.pad(self.Z, 1, constant_values=-np.inf).ravel()
         self._i0 = 0.5 + (hm.h_x - 1) / 2.0
         self._j0 = 0.5 + (hm.h_y - 1) / 2.0
@@ -170,23 +173,27 @@ class FecEvaluator:
         dy = p_xy[1] - hm.center[1]
         return np.array([c * dx + s * dy, -s * dx + c * dy])
 
-    def _cell_index(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """Flat index, into the -inf-bordered map, of the nearest cell under
-        each grid-frame point.  ``gx`` varies along rows and ``gy`` along
-        columns (shapes (..., h_x, 1) and (..., 1, h_y)), so the arithmetic
-        runs per row and per column and only the sum is full-size.  Off-map
-        points index the border, so they read -inf and pass every clearance
-        test."""
+    def _index_parts(self, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column parts, in the narrowest unsigned type that holds
+        them, of the flat index into the -inf-bordered map of the nearest
+        cell under each grid-frame point.  ``gx`` varies along rows and ``gy``
+        along columns (shapes (..., h_x, 1) and (..., 1, h_y)), so all the
+        arithmetic runs per row and per column.  Rows and columns, NaN too,
+        are clamped into the border, so off-map points read -inf and pass
+        every clearance test, and every sum of the parts lies in
+        [0, bordered size): a take with ``mode="wrap"`` never wraps."""
         hm = self.heightmap
         gi = gx / MAP_RESOLUTION
         gi += self._i0
         gj = gy / MAP_RESOLUTION
         gj += self._j0
-        np.clip(np.floor(gi, out=gi), -1, hm.h_x, out=gi)
-        np.clip(np.floor(gj, out=gj), -1, hm.h_y, out=gj)
+        np.fmin(np.fmax(np.floor(gi, out=gi), -1, out=gi), hm.h_x, out=gi)
+        np.fmin(np.fmax(np.floor(gj, out=gj), -1, out=gj), hm.h_y, out=gj)
+        gi += 1
         gi *= hm.h_y + 2
-        gj += hm.h_y + 3
-        return gi.astype(np.intp) + gj.astype(np.intp)
+        gj += 1
+        dtype = np.min_scalar_type(self._bordered.size - 1)
+        return gi.astype(dtype), gj.astype(dtype)
 
     # -- static tables -------------------------------------------------
 
@@ -200,7 +207,8 @@ class FecEvaluator:
         arc_x = (self._lo_gx + (self.gx - self._lo_gx) * s)[1:-1]
         arc_y = (self._lo_gy + (self.gy - self._lo_gy) * s)[1:-1]
         self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.model.step_height)[1:-1]
-        hq = self._bordered.take(self._cell_index(arc_x, arc_y))
+        rows, cols = self._index_parts(arc_x, arc_y)
+        hq = self._bordered.take(rows + cols, mode="wrap")
         self.fc = np.all(self.arc_z - hq >= FC_CLEARANCE, axis=0)
 
         self.td_planar2 = (self.gx - self.hip_td[0]) ** 2 + (self.gy - self.hip_td[1]) ** 2
@@ -213,9 +221,12 @@ class FecEvaluator:
         """Per-cell hip-height threshold above which the leg segment keeps
         the required clearance at every sampled instant and segment point.
         The clearance grows with the hip height, so LC reduces to this
-        threshold comparison.  The stance instants share the foot, so
-        z* = ((h + clear) + g Z) / g is one non-decreasing map of their
-        looked-up heights h, and the max of z* is that map of the max h."""
+        threshold comparison.  One :meth:`_index_parts` call indexes every
+        segment sample; each sample sums its parts into one buffer, zeroes
+        exempt indices in place and takes the heights into another.  The
+        stance instants share the foot, so z* = ((h + clear) + g Z) / g is
+        one non-decreasing map of their looked-up heights h, and the max of
+        z* is that map of the max h."""
         n_t = LC_TIME_SAMPLES
         frac = np.linspace(0.0, 1.0, n_t)
         s = frac[1:, None, None]
@@ -239,13 +250,16 @@ class FecEvaluator:
         clear = LC_CLEARANCE - fz
         thresh = np.full(fz.shape, -np.inf)
         # Skip g = 0: the foot endpoint is always inside its own exemption.
-        for g in np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]:
-            idx = self._cell_index(fx + dhx * g, fy + dhy * g)
+        gs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:, None, None, None]
+        rows, cols = self._index_parts(fx + dhx * gs, fy + dhy * gs)
+        idx, h = np.empty(span.shape, rows.dtype), np.empty(span.shape)
+        for g, i_part, j_part in zip(gs.ravel(), rows, cols):
+            np.add(i_part, j_part, out=idx)
             # Points within the foot radius (planar) of the foot are exempt:
             # index 0 is a border cell, so they read -inf like the points
             # off the map, and their z* is -inf.
             idx *= span * g > self.model.foot_radius
-            h = self._bordered.take(idx)
+            self._bordered.take(idx, out=h, mode="wrap")
             z_star = h[:n_t]
             np.max(h[n_t - 1 :], axis=0, out=z_star[-1])
             z_star += clear

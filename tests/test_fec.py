@@ -5,6 +5,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from vital.fec import (
     EROSION_RADIUS,
     LC_CLEARANCE,
+    LC_SEGMENT_SAMPLES,
     LC_TIME_SAMPLES,
     FecEvaluator,
     erode_safe_set,
@@ -353,3 +354,70 @@ class TestReferenceLoops:
         n_swing = LC_TIME_SAMPLES - 1
         for k in range(n_swing, n_swing + LC_TIME_SAMPLES):
             assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
+
+
+class _RecordingMap(np.ndarray):
+    """A bordered map that keeps a copy of every index array taken from it."""
+
+    def take(self, indices, *args, **kwargs):
+        self.taken.append(np.array(indices))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+class TestIndexing:
+    """Every flat index lies in the -inf-bordered map, so the lookups'
+    ``mode="wrap"`` never wraps, and the index type holds every index."""
+
+    def test_nan_hip_or_lift_off_foot_counts_zero(self, stairs, model, forward_velocity, gait):
+        # NaN clamps to the border like a point off the map: no invalid cast
+        # (the suite turns warnings into errors) and no safe cell.
+        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
+        z = np.linspace(0.2, 0.8, 31) + hm.cells[16, 16]
+        for hip, foot in [((np.nan, 0.0), None), ((0.3, 0.0), (np.nan, 0.0, 0.0))]:
+            ev = FecEvaluator(hm, hip, forward_velocity, gait, model, foot)
+            np.testing.assert_array_equal(ev.sweep_counts(z), 0)
+
+    def test_extreme_points_index_the_border(self, stairs, model, zero_velocity, gait):
+        hm = extract_heightmap(stairs, (0.3, 0.05), 0.7, h_x=7, h_y=11)
+        ev = FecEvaluator(hm, (0.3, 0.05), zero_velocity, gait, model)
+        far = np.array([-np.inf, -1e9, -0.2, 0.2, 1e9, np.inf, np.nan])
+        values = np.concatenate([far, [-0.05, 0.0, 0.03]])
+        rows, cols = ev._index_parts(values[:, None], values[None, :])
+        idx = rows + cols
+        assert idx.min() >= 0 and idx.max() < ev._bordered.size
+        off_map = np.arange(values.size) < far.size
+        np.testing.assert_array_equal(ev._bordered[idx[off_map]], -np.inf)
+        np.testing.assert_array_equal(ev._bordered[idx[:, off_map]], -np.inf)
+        assert np.isfinite(ev._bordered[idx[~off_map][:, ~off_map]]).all()
+
+    @pytest.mark.parametrize("hip, foot", [
+        ((1e9, 0.05), (0.3, 0.05, 0.0)),
+        ((0.3, -1e9), (1e9, 1e9, 0.0)),
+        ((np.nan, 0.05), (0.3, np.nan, 0.0)),
+    ])
+    def test_every_lookup_in_range(self, stairs, model, forward_velocity, gait, hip, foot):
+        hm = extract_heightmap(stairs, (0.3, 0.05), 0.7, h_x=7, h_y=11)
+        ev = FecEvaluator(hm, hip, forward_velocity, gait, model, foot)
+        lc, fc = ev.lc_threshold, ev.fc
+        ev._bordered = ev._bordered.view(_RecordingMap)
+        ev._bordered.taken = []
+        ev._build_arc_tables()
+        ev._build_lc_threshold()
+        np.testing.assert_array_equal(ev.lc_threshold, lc)
+        np.testing.assert_array_equal(ev.fc, fc)
+        assert len(ev._bordered.taken) == 1 + (LC_SEGMENT_SAMPLES - 1)
+        for idx in ev._bordered.taken:
+            assert idx.min() >= 0 and idx.max() < ev._bordered.size
+
+    def test_index_type_holds_a_long_map(self, model):
+        # The bordered copy of a 9 x 8191 map has 11 * 8193 > 65535 cells,
+        # so a 16-bit index would wrap and read the wrong heights.
+        terrain = TerrainMap(kind="rough", cell=0.2, amplitude=0.15, seed=4)
+        hm = extract_heightmap(terrain, (0.4, 0.0), 0.2, h_x=9, h_y=8191)
+        foot = np.array([0.34, 0.03, sample_height(terrain, 0.34, 0.03)])
+        gait = GaitParams(duty_factor=0.5, t_remaining=0.3)
+        ev = FecEvaluator(hm, (0.42, 0.02), np.array([0.3, 0.08]), gait, model, foot)
+        assert ev._bordered.size > np.iinfo(np.uint16).max + 1
+        assert np.isfinite(ev.lc_threshold).any()
+        np.testing.assert_array_equal(ev.lc_threshold, loop_lc_threshold(ev))
+        np.testing.assert_array_equal(ev.fc, loop_fc(ev))
