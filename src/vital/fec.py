@@ -34,8 +34,22 @@ index buffer, the foot-radius exemption in place, a lookup into a buffer and
 the transform to a threshold.  The lookups read a copy of the map with a
 one-cell -inf border that every index is clamped into, so points off the map
 are exempt without a mask.  The stance instants share the foot, so their
-heights are maxed before one transform.  A sweep over many hip heights (pose
-evaluation) stacks their conjunctions and erodes them in one call.
+heights are maxed before one transform.
+
+A sweep over sorted hip heights (pose evaluation) gives each cell the index
+range [a, b] of heights at which it passes.  TR and FC do not depend on the
+height, and LC passes from ``searchsorted`` of its threshold on.  A KF check
+(point height zk, planar squared distance p to its hip) passes in real
+numbers from zk + sqrt(r_min**2 - p), or zk - sqrt(r_max**2 - p) when
+p >= r_min**2, up to zk + sqrt(r_max**2 - p).  A height ``KF_DELTA`` or more
+from those ends misses or clears the shell by KF_DELTA**2, far above the
+rounding of (z - zk)**2 + p, so the float check agrees.  A cell with a height
+nearer an end, with a NaN end, or with a check whose point is above the
+lowest height and clears r_min there (it may pass again below the point) is
+checked in float at every height.  Erosion is a 3x3 max of a and min of b,
+and a histogram of the eroded ranges gives the counts.  Unsorted or NaN
+heights, or a checked cell that passes at heights apart, stack and erode
+every height's conjunction instead.
 """
 
 from __future__ import annotations
@@ -61,6 +75,8 @@ LC_SEGMENT_SAMPLES = 20
 FC_CLEARANCE = 0.01
 FC_ARC_SAMPLES = 12
 EROSION_RADIUS = 1
+KF_DELTA = 1e-6  # m; swept heights this near a cell's KF range end are checked one by one
+FAR = 1e100  # m; a hip or foot this far off the map is out of reach of every cell
 
 
 @dataclass
@@ -78,15 +94,15 @@ def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev erosion over the last two axes, so a stack of grids erodes
     grid by grid: a true cell within ``radius`` of a false cell becomes
     false.  Cells outside the grid count as true, so they do not erode the
-    border.  The square is separable, so each of ``radius`` rounds ANDs a
-    copy of the mask in place with itself shifted one cell each way along
-    rows, then along columns."""
+    border.  The square is separable, so each of ``radius`` rounds takes the
+    minimum (AND on booleans) of a copy of the mask, in place, and itself
+    shifted one cell each way along rows, then along columns."""
     out = mask.copy()
     for _ in range(radius):
-        out[..., 1:, :] &= out[..., :-1, :]
-        out[..., :-1, :] &= out[..., 1:, :]
-        out[..., 1:] &= out[..., :-1]
-        out[..., :-1] &= out[..., 1:]
+        np.minimum(out[..., 1:, :], out[..., :-1, :], out=out[..., 1:, :])
+        np.minimum(out[..., :-1, :], out[..., 1:, :], out=out[..., :-1, :])
+        np.minimum(out[..., 1:], out[..., :-1], out=out[..., 1:])
+        np.minimum(out[..., :-1], out[..., 1:], out=out[..., :-1])
     return out
 
 
@@ -167,11 +183,15 @@ class FecEvaluator:
         self._build_lc_threshold()
 
     def _to_grid(self, p_xy) -> np.ndarray:
+        """Grid-frame (x, y) of a world point; NaN for one at inf, NaN or
+        ``FAR`` off the map, out of reach of every cell, so no later step warns."""
         hm = self.heightmap
         c, s = math.cos(hm.yaw), math.sin(hm.yaw)
-        dx = p_xy[0] - hm.center[0]
-        dy = p_xy[1] - hm.center[1]
-        return np.array([c * dx + s * dy, -s * dx + c * dy])
+        # 0 * inf and inf - inf for a point at inf, overflow for a huge one.
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx, dy = p_xy[0] - hm.center[0], p_xy[1] - hm.center[1]
+            g = np.array([c * dx + s * dy, -s * dx + c * dy])
+        return g if (np.abs(g) < FAR).all() else np.full(2, np.nan)
 
     def _index_parts(self, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row and column parts, in the narrowest unsigned type that holds
@@ -198,24 +218,22 @@ class FecEvaluator:
     # -- static tables -------------------------------------------------
 
     def _build_arc_tables(self):
-        """FC, and the KF tables: planar distances from the candidate to the
-        hip at touchdown and at the next lift-off, and from each interior
-        sample of the swing arc (lift-off foot to candidate) to the hip
-        interpolated over swing time.  The arc endpoints are the
-        candidate-independent current state and the touchdown check."""
-        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[:, None, None]
-        arc_x = (self._lo_gx + (self.gx - self._lo_gx) * s)[1:-1]
-        arc_y = (self._lo_gy + (self.gy - self._lo_gy) * s)[1:-1]
-        self.arc_z = swing_arc_z(self._lo_z, self.Z, s, self.model.step_height)[1:-1]
+        """FC, and KF's checks stacked on axis 0 with their planar squared
+        distances to the hip (``kf_planar2``) and heights (``kf_z``): the
+        candidate at touchdown and at the next lift-off, then the interior
+        swing-arc samples (the arc's ends are the current state and touchdown)."""
+        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1, None, None]
+        arc_x = self._lo_gx + (self.gx - self._lo_gx) * s
+        arc_y = self._lo_gy + (self.gy - self._lo_gy) * s
+        arc_z = swing_arc_z(self._lo_z, self.Z, s, self.model.step_height)
         rows, cols = self._index_parts(arc_x, arc_y)
-        hq = self._bordered.take(rows + cols, mode="wrap")
-        self.fc = np.all(self.arc_z - hq >= FC_CLEARANCE, axis=0)
+        self.fc = np.all(arc_z - self._bordered.take(rows + cols, mode="wrap") >= FC_CLEARANCE, axis=0)
 
-        self.td_planar2 = (self.gx - self.hip_td[0]) ** 2 + (self.gy - self.hip_td[1]) ** 2
-        self.lo2_planar2 = (self.gx - self.hip_lo2[0]) ** 2 + (self.gy - self.hip_lo2[1]) ** 2
-        hip_x = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * s[1:-1]
-        hip_y = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * s[1:-1]
-        self.arc_planar2 = (arc_x - hip_x) ** 2 + (arc_y - hip_y) ** 2
+        hips = np.vstack([self.hip_td, self.hip_lo2, self.hip_now + (self.hip_td - self.hip_now) * s[:, 0]])
+        x = np.concatenate([np.broadcast_to(self.gx, (2,) + self.gx.shape), arc_x])
+        y = np.concatenate([np.broadcast_to(self.gy, (2,) + self.gy.shape), arc_y])
+        self.kf_planar2 = (x - hips[:, :1, None]) ** 2 + (y - hips[:, 1:, None]) ** 2
+        self.kf_z = np.concatenate([[self.Z, self.Z], arc_z])
 
     def _build_lc_threshold(self):
         """Per-cell hip-height threshold above which the leg segment keeps
@@ -248,40 +266,47 @@ class FecEvaluator:
         # Foot heights of the swing instants, then one slot for the stance.
         fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.model.step_height), self.Z[None]])
         clear = LC_CLEARANCE - fz
-        thresh = np.full(fz.shape, -np.inf)
+        thresh = np.full(self.Z.shape, -np.inf)
         # Skip g = 0: the foot endpoint is always inside its own exemption.
-        gs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:, None, None, None]
-        rows, cols = self._index_parts(fx + dhx * gs, fy + dhy * gs)
-        idx, h = np.empty(span.shape, rows.dtype), np.empty(span.shape)
-        for g, i_part, j_part in zip(gs.ravel(), rows, cols):
+        gs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]
+        # span * g > r exactly when span > c_g, the largest float whose
+        # rounded product with g is at most r: rounding is monotone in span.
+        r = self.model.foot_radius
+        c_g = np.where(r / gs * gs > r, np.nextafter(r / gs, 0.0), r / gs)
+        c_g = np.where(np.nextafter(c_g, np.inf) * gs > r, c_g, np.nextafter(c_g, np.inf))
+        rows, cols = self._index_parts(fx + dhx * gs[:, None, None, None], fy + dhy * gs[:, None, None, None])
+        idx, h, top = np.empty(span.shape, rows.dtype), np.empty(span.shape), np.empty(self.Z.shape)
+        for g, c, i_part, j_part in zip(gs, c_g, rows, cols):
             np.add(i_part, j_part, out=idx)
             # Points within the foot radius (planar) of the foot are exempt:
             # index 0 is a border cell, so they read -inf like the points
             # off the map, and their z* is -inf.
-            idx *= span * g > self.model.foot_radius
+            idx *= span > c
             self._bordered.take(idx, out=h, mode="wrap")
             z_star = h[:n_t]
             np.max(h[n_t - 1 :], axis=0, out=z_star[-1])
             z_star += clear
             z_star += g * fz
-            z_star /= g
-            np.maximum(thresh, z_star, out=thresh)
-        self.lc_threshold = thresh.max(axis=0)
+            # fl(x / g) is non-decreasing in x: divide once, after the max.
+            np.max(z_star, axis=0, out=top)
+            top /= g
+            np.maximum(thresh, top, out=thresh)
+        self.lc_threshold = thresh
 
     # -- evaluation ------------------------------------------------------
 
     def lc_grid(self, z_h) -> np.ndarray:
         return z_h >= self.lc_threshold
 
-    def kf_grid(self, z_h) -> np.ndarray:
-        """KF at hip height ``z_h``: a float, or an (n, 1, 1) array of
-        heights for an (n, h_x, h_y) stack of grids.  The candidate at
-        touchdown and at the next lift-off, then each arc sample, is checked
-        against the shell one at a time, in buffers the size of the result."""
+    def kf_grid(self, z_h, cells=...) -> np.ndarray:
+        """KF at hip height ``z_h``, or (n, 1, 1) heights for an (n, h_x, h_y)
+        stack, or (n, 1) heights for the cells of a mask ``cells``: one check
+        at a time, in buffers the size of the result."""
         lo2, hi2 = self.model.r_min**2, self.model.r_max**2
-        ok = np.ones(np.broadcast_shapes(np.shape(z_h), self.Z.shape), dtype=bool)
+        planar2s, heights = self.kf_planar2[:, cells], self.kf_z[:, cells]
+        ok = np.ones(np.broadcast_shapes(np.shape(z_h), heights.shape[1:]), dtype=bool)
         d2, flag = np.empty(ok.shape), np.empty(ok.shape, dtype=bool)
-        for planar2, z in [(self.td_planar2, self.Z), (self.lo2_planar2, self.Z), *zip(self.arc_planar2, self.arc_z)]:
+        for planar2, z in zip(planar2s, heights):
             np.square(np.subtract(z_h, z, out=d2), out=d2)
             d2 += planar2
             ok &= np.greater_equal(d2, lo2, out=flag)
@@ -289,19 +314,44 @@ class FecEvaluator:
         return ok
 
     def evaluate(self, z_h: float) -> SafetyGrid:
-        lc = self.lc_grid(z_h)
-        kf = self.kf_grid(z_h)
-        raw = self.tr & lc & kf & self.fc
-        cells = erode_safe_set(raw, EROSION_RADIUS)
+        lc, kf = self.lc_grid(z_h), self.kf_grid(z_h)
+        cells = erode_safe_set(self.tr & lc & kf & self.fc, EROSION_RADIUS)
         return SafetyGrid(cells=cells, tr=self.tr, lc=lc, kf=kf, fc=self.fc)
 
     def sweep_counts(self, z_values) -> np.ndarray:
-        """Safe-foothold count for each hip height in ``z_values``: the
-        conjunctions of all heights as one stack and one erosion."""
-        z = np.asarray(z_values, dtype=np.float64)[:, None, None]
-        raw = self.lc_grid(z) & self.kf_grid(z) & (self.tr & self.fc)
-        cells = erode_safe_set(raw, EROSION_RADIUS)
-        return np.count_nonzero(cells, axis=(1, 2)).astype(np.int64)
+        """Safe-foothold count for each hip height in ``z_values``: from
+        each cell's range of safe heights, or densely (module docstring)."""
+        z = np.asarray(z_values, dtype=np.float64)
+        if z.size and not np.isnan(z).any() and (z[1:] >= z[:-1]).all():
+            if (counts := self._range_counts(z)) is not None:
+                return counts
+        raw = self.lc_grid(z[:, None, None]) & self.kf_grid(z[:, None, None]) & (self.tr & self.fc)
+        return np.count_nonzero(erode_safe_set(raw, EROSION_RADIUS), axis=(1, 2)).astype(np.int64)
+
+    def _range_counts(self, z: np.ndarray):
+        """Counts at sorted heights ``z`` from one index range per cell, or
+        None when a checked cell's passing heights are not one range."""
+        n, lo2, hi2 = z.size, self.model.r_min**2, self.model.r_max**2
+        p, zk = self.kf_planar2, self.kf_z
+        # sqrt(r**2 - p) is NaN where p > r**2 (out of reach) and for a NaN hip.
+        with np.errstate(invalid="ignore"):
+            outer, inner = np.sqrt(hi2 - p), np.sqrt(lo2 - p)
+        lo, hi = np.where(p < lo2, zk + inner, zk - outer).max(axis=0), (zk + outer).min(axis=0)
+        # Where no height lies within KF_DELTA of an end, KF passes from lo_b to hi_b - 1.
+        lo_a, lo_b, hi_a, hi_b = z.searchsorted([lo - KF_DELTA, lo + KF_DELTA, hi - KF_DELTA, hi + KF_DELTA])
+        tr_fc = self.tr & self.fc
+        a, b = np.where(tr_fc, np.maximum(lo_b, z.searchsorted(self.lc_threshold)), n), hi_b - 1
+        below = ((p < lo2) & (z[0] < zk) & ((z[0] - zk) ** 2 + p >= lo2)).any(axis=0)
+        slow = (lo_a != lo_b) | (hi_a != hi_b) | below | np.isnan(lo) | np.isnan(hi)
+        if slow.any():
+            raw = self.kf_grid(z[:, None], slow) & (z[:, None] >= self.lc_threshold[slow]) & tr_fc[slow]
+            first, last, count = raw.argmax(axis=0), n - 1 - raw[::-1].argmax(axis=0), raw.sum(axis=0)
+            if ((count > 0) & (count != last - first + 1)).any():
+                return None
+            a[slow], b[slow] = np.where(count > 0, first, n), last
+        a, b = -erode_safe_set(-a, EROSION_RADIUS), erode_safe_set(b, EROSION_RADIUS)
+        live = a <= b
+        return np.cumsum(np.bincount(a[live], minlength=n + 1) - np.bincount(b[live] + 1, minlength=n + 1))[:n]
 
 
 def eval_fec(

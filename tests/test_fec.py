@@ -356,6 +356,105 @@ class TestReferenceLoops:
             assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
 
 
+class TestRangeSweep:
+    """The sweep of one index range of safe heights per cell against the
+    per-height loop, and each way it falls back to the float predicate."""
+
+    HEIGHTS = {
+        "grid": np.linspace(0.2, 0.8, 31),
+        "mm": np.arange(0.0, 0.4, 0.001),
+        "repeated": np.repeat(np.linspace(0.2, 0.8, 7), 3),
+        "unsorted": np.linspace(0.2, 0.8, 31)[np.random.default_rng(0).permutation(31)],
+        "nan": np.array([0.2, 0.35, np.nan, 0.5, 0.65]),
+        "out_of_reach": np.array([-2.0, -0.6, 0.0, 0.3, 0.5, 1.7, 3.0]),
+    }
+
+    # No shrink phase, as in TestOracleProperties.
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+    @given(
+        kind=st.sampled_from(["flat", "stairs", "gapped_stairs", "rough", "composite"]),
+        robot=st.sampled_from(["hyq-like", "hyqreal-like"]),
+        size=st.sampled_from([9, 33]),
+        terrain_seed=st.integers(0, 1000),
+        rise=st.floats(0.05, 0.5),
+        yaw=st.floats(-np.pi, np.pi),
+        velocity=st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2)),
+        t_remaining=st.floats(0.05, 0.4),
+        hip_offset=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        heights=st.sampled_from(sorted(HEIGHTS)),
+        dz=st.floats(-0.3, 0.5),
+    )
+    def test_matches_the_loop(self, kind, robot, size, terrain_seed, rise, yaw, velocity, t_remaining,
+                              hip_offset, foot_offset, heights, dz):
+        terrain = TerrainMap(kind=kind, rise=rise, start_x=terrain_seed / 1000.0 - 0.2, seed=terrain_seed,
+                             amplitude=0.1, cell=0.2)
+        center = (0.4, 0.0)
+        hm = extract_heightmap(terrain, center, yaw, h_x=size, h_y=size)
+        foot = None
+        if foot_offset is not None:
+            xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
+            foot = np.array([*xy, sample_height(terrain, *xy)])
+        hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
+        gait = GaitParams(duty_factor=0.5, t_remaining=t_remaining)
+        ev = FecEvaluator(hm, hip, velocity, gait, robot_preset(robot), current_foot=foot)
+        z = self.HEIGHTS[heights] + hm.cells[size // 2, size // 2] + dz
+        np.testing.assert_array_equal(ev.sweep_counts(z), loop_sweep_counts(ev, z))
+
+    def test_heights_on_float_kf_ends(self, flat, model, forward_velocity, gait):
+        # Bisect each cell's KF predicate down to the adjacent floats where
+        # it flips at the low and the high end, and sweep exactly those
+        # heights: each lies within rounding of the real-number ends.
+        ev = origin_evaluator(flat, forward_velocity, gait, model)
+        ends = []
+        for fail, ok in [(0.0, 0.525), (1.9, 0.525)]:
+            fail, ok = np.full(ev.Z.shape, fail), np.full(ev.Z.shape, ok)
+            assert not ev.kf_grid(fail).any() and ev.kf_grid(ok).all()
+            while (np.nextafter(fail, ok) != ok).any():
+                mid = (fail + ok) / 2
+                passes = ev.kf_grid(mid)
+                fail, ok = np.where(passes, fail, mid), np.where(passes, mid, ok)
+            ends += [fail, ok]
+        z = np.sort(np.ravel(ends))
+        counts = ev.sweep_counts(z)
+        assert counts.any() and not counts.all()
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    def test_hip_below_a_tall_riser(self):
+        # The floor is 0.5 m below the tread ahead, and the lift-off foot is
+        # on the tread.  Every cell has a KF check whose point is above the
+        # lowest hip height and clears r_min there, so the cell may pass
+        # again below that point, in the shell's lower block.
+        model = robot_preset("hyqreal-like")
+        cells = np.zeros((33, 33))
+        cells[26:] = 0.5
+        hm = Heightmap(cells, (0.0, 0.0))
+        foot = np.array([0.2, -0.05, 0.5])
+        ev = FecEvaluator(hm, (0.05, 0.1), np.zeros(2), GaitParams(duty_factor=0.5, t_remaining=0.1), model, foot)
+        z = np.linspace(0.1, 0.7, 31)
+        lower_block = (z[0] < ev.kf_z) & (ev.kf_planar2 < model.r_min**2)
+        lower_block &= (z[0] - ev.kf_z) ** 2 + ev.kf_planar2 >= model.r_min**2
+        assert lower_block.any(axis=0).all()
+        counts = ev.sweep_counts(z)
+        assert counts.any()
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    def test_cell_that_passes_at_heights_apart(self, model, zero_velocity, gait):
+        # The hip is 0.29 m beyond the edge cell (4, 8) of a flat 9 x 9 map,
+        # and the lift-off foot stands on that cell, so its leg segments
+        # leave the map within the foot radius and LC exempts them.  KF then
+        # passes with the hip below the ground as well as above it.
+        hm = Heightmap(np.zeros((9, 9)), (0.0, 0.0))
+        ev = FecEvaluator(hm, (0.0, 0.37), zero_velocity, gait, model, np.array([0.0, 0.08, 0.0]))
+        z = np.linspace(-0.8, 0.8, 81)
+        passing = [ev.tr[4, 8] & ev.lc_grid(h)[4, 8] & ev.kf_grid(h)[4, 8] & ev.fc[4, 8] for h in z]
+        k = np.flatnonzero(passing)
+        assert k.size and k.size < k[-1] - k[0] + 1
+        counts = ev.sweep_counts(z)
+        assert counts.any()
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+
 class _RecordingMap(np.ndarray):
     """A bordered map that keeps a copy of every index array taken from it."""
 
@@ -376,6 +475,20 @@ class TestIndexing:
         for hip, foot in [((np.nan, 0.0), None), ((0.3, 0.0), (np.nan, 0.0, 0.0))]:
             ev = FecEvaluator(hm, hip, forward_velocity, gait, model, foot)
             np.testing.assert_array_equal(ev.sweep_counts(z), 0)
+
+    @pytest.mark.parametrize("yaw", [0.0, 0.7])
+    @pytest.mark.parametrize("point", [(np.inf, 0.0), (-np.inf, 0.0), (1e300, 0.0)])
+    @pytest.mark.parametrize("role", ["hip", "foot"])
+    def test_far_hip_or_lift_off_foot_counts_zero(self, stairs, model, forward_velocity, gait, yaw, point, role):
+        # A point at inf, or so far off that squaring its distance would
+        # overflow, builds and sweeps without a warning, like a NaN one, and
+        # no cell is in reach.
+        hm = extract_heightmap(stairs, (0.3, 0.0), yaw)
+        z = np.linspace(0.2, 0.8, 31) + hm.cells[16, 16]
+        hip, foot = (point, None) if role == "hip" else ((0.3, 0.0), (*point, 0.0))
+        ev = FecEvaluator(hm, hip, forward_velocity, gait, model, foot)
+        np.testing.assert_array_equal(ev.sweep_counts(z), 0)
+        assert not ev.evaluate(0.5 + hm.cells[16, 16]).cells.any()
 
     def test_extreme_points_index_the_border(self, stairs, model, zero_velocity, gait):
         hm = extract_heightmap(stairs, (0.3, 0.05), 0.7, h_x=7, h_y=11)

@@ -152,10 +152,11 @@ class TestRunScenario:
         assert tick_apex == {0.3} and builds
         s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1]
         for ev in builds:
-            # The arc heights from the lift-off foot to the centre cell.
+            # The arc heights from the lift-off foot to the centre cell: KF's
+            # checks after the touchdown and next lift-off ones.
             c = ev.heightmap.h_x // 2
             flown = swing_points([0.0, 0.0, ev._lo_z], [0.0, 0.0, ev.Z[c, c]], s, 0.3)[:, 2]
-            np.testing.assert_array_equal(ev.arc_z[:, c, c], flown)
+            np.testing.assert_array_equal(ev.kf_z[2:, c, c], flown)
 
     def test_crawl_gait_runs(self):
         m = run_scenario(short_flat(gait="crawl", duration=3.0, vx=0.1))
