@@ -36,20 +36,21 @@ one-cell -inf border that every index is clamped into, so points off the map
 are exempt without a mask.  The stance instants share the foot, so their
 heights are maxed before one transform.
 
-A sweep over sorted hip heights (pose evaluation) gives each cell the index
-range [a, b] of heights at which it passes.  TR and FC do not depend on the
-height, and LC passes from ``searchsorted`` of its threshold on.  A KF check
-(point height zk, planar squared distance p to its hip) passes in real
-numbers from zk + sqrt(r_min**2 - p), or zk - sqrt(r_max**2 - p) when
-p >= r_min**2, up to zk + sqrt(r_max**2 - p).  A height ``KF_DELTA`` or more
-from those ends misses or clears the shell by KF_DELTA**2, far above the
-rounding of (z - zk)**2 + p, so the float check agrees.  A cell with a height
-nearer an end, with a NaN end, or with a check whose point is above the
-lowest height and clears r_min there (it may pass again below the point) is
-checked in float at every height.  Erosion is a 3x3 max of a and min of b,
-and a histogram of the eroded ranges gives the counts.  Unsorted or NaN
-heights, or a checked cell that passes at heights apart, stack and erode
-every height's conjunction instead.
+A sweep over sorted, NaN-free hip heights (pose evaluation) gives each cell
+the index range [a, b] of heights at which it passes.  TR and FC do not
+depend on the height, and LC passes from ``searchsorted`` of its threshold
+on.  A KF check (point height zk, planar squared distance p to its hip)
+passes in real numbers from zk + sqrt(r_min**2 - p), or zk - sqrt(r_max**2 -
+p) when p >= r_min**2, up to zk + sqrt(r_max**2 - p); a NaN end, out of
+reach, sorts past every height.  A height ``KF_DELTA`` or more from those
+ends misses or clears the shell by KF_DELTA**2, far above the rounding of
+(z - zk)**2 + p, so the float check agrees.  A cell with a height nearer an
+end, or with a check whose point is above the lowest height and clears r_min
+there (it may pass again below the point), is checked in float at every
+height.  Erosion is a 3x3 max of a and min of b, and a histogram of the
+eroded ranges gives the counts.  When a checked cell passes at heights
+apart, the ranges fill a stack of every height's conjunction instead, the
+checked cells' rows are written in, and the stack is eroded and counted.
 """
 
 from __future__ import annotations
@@ -295,13 +296,9 @@ class FecEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
-    def lc_grid(self, z_h) -> np.ndarray:
-        return z_h >= self.lc_threshold
-
     def kf_grid(self, z_h, cells=...) -> np.ndarray:
-        """KF at hip height ``z_h``, or (n, 1, 1) heights for an (n, h_x, h_y)
-        stack, or (n, 1) heights for the cells of a mask ``cells``: one check
-        at a time, in buffers the size of the result."""
+        """KF at hip height ``z_h``, or at (n, 1) heights for the cells of a
+        mask ``cells``: one check at a time, in buffers the size of the result."""
         lo2, hi2 = self.model.r_min**2, self.model.r_max**2
         planar2s, heights = self.kf_planar2[:, cells], self.kf_z[:, cells]
         ok = np.ones(np.broadcast_shapes(np.shape(z_h), heights.shape[1:]), dtype=bool)
@@ -314,23 +311,16 @@ class FecEvaluator:
         return ok
 
     def evaluate(self, z_h: float) -> SafetyGrid:
-        lc, kf = self.lc_grid(z_h), self.kf_grid(z_h)
+        lc, kf = z_h >= self.lc_threshold, self.kf_grid(z_h)
         cells = erode_safe_set(self.tr & lc & kf & self.fc, EROSION_RADIUS)
         return SafetyGrid(cells=cells, tr=self.tr, lc=lc, kf=kf, fc=self.fc)
 
     def sweep_counts(self, z_values) -> np.ndarray:
-        """Safe-foothold count for each hip height in ``z_values``: from
-        each cell's range of safe heights, or densely (module docstring)."""
+        """Safe-foothold count at each of the sorted, NaN-free hip heights
+        ``z_values``, from each cell's range of safe heights (module docstring)."""
         z = np.asarray(z_values, dtype=np.float64)
-        if z.size and not np.isnan(z).any() and (z[1:] >= z[:-1]).all():
-            if (counts := self._range_counts(z)) is not None:
-                return counts
-        raw = self.lc_grid(z[:, None, None]) & self.kf_grid(z[:, None, None]) & (self.tr & self.fc)
-        return np.count_nonzero(erode_safe_set(raw, EROSION_RADIUS), axis=(1, 2)).astype(np.int64)
-
-    def _range_counts(self, z: np.ndarray):
-        """Counts at sorted heights ``z`` from one index range per cell, or
-        None when a checked cell's passing heights are not one range."""
+        if np.isnan(z).any() or (z[1:] < z[:-1]).any():
+            raise ValueError("swept hip heights must be sorted and free of NaN")
         n, lo2, hi2 = z.size, self.model.r_min**2, self.model.r_max**2
         p, zk = self.kf_planar2, self.kf_z
         # sqrt(r**2 - p) is NaN where p > r**2 (out of reach) and for a NaN hip.
@@ -341,14 +331,19 @@ class FecEvaluator:
         lo_a, lo_b, hi_a, hi_b = z.searchsorted([lo - KF_DELTA, lo + KF_DELTA, hi - KF_DELTA, hi + KF_DELTA])
         tr_fc = self.tr & self.fc
         a, b = np.where(tr_fc, np.maximum(lo_b, z.searchsorted(self.lc_threshold)), n), hi_b - 1
-        below = ((p < lo2) & (z[0] < zk) & ((z[0] - zk) ** 2 + p >= lo2)).any(axis=0)
-        slow = (lo_a != lo_b) | (hi_a != hi_b) | below | np.isnan(lo) | np.isnan(hi)
+        z0 = z[0] if n else np.inf
+        below = ((p < lo2) & (z0 < zk) & ((z0 - zk) ** 2 + p >= lo2)).any(axis=0)
+        slow = (lo_a != lo_b) | (hi_a != hi_b) | below
         if slow.any():
             raw = self.kf_grid(z[:, None], slow) & (z[:, None] >= self.lc_threshold[slow]) & tr_fc[slow]
             first, last, count = raw.argmax(axis=0), n - 1 - raw[::-1].argmax(axis=0), raw.sum(axis=0)
-            if ((count > 0) & (count != last - first + 1)).any():
-                return None
             a[slow], b[slow] = np.where(count > 0, first, n), last
+            if ((count > 0) & (count != last - first + 1)).any():
+                # A checked cell passes at heights apart: stack the ranges.
+                k = np.arange(n)[:, None, None]
+                stack = (a <= k) & (k <= b)
+                stack[:, slow] = raw
+                return np.count_nonzero(erode_safe_set(stack, EROSION_RADIUS), axis=(1, 2))
         a, b = -erode_safe_set(-a, EROSION_RADIUS), erode_safe_set(b, EROSION_RADIUS)
         live = a <= b
         return np.cumsum(np.bincount(a[live], minlength=n + 1) - np.bincount(b[live] + 1, minlength=n + 1))[:n]

@@ -84,6 +84,7 @@ DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
 # each leg's ground.
 ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
 TAU_TRACK = 0.15  # s, lag of the pose tracking
+SCALE_MAX = 10.0  # m or m/s, the bound on |vx|, step_height, terrain_rise and terrain_amplitude
 
 
 class ConfigError(Exception):
@@ -151,6 +152,8 @@ class Scenario:
             raise ConfigError("u_roll_max and u_pitch_max must be >= 0")
         if not (self.step_height > 0 or self.step_height == -1.0):
             raise ConfigError("step_height must be > 0, or -1 for the robot's default")
+        if max(abs(self.vx), self.step_height, self.terrain_rise, self.terrain_amplitude) > SCALE_MAX:
+            raise ConfigError(f"|vx|, step_height, terrain_rise and terrain_amplitude must be <= {SCALE_MAX}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:

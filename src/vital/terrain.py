@@ -52,8 +52,8 @@ class TerrainMap:
                 raise ValueError("stairs need rise > 0, going > 0, n_steps >= 1")
         if self.kind == "gapped_stairs" and self.going <= GAP_WIDTH:
             raise ValueError(f"gapped_stairs need going > GAP_WIDTH ({GAP_WIDTH} m), or every tread is gap")
-        if self.kind == "rough" and (self.cell <= 0 or self.amplitude < 0):
-            raise ValueError("rough terrain needs cell > 0 and amplitude >= 0")
+        if self.kind == "rough" and (self.cell < MAP_RESOLUTION or self.amplitude < 0):
+            raise ValueError(f"rough terrain needs cell >= MAP_RESOLUTION ({MAP_RESOLUTION} m) and amplitude >= 0")
 
 
 def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:

@@ -98,7 +98,7 @@ class TestErosion:
 
 class TestCriteriaOnFlat:
     def test_lc_true_everywhere_nominal(self, flat, model, zero_velocity, gait):
-        lc = origin_evaluator(flat, zero_velocity, gait, model).lc_grid(0.55)
+        lc = 0.55 >= origin_evaluator(flat, zero_velocity, gait, model).lc_threshold
         for i in (0, 4, 8):
             for j in (0, 4, 8):
                 assert lc[i, j]
@@ -113,7 +113,7 @@ class TestCriteriaOnFlat:
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
         ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, current_foot=np.array([-0.2, 0.0, 0.0]))
-        ok = ev.lc_grid(0.42)[4, 4]
+        ok = 0.42 >= ev.lc_threshold[4, 4]
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + gait.stance_duration), 0.0, 0.42])
         foot = np.array([0.06, 0.0, 0.0])
@@ -231,10 +231,18 @@ class TestEvalFec:
         counts = ev.sweep_counts(zs)
         for z, n in zip(zs, counts):
             assert np.count_nonzero(ev.evaluate(float(z)).cells) == n
-        # Heights out of reach of the map count 0, in a sweep as one by one.
+        # Heights out of reach of the map count 0, in a sweep as one by one;
+        # a sweep takes sorted heights, so the NaN one is evaluated alone.
         far = np.array([0.0, 2.1, -0.3, np.nan])
-        np.testing.assert_array_equal(ev.sweep_counts(far), 0)
+        np.testing.assert_array_equal(ev.sweep_counts(np.sort(far[:3])), 0)
         assert [np.count_nonzero(ev.evaluate(z).cells) for z in far] == [0] * 4
+
+    @pytest.mark.parametrize("heights", [[0.5, 0.3, 0.7], [0.3, np.nan, 0.7], [np.nan]])
+    def test_sweep_takes_sorted_finite_heights(self, stairs, model, forward_velocity, gait, heights):
+        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model)
+        with pytest.raises(ValueError, match="sorted and free of NaN"):
+            ev.sweep_counts(heights)
 
     def test_deterministic(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)
@@ -356,6 +364,24 @@ class TestReferenceLoops:
             assert (loop_lc_threshold(ev, skip=(k,)) != full).any(), k
 
 
+def tall_riser_evaluator():
+    """A hyqreal-like hip over a floor 0.5 m below the tread ahead, with the
+    lift-off foot on the tread."""
+    cells = np.zeros((33, 33))
+    cells[26:] = 0.5
+    hm = Heightmap(cells, (0.0, 0.0))
+    gait = GaitParams(duty_factor=0.5, t_remaining=0.1)
+    return FecEvaluator(hm, (0.05, 0.1), np.zeros(2), gait, robot_preset("hyqreal-like"), np.array([0.2, -0.05, 0.5]))
+
+
+def heights_apart_evaluator(model, velocity, gait):
+    """A hip 0.29 m beyond the edge cell (4, 8) of a flat 9 x 9 map, with the
+    lift-off foot on that cell: its leg segments leave the map within the
+    foot radius, so LC exempts them."""
+    hm = Heightmap(np.zeros((9, 9)), (0.0, 0.0))
+    return FecEvaluator(hm, (0.0, 0.37), velocity, gait, model, np.array([0.0, 0.08, 0.0]))
+
+
 class TestRangeSweep:
     """The sweep of one index range of safe heights per cell against the
     per-height loop, and each way it falls back to the float predicate."""
@@ -364,8 +390,7 @@ class TestRangeSweep:
         "grid": np.linspace(0.2, 0.8, 31),
         "mm": np.arange(0.0, 0.4, 0.001),
         "repeated": np.repeat(np.linspace(0.2, 0.8, 7), 3),
-        "unsorted": np.linspace(0.2, 0.8, 31)[np.random.default_rng(0).permutation(31)],
-        "nan": np.array([0.2, 0.35, np.nan, 0.5, 0.65]),
+        "empty": np.array([]),
         "out_of_reach": np.array([-2.0, -0.6, 0.0, 0.3, 0.5, 1.7, 3.0]),
     }
 
@@ -421,38 +446,51 @@ class TestRangeSweep:
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
 
     def test_hip_below_a_tall_riser(self):
-        # The floor is 0.5 m below the tread ahead, and the lift-off foot is
-        # on the tread.  Every cell has a KF check whose point is above the
-        # lowest hip height and clears r_min there, so the cell may pass
-        # again below that point, in the shell's lower block.
-        model = robot_preset("hyqreal-like")
-        cells = np.zeros((33, 33))
-        cells[26:] = 0.5
-        hm = Heightmap(cells, (0.0, 0.0))
-        foot = np.array([0.2, -0.05, 0.5])
-        ev = FecEvaluator(hm, (0.05, 0.1), np.zeros(2), GaitParams(duty_factor=0.5, t_remaining=0.1), model, foot)
+        # Every cell has a KF check whose point is above the lowest hip
+        # height and clears r_min there, so the cell may pass again below
+        # that point, in the shell's lower block.
+        ev = tall_riser_evaluator()
         z = np.linspace(0.1, 0.7, 31)
-        lower_block = (z[0] < ev.kf_z) & (ev.kf_planar2 < model.r_min**2)
-        lower_block &= (z[0] - ev.kf_z) ** 2 + ev.kf_planar2 >= model.r_min**2
+        r_min2 = ev.model.r_min**2
+        lower_block = (z[0] < ev.kf_z) & (ev.kf_planar2 < r_min2) & ((z[0] - ev.kf_z) ** 2 + ev.kf_planar2 >= r_min2)
         assert lower_block.any(axis=0).all()
         counts = ev.sweep_counts(z)
         assert counts.any()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
 
     def test_cell_that_passes_at_heights_apart(self, model, zero_velocity, gait):
-        # The hip is 0.29 m beyond the edge cell (4, 8) of a flat 9 x 9 map,
-        # and the lift-off foot stands on that cell, so its leg segments
-        # leave the map within the foot radius and LC exempts them.  KF then
-        # passes with the hip below the ground as well as above it.
-        hm = Heightmap(np.zeros((9, 9)), (0.0, 0.0))
-        ev = FecEvaluator(hm, (0.0, 0.37), zero_velocity, gait, model, np.array([0.0, 0.08, 0.0]))
+        # LC exempts the edge cell (4, 8) at every height, and KF passes it
+        # with the hip below the ground as well as above it.
+        ev = heights_apart_evaluator(model, zero_velocity, gait)
         z = np.linspace(-0.8, 0.8, 81)
-        passing = [ev.tr[4, 8] & ev.lc_grid(h)[4, 8] & ev.kf_grid(h)[4, 8] & ev.fc[4, 8] for h in z]
+        passing = [ev.tr[4, 8] & (h >= ev.lc_threshold[4, 8]) & ev.kf_grid(h)[4, 8] & ev.fc[4, 8] for h in z]
         k = np.flatnonzero(passing)
         assert k.size and k.size < k[-1] - k[0] + 1
         counts = ev.sweep_counts(z)
         assert counts.any()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    @pytest.mark.parametrize("case", ["heights_apart", "tall_riser"])
+    def test_split_sweep_evaluates_kf_once(self, model, zero_velocity, gait, monkeypatch, case):
+        # A cell that passes at heights apart is counted from the stack of
+        # the ranges: KF runs once, at every height on the checked cells.
+        if case == "heights_apart":
+            ev, z = heights_apart_evaluator(model, zero_velocity, gait), np.linspace(-0.8, 0.8, 81)
+        else:
+            ev, z = tall_riser_evaluator(), np.linspace(0.2, 0.8, 31)
+        raw = np.array([ev.tr & (h >= ev.lc_threshold) & ev.kf_grid(h) & ev.fc for h in z])
+        first, last = raw.argmax(axis=0), z.size - 1 - raw[::-1].argmax(axis=0)
+        assert (raw.any(axis=0) & (raw.sum(axis=0) < last - first + 1)).any()
+        expected = loop_sweep_counts(ev, z)
+        calls, kf_grid = [], FecEvaluator.kf_grid
+
+        def recording_kf_grid(self, z_h, cells=...):
+            calls.append((np.shape(z_h), np.shape(cells)))
+            return kf_grid(self, z_h, cells)
+
+        monkeypatch.setattr(FecEvaluator, "kf_grid", recording_kf_grid)
+        np.testing.assert_array_equal(ev.sweep_counts(z), expected)
+        assert calls == [((z.size, 1), ev.Z.shape)]
 
 
 class _RecordingMap(np.ndarray):

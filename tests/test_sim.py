@@ -22,7 +22,7 @@ from vital.sim import (
     steplog_csv,
     track_pose,
 )
-from vital.terrain import TERRAIN_KINDS, sample_height
+from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, sample_height
 from vital.vfa import FALLBACK_NO_SAFE_CELL, FootholdDecision
 from vital.vpa import COST_KINDS
 
@@ -527,6 +527,17 @@ class TestCli:
             "duration=0.004",
             "duration=1e307",
             "planner_rate=1e-320",
+            # Magnitudes that overflowed a run: each is above SCALE_MAX or
+            # below MAP_RESOLUTION.
+            "step_height=1e200",
+            "terrain_kind=stairs\nterrain_rise=1e200",
+            "terrain_kind=composite\nterrain_rise=1e250",
+            "terrain_kind=rough\nterrain_amplitude=1e200",
+            "vx=1e308\nduration=3",
+            "vx=-1e308\nduration=3",
+            "terrain_kind=rough\nvx=1e20\nduration=3",
+            "terrain_kind=rough\nterrain_cell=1e-300",
+            "terrain_kind=rough\nvx=1e308\nduration=3",
             *DELETED_KEY_VALUES,
         ],
     )
@@ -539,6 +550,16 @@ class TestCli:
         if values in self.DELETED_KEY_VALUES:
             key = values.splitlines()[-1].split("=")[0]
             assert f"unknown scenario key {key!r}" in err
+
+    @pytest.mark.parametrize("kind", ["rough", "composite"])
+    def test_magnitudes_at_their_bounds_run(self, tmp_path, kind):
+        # The values above, at their bounds, run to the end with no numeric
+        # warning (the suite turns one into an error).
+        values = dict(vx=-sim.SCALE_MAX, step_height=sim.SCALE_MAX, terrain_rise=sim.SCALE_MAX,
+                      terrain_amplitude=sim.SCALE_MAX, terrain_cell=MAP_RESOLUTION, duration=1.0)
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(f"terrain_kind={kind}\n" + "".join(f"{key}={value}\n" for key, value in values.items()))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
 
     def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys):
         out = tmp_path / "o"
