@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .robot import GaitParams, RobotModel, swing_arc_z
 from .terrain import MAP_RESOLUTION, Heightmap
 
 _NEIGHBOR_OFFSETS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+_NEIGHBOR_DIST = np.array([MAP_RESOLUTION * (math.sqrt(2.0) if di and dj else 1.0) for di, dj in _NEIGHBOR_OFFSETS])
 
 
 # Criterion thresholds and sample counts.  The TR thresholds reject a clean
@@ -78,6 +80,14 @@ FC_ARC_SAMPLES = 12
 EROSION_RADIUS = 1
 KF_DELTA = 1e-6  # m; swept heights this near a cell's KF range end are checked one by one
 FAR = 1e100  # m; a hip or foot this far off the map is out of reach of every cell
+
+# Sample fractions: the interior swing-arc samples of FC and KF, shape
+# (FC_ARC_SAMPLES - 2, 1, 1); LC's instants along the swing and the stance;
+# LC's points g along the leg segment, without g = 0: the foot endpoint is
+# always inside its own exemption.
+_ARC_S = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1, None, None]
+_LC_FRAC = np.linspace(0.0, 1.0, LC_TIME_SAMPLES)
+_LC_G = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]
 
 
 @dataclass
@@ -113,22 +123,31 @@ def eval_tr(heightmap: Heightmap) -> np.ndarray:
     hx, hy = h.shape
     padded = np.full((hx + 2, hy + 2), np.nan)
     padded[1:-1, 1:-1] = h
-    total = np.zeros_like(h)
-    total_sq = np.zeros_like(h)
-    count = np.zeros_like(h)
-    for di, dj in _NEIGHBOR_OFFSETS:
-        nb = padded[1 + di : 1 + di + hx, 1 + dj : 1 + dj + hy]
-        dist = MAP_RESOLUTION * math.sqrt(2.0) if (di != 0 and dj != 0) else MAP_RESOLUTION
-        slope = np.abs(nb - h) / dist
-        valid = ~np.isnan(slope)
-        slope = np.where(valid, slope, 0.0)
-        total += slope
-        total_sq += slope * slope
-        count += valid
-    mean = total / count
-    var = total_sq / count - mean * mean
+    # The slopes to the 8 neighbors, stacked on axis 0; a neighbor off the
+    # map is NaN and counts as no slope.  Sums over axis 0 add the neighbors
+    # in order, element by element.
+    slope = np.stack([padded[1 + di : 1 + di + hx, 1 + dj : 1 + dj + hy] for di, dj in _NEIGHBOR_OFFSETS])
+    slope -= h
+    np.abs(slope, out=slope)
+    slope /= _NEIGHBOR_DIST[:, None, None]
+    count = len(_NEIGHBOR_OFFSETS) - np.add.reduce(np.isnan(slope), axis=0)
+    np.fmax(slope, 0.0, out=slope)
+    mean = np.add.reduce(slope, axis=0) / count
+    var = np.add.reduce(np.multiply(slope, slope, out=slope), axis=0) / count - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
     return (mean <= TR_MEAN_MAX) & (std <= TR_STD_MAX)
+
+
+@lru_cache(maxsize=8)
+def _radius_cutoffs(r: float) -> np.ndarray:
+    """Per segment sample g of ``_LC_G``, the largest float c_g whose rounded
+    product with g is at most the foot radius ``r``: rounding is monotone
+    in the span, so span * g > r exactly when span > c_g."""
+    gs = _LC_G
+    c_g = np.where(r / gs * gs > r, np.nextafter(r / gs, 0.0), r / gs)
+    c_g = np.where(np.nextafter(c_g, np.inf) * gs > r, c_g, np.nextafter(c_g, np.inf))
+    c_g.flags.writeable = False
+    return c_g
 
 
 class FecEvaluator:
@@ -159,11 +178,12 @@ class FecEvaluator:
         self.model = model
         hm = heightmap
         # Grid-frame x of each row and y of each column, shapes (h_x, 1), (1, h_y).
-        gx, gy = hm.grid_offsets()
-        self.gx, self.gy = gx[:, :1], gy[:1]
+        self.gx, self.gy = hm.grid_offsets()
         self.Z = hm.cells
         # Row-major heights with a one-cell -inf border, for _index_parts.
-        self._bordered = np.pad(self.Z, 1, constant_values=-np.inf).ravel()
+        bordered = np.full((hm.h_x + 2, hm.h_y + 2), -np.inf)
+        bordered[1:-1, 1:-1] = self.Z
+        self._bordered = bordered.ravel()
         self._i0 = 0.5 + (hm.h_x - 1) / 2.0
         self._j0 = 0.5 + (hm.h_y - 1) / 2.0
 
@@ -188,11 +208,11 @@ class FecEvaluator:
         ``FAR`` off the map, out of reach of every cell, so no later step warns."""
         hm = self.heightmap
         c, s = math.cos(hm.yaw), math.sin(hm.yaw)
-        # 0 * inf and inf - inf for a point at inf, overflow for a huge one.
-        with np.errstate(invalid="ignore", over="ignore"):
-            dx, dy = p_xy[0] - hm.center[0], p_xy[1] - hm.center[1]
-            g = np.array([c * dx + s * dy, -s * dx + c * dy])
-        return g if (np.abs(g) < FAR).all() else np.full(2, np.nan)
+        # In Python floats, 0 * inf, inf - inf and overflow give NaN or inf
+        # and no warning.
+        dx, dy = float(p_xy[0]) - float(hm.center[0]), float(p_xy[1]) - float(hm.center[1])
+        gx, gy = c * dx + s * dy, -s * dx + c * dy
+        return np.array([gx, gy] if abs(gx) < FAR and abs(gy) < FAR else [np.nan, np.nan])
 
     def _index_parts(self, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row and column parts, in the narrowest unsigned type that holds
@@ -223,7 +243,7 @@ class FecEvaluator:
         distances to the hip (``kf_planar2``) and heights (``kf_z``): the
         candidate at touchdown and at the next lift-off, then the interior
         swing-arc samples (the arc's ends are the current state and touchdown)."""
-        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1, None, None]
+        s = _ARC_S
         arc_x = self._lo_gx + (self.gx - self._lo_gx) * s
         arc_y = self._lo_gy + (self.gy - self._lo_gy) * s
         arc_z = swing_arc_z(self._lo_z, self.Z, s, self.model.step_height)
@@ -246,8 +266,7 @@ class FecEvaluator:
         stance instants share the foot, so z* = ((h + clear) + g Z) / g is
         one non-decreasing map of their looked-up heights h, and the max of
         z* is that map of the max h."""
-        n_t = LC_TIME_SAMPLES
-        frac = np.linspace(0.0, 1.0, n_t)
+        n_t, frac = LC_TIME_SAMPLES, _LC_FRAC
         s = frac[1:, None, None]
         # The instants, stacked on axis 0: n_t - 1 of the swing (foot on the
         # arc, hip advancing toward touchdown; the s = 0 instant is the
@@ -268,28 +287,23 @@ class FecEvaluator:
         fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.model.step_height), self.Z[None]])
         clear = LC_CLEARANCE - fz
         thresh = np.full(self.Z.shape, -np.inf)
-        # Skip g = 0: the foot endpoint is always inside its own exemption.
-        gs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]
-        # span * g > r exactly when span > c_g, the largest float whose
-        # rounded product with g is at most r: rounding is monotone in span.
-        r = self.model.foot_radius
-        c_g = np.where(r / gs * gs > r, np.nextafter(r / gs, 0.0), r / gs)
-        c_g = np.where(np.nextafter(c_g, np.inf) * gs > r, c_g, np.nextafter(c_g, np.inf))
+        gs = _LC_G
         rows, cols = self._index_parts(fx + dhx * gs[:, None, None, None], fy + dhy * gs[:, None, None, None])
-        idx, h, top = np.empty(span.shape, rows.dtype), np.empty(span.shape), np.empty(self.Z.shape)
-        for g, c, i_part, j_part in zip(gs, c_g, rows, cols):
+        idx, near, h = np.empty(span.shape, rows.dtype), np.empty(span.shape, bool), np.empty(span.shape)
+        gfz, top = np.empty(fz.shape), np.empty(self.Z.shape)
+        z_star, stance, z_stance = h[:n_t], h[n_t - 1 :], h[n_t - 1]
+        for g, c, i_part, j_part in zip(gs, _radius_cutoffs(self.model.foot_radius), rows, cols):
             np.add(i_part, j_part, out=idx)
             # Points within the foot radius (planar) of the foot are exempt:
             # index 0 is a border cell, so they read -inf like the points
             # off the map, and their z* is -inf.
-            idx *= span > c
+            idx *= np.greater(span, c, out=near)
             self._bordered.take(idx, out=h, mode="wrap")
-            z_star = h[:n_t]
-            np.max(h[n_t - 1 :], axis=0, out=z_star[-1])
+            np.maximum.reduce(stance, axis=0, out=z_stance)
             z_star += clear
-            z_star += g * fz
+            z_star += np.multiply(g, fz, out=gfz)
             # fl(x / g) is non-decreasing in x: divide once, after the max.
-            np.max(z_star, axis=0, out=top)
+            np.maximum.reduce(z_star, axis=0, out=top)
             top /= g
             np.maximum(thresh, top, out=thresh)
         self.lc_threshold = thresh

@@ -85,6 +85,10 @@ DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
 ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
 TAU_TRACK = 0.15  # s, lag of the pose tracking
 SCALE_MAX = 10.0  # m or m/s, the bound on |vx|, step_height, terrain_rise and terrain_amplitude
+ANGLE_MAX = math.pi  # rad, the bound on u_roll_max, u_pitch_max, du_roll and du_pitch
+# Fractions along the foot-to-hip segment at which detect_events samples the
+# terrain: the foot, then 8 shin points.
+_SHIN_FRACTIONS = np.linspace(0.0, 1.0, 9)
 
 
 class ConfigError(Exception):
@@ -150,6 +154,8 @@ class Scenario:
             raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
         if min(self.u_roll_max, self.u_pitch_max) < 0:
             raise ConfigError("u_roll_max and u_pitch_max must be >= 0")
+        if max(self.u_roll_max, self.u_pitch_max, self.du_roll, self.du_pitch) > ANGLE_MAX:
+            raise ConfigError(f"u_roll_max, u_pitch_max, du_roll and du_pitch must be <= {ANGLE_MAX} (pi rad)")
         if not (self.step_height > 0 or self.step_height == -1.0):
             raise ConfigError("step_height must be > 0, or -1 for the robot's default")
         if max(abs(self.vx), self.step_height, self.terrain_rise, self.terrain_amplitude) > SCALE_MAX:
@@ -409,17 +415,19 @@ def detect_events(setup: RunSetup, feet: np.ndarray, hips: np.ndarray, stance, s
     feet count only away from their arc ends.  A workspace event is a stance
     foot outside the leg's spherical shell.
     """
-    terrain, model = setup.terrain, setup.model
+    model = setup.model
     counted = stance | ((0.02 < swing_s) & (swing_s < 0.98))
-    buried = feet[:, 2] < sample_height(terrain, feet[:, 0], feet[:, 1]) - FC_CLEARANCE
-    d = np.linalg.norm(hips - feet, axis=1)
+    leg = hips - feet
+    d = np.linalg.norm(leg, axis=1)
     outside = stance & ((d < model.r_min - 1e-9) | (d > model.r_max + 1e-9))
-    # 8 shin points per leg; points within the foot radius are the foot.
-    g = np.linspace(0.0, 1.0, 9)[1:]
-    shin = feet[:, None, :] + (hips - feet)[:, None, :] * g[:, None]
-    planar = np.hypot(hips[:, 0] - feet[:, 0], hips[:, 1] - feet[:, 1])[:, None] * g
-    shin_ground = sample_height(terrain, shin[..., 0], shin[..., 1])
-    shin_hit = (planar > model.foot_radius) & (shin[..., 2] < shin_ground - LC_CLEARANCE)
+    # One terrain query: the foot (fraction 0) and 8 shin points per leg.
+    # The foot's planar distance from itself is 0, so it is never a shin
+    # hit, nor is any point within the foot radius.
+    points = feet[:, None, :] + leg[:, None, :] * _SHIN_FRACTIONS[:, None]
+    ground = sample_height(setup.terrain, points[..., 0], points[..., 1])
+    buried = feet[:, 2] < ground[:, 0] - FC_CLEARANCE
+    planar = np.hypot(leg[:, 0], leg[:, 1])[:, None] * _SHIN_FRACTIONS
+    shin_hit = (planar > model.foot_radius) & (points[..., 2] < ground - LC_CLEARANCE)
     collisions = np.count_nonzero(counted & buried) + np.count_nonzero(shin_hit.any(axis=1))
     return int(collisions), int(np.count_nonzero(outside))
 

@@ -24,6 +24,9 @@ PLATEAU = 0.5  # m, the flat top of a composite between ascent and descent
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Lattice offsets of the four corners around a point: 00, 10, 01, 11.
+_CORNER_DX = np.array([0, 1, 0, 1])
+_CORNER_DY = np.array([0, 0, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,13 @@ class TerrainMap:
         if self.kind in ("stairs", "gapped_stairs", "composite"):
             if self.rise <= 0 or self.going <= 0 or self.n_steps < 1:
                 raise ValueError("stairs need rise > 0, going > 0, n_steps >= 1")
+            # The composite's descent computes up to twice the stairs' height.
+            try:
+                span = 2.0 * max(self.rise, self.going) * self.n_steps
+            except OverflowError:  # n_steps beyond every float
+                span = math.inf
+            if not math.isfinite(span):
+                raise ValueError("stairs need 2 * rise * n_steps and 2 * going * n_steps finite")
         if self.kind == "gapped_stairs" and self.going <= GAP_WIDTH:
             raise ValueError(f"gapped_stairs need going > GAP_WIDTH ({GAP_WIDTH} m), or every tread is gap")
         if self.kind == "rough" and (self.cell < MAP_RESOLUTION or self.amplitude < 0):
@@ -57,18 +67,18 @@ class TerrainMap:
 
 
 def _hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic hash of integer lattice coordinates to [0, 1)."""
+    """Deterministic hash of int64 lattice coordinate arrays (at least 1-d)
+    to [0, 1).  uint64 wrap-around is the hash; numpy warns about it only
+    on scalars, never on arrays."""
     seed_mix = np.uint64((seed * 0x9E3779B97F4A7C15) % (1 << 64))
-    # uint64 wrap-around is the hash; numpy warns about it on scalar inputs.
-    with np.errstate(over="ignore"):
-        h = ix.astype(np.int64).view(np.uint64) * _GOLDEN
-        h ^= iy.astype(np.int64).view(np.uint64) * _MIX1
-        h += seed_mix
-        h ^= h >> np.uint64(30)
-        h *= _MIX1
-        h ^= h >> np.uint64(27)
-        h *= _MIX2
-        h ^= h >> np.uint64(31)
+    h = ix.view(np.uint64) * _GOLDEN
+    h ^= iy.view(np.uint64) * _MIX1
+    h += seed_mix
+    h ^= h >> np.uint64(30)
+    h *= _MIX1
+    h ^= h >> np.uint64(27)
+    h *= _MIX2
+    h ^= h >> np.uint64(31)
     return h.astype(np.float64) / float(2**64)
 
 
@@ -97,13 +107,12 @@ def _rough_height(t: TerrainMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     iy = np.floor(gy)
     fx = gx - ix
     fy = gy - iy
-    ix = ix.astype(np.int64)
-    iy = iy.astype(np.int64)
     h00, h10, h01, h11 = _hash01(
-        np.stack([ix, ix + 1, ix, ix + 1]), np.stack([iy, iy, iy + 1, iy + 1]), t.seed
+        np.add.outer(_CORNER_DX, ix.astype(np.int64)), np.add.outer(_CORNER_DY, iy.astype(np.int64)), t.seed
     )
-    top = h00 * (1.0 - fx) + h10 * fx
-    bot = h01 * (1.0 - fx) + h11 * fx
+    ux = 1.0 - fx
+    top = h00 * ux + h10 * fx
+    bot = h01 * ux + h11 * fx
     val = top * (1.0 - fy) + bot * fy
     return (val - 0.5) * t.amplitude
 
@@ -124,7 +133,7 @@ def sample_height(terrain: TerrainMap, x, y):
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if terrain.kind == "flat":
-        h = np.zeros(np.broadcast(xa, ya).shape)
+        h = 0.0
     elif terrain.kind == "stairs":
         h = _stairs_height(terrain, xa)
     elif terrain.kind == "gapped_stairs":
@@ -135,10 +144,11 @@ def sample_height(terrain: TerrainMap, x, y):
         h = _composite_height(terrain, xa)
     else:  # pragma: no cover - guarded in __post_init__
         raise ValueError(terrain.kind)
-    h = np.broadcast_to(h, np.broadcast(xa, ya).shape)
+    out = np.empty(np.broadcast(xa, ya).shape)
+    np.copyto(out, h)
     if np.isscalar(x) and np.isscalar(y):
-        return float(h)
-    return np.array(h, dtype=np.float64)
+        return float(out)
+    return out
 
 
 @dataclass
@@ -169,10 +179,11 @@ class Heightmap:
         return self.cells.shape[1]
 
     def grid_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid-frame x/y offsets of every cell, shape (h_x, h_y) each."""
+        """Grid-frame x offset of each row and y offset of each column,
+        shapes (h_x, 1) and (1, h_y): they broadcast to every cell's."""
         ox = (np.arange(self.h_x) - (self.h_x - 1) / 2.0) * MAP_RESOLUTION
         oy = (np.arange(self.h_y) - (self.h_y - 1) / 2.0) * MAP_RESOLUTION
-        return np.meshgrid(ox, oy, indexing="ij")
+        return ox[:, None], oy[None]
 
     def world_points(self) -> tuple[np.ndarray, np.ndarray]:
         """World x/y coordinates of every cell, shape (h_x, h_y) each."""

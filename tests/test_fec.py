@@ -13,7 +13,7 @@ from vital.fec import (
     eval_tr,
 )
 from vital.robot import GaitParams, robot_preset
-from vital.terrain import MAP_RESOLUTION, Heightmap, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, Heightmap, TerrainMap, extract_heightmap, sample_height
 
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_erode, naive_tr
 
@@ -44,10 +44,23 @@ class TestTerrainRoughness:
         hm = Heightmap(np.broadcast_to(0.2 * x, (9, 9)).copy(), (0.0, 0.0))
         assert eval_tr(hm).all()
 
-    def test_matches_naive(self):
-        rng = np.random.default_rng(5)
-        cells = rng.uniform(0, 0.05, size=(9, 9))
-        hm = Heightmap(cells, (0.0, 0.0))
+    # The stacked slopes must add in the loop's order: mean and std are
+    # compared with thresholds, so one rounding apart can flip a cell.
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+    @given(
+        kind=st.sampled_from(TERRAIN_KINDS),
+        rise=st.floats(0.01, 0.5),
+        going=st.floats(0.09, 0.5),
+        cell=st.floats(0.05, 0.5),
+        terrain_seed=st.integers(0, 1000),
+        center=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 0.5)),
+        yaw=st.floats(-np.pi, np.pi),
+        half=st.integers(1, 16),
+    )
+    def test_matches_naive(self, kind, rise, going, cell, terrain_seed, center, yaw, half):
+        terrain = TerrainMap(kind=kind, rise=rise, going=going, start_x=terrain_seed / 1000.0 - 0.2,
+                             seed=terrain_seed, amplitude=rise, cell=cell)
+        hm = extract_heightmap(terrain, center, yaw, h_x=2 * half + 1, h_y=2 * half + 1)
         np.testing.assert_array_equal(eval_tr(hm), naive_tr(hm))
 
 

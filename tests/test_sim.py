@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import vital.sim as sim
 from vital.cli import main as cli_main
-from vital.fec import FC_ARC_SAMPLES, FC_CLEARANCE, FecEvaluator
+from vital.fec import FC_ARC_SAMPLES, FC_CLEARANCE, LC_CLEARANCE, FecEvaluator
 from vital.robot import STEP_FREQUENCY, swing_points
 from vital.sim import (
+    ANGLE_MAX,
     PLANNERS,
+    SCALE_MAX,
     TAU_TRACK,
     ConfigError,
     Scenario,
@@ -25,6 +28,11 @@ from vital.sim import (
 from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, sample_height
 from vital.vfa import FALLBACK_NO_SAFE_CELL, FootholdDecision
 from vital.vpa import COST_KINDS
+
+
+# The most steps of terrain_rise SCALE_MAX whose stairs, doubled, are a
+# finite height.
+STEPS_AT_BOUND = int(sys.float_info.max / (2 * SCALE_MAX))
 
 
 def short_flat(**overrides):
@@ -328,6 +336,50 @@ class TestDetectEvents:
         assert sim.detect_events(setup, feet, hips, stance, swing_s) == (2, 0)
 
 
+def loop_detect_events(setup, feet, hips, stance, swing_s):
+    """detect_events one leg and one point at a time: one sample_height call
+    for each foot and each of 8 shin points, at fractions k / 8 of the way
+    from the foot to the hip."""
+    terrain, model = setup.terrain, setup.model
+    collisions = workspace = 0
+    for foot, hip, on_ground, s in zip(feet, hips, stance, swing_s):
+        leg = hip - foot
+        if (on_ground or 0.02 < s < 0.98) and foot[2] < sample_height(terrain, foot[0], foot[1]) - FC_CLEARANCE:
+            collisions += 1
+        for k in range(1, 9):
+            point = foot + leg * (k / 8)
+            planar = np.hypot(leg[0], leg[1]) * (k / 8)
+            if planar > model.foot_radius and point[2] < sample_height(terrain, point[0], point[1]) - LC_CLEARANCE:
+                collisions += 1
+                break
+        d = np.linalg.norm(leg)
+        workspace += bool(on_ground and (d < model.r_min - 1e-9 or d > model.r_max + 1e-9))
+    return collisions, workspace
+
+
+def four(strategy):
+    return st.lists(strategy, min_size=4, max_size=4)
+
+
+# No shrink phase: a fault that fails most examples would shrink for minutes.
+@settings(phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(
+    kind=st.sampled_from(TERRAIN_KINDS),
+    terrain_seed=st.integers(0, 1000),
+    feet=four(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 0.5), st.floats(-0.3, 0.6))),
+    legs=four(st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.floats(-0.6, 0.9))),
+    stance=four(st.booleans()),
+    swing_s=four(st.floats(0.0, 1.0)),
+)
+def test_detect_events_matches_a_per_point_loop(kind, terrain_seed, feet, legs, stance, swing_s):
+    # One terrain query serves the feet and the shin points of all legs.
+    scenario = Scenario(terrain_kind=kind, terrain_rise=0.15, terrain_start_x=0.0, terrain_cell=0.2,
+                        terrain_amplitude=0.15, terrain_seed=terrain_seed, planner="none")
+    feet = np.array(feet)
+    args = (sim.RunSetup(scenario), feet, feet + np.array(legs), np.array(stance), np.array(swing_s))
+    assert sim.detect_events(*args) == loop_detect_events(*args)
+
+
 # The stepped terrains start under the robot, so the two planner ticks see
 # their edges.  gapped_stairs then has the front hips over a gap: the centre
 # cell of a heightmap lies at the bottom of the gap, 1 m down, so the swept
@@ -538,6 +590,17 @@ class TestCli:
             "terrain_kind=rough\nvx=1e20\nduration=3",
             "terrain_kind=rough\nterrain_cell=1e-300",
             "terrain_kind=rough\nvx=1e308\nduration=3",
+            # Angles and rates above ANGLE_MAX; the pairs overflowed the pose cost.
+            "u_pitch_max=1e300\ndu_pitch=1e300",
+            "u_roll_max=1e300\ndu_roll=1e300",
+            "u_roll_max=3.15",
+            "du_pitch=3.15",
+            # Step counts whose stairs, doubled, are beyond every float.
+            pytest.param(f"terrain_kind=stairs\nterrain_steps={10**330}", id="terrain_steps=10**330"),
+            pytest.param(
+                f"terrain_kind=composite\nterrain_rise={SCALE_MAX}\nterrain_steps={2 * STEPS_AT_BOUND}",
+                id="terrain_steps=2*STEPS_AT_BOUND",
+            ),
             *DELETED_KEY_VALUES,
         ],
     )
@@ -551,14 +614,20 @@ class TestCli:
             key = values.splitlines()[-1].split("=")[0]
             assert f"unknown scenario key {key!r}" in err
 
-    @pytest.mark.parametrize("kind", ["rough", "composite"])
+    @pytest.mark.parametrize("kind", ["rough", "composite", "gapped_stairs"])
     def test_magnitudes_at_their_bounds_run(self, tmp_path, kind):
         # The values above, at their bounds, run to the end with no numeric
         # warning (the suite turns one into an error).
-        values = dict(vx=-sim.SCALE_MAX, step_height=sim.SCALE_MAX, terrain_rise=sim.SCALE_MAX,
-                      terrain_amplitude=sim.SCALE_MAX, terrain_cell=MAP_RESOLUTION, duration=1.0)
+        values = dict(vx=-SCALE_MAX, step_height=SCALE_MAX, terrain_rise=SCALE_MAX, terrain_steps=STEPS_AT_BOUND,
+                      terrain_amplitude=SCALE_MAX, terrain_cell=MAP_RESOLUTION, u_roll_max=ANGLE_MAX,
+                      u_pitch_max=ANGLE_MAX, du_roll=ANGLE_MAX, du_pitch=ANGLE_MAX, duration=1.0)
         cfg = tmp_path / "bounds.cfg"
         cfg.write_text(f"terrain_kind={kind}\n" + "".join(f"{key}={value}\n" for key, value in values.items()))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
+
+    def test_stairs_of_1e21_steps_run(self, tmp_path):
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text(f"terrain_kind=stairs\nterrain_steps={10**21}\nduration=1\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
 
     def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys):

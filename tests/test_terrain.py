@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vital.terrain import GAP_WIDTH, TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import GAP_WIDTH, MAP_RESOLUTION, TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
 
 
 class TestSampleHeight:
@@ -93,16 +93,20 @@ class TestExtractHeightmap:
 
     def test_grid_offsets_separable(self):
         # FecEvaluator computes cell rows from x and columns from y alone,
-        # so grid x must be constant along each row and grid y down each
-        # column, on every terrain, at any yaw and on non-square maps.
+        # so grid x is one value per row and grid y one per column, on every
+        # terrain, at any yaw and on non-square maps; world_points
+        # broadcasts them to every cell, as sample_height saw them.
         for kind in TERRAIN_KINDS:
             terrain = TerrainMap(kind=kind, start_x=0.3)
             for yaw in (0.0, 1.1):
                 hm = extract_heightmap(terrain, (0.37, 0.013), yaw, h_x=21, h_y=13)
                 gx, gy = hm.grid_offsets()
-                assert gx.shape == gy.shape == (21, 13)
-                assert (gx == gx[:, :1]).all()
-                assert (gy == gy[:1]).all()
+                assert gx.shape == (21, 1) and gy.shape == (1, 13)
+                np.testing.assert_array_equal(gx[:, 0], (np.arange(21) - 10) * MAP_RESOLUTION)
+                np.testing.assert_array_equal(gy[0], (np.arange(13) - 6) * MAP_RESOLUTION)
+                wx, wy = hm.world_points()
+                assert wx.shape == wy.shape == (21, 13)
+                np.testing.assert_array_equal(hm.cells, sample_height(terrain, wx, wy))
 
     def test_gradient_along_plus_x_at_zero_yaw(self, stairs):
         hm = extract_heightmap(stairs, (0.25, 0.0), 0.0)
