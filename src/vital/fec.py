@@ -12,7 +12,8 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
   endpoint are exempt, as are points outside the heightmap.
 * KF (kinematic feasibility): the candidate is inside the spherical-shell
   leg workspace at touchdown and at the next lift-off, and every swing-arc
-  sample stays inside the shell of the hip interpolated over swing time.
+  sample stays inside the shell of the hip interpolated over swing time,
+  with the hip at or above each of these check points.
 * FC (foot trajectory collision): every interior sample of the swing arc
   from the current foot to the candidate clears the heightmap by at least
   ``FC_CLEARANCE``.
@@ -36,21 +37,15 @@ one-cell -inf border that every index is clamped into, so points off the map
 are exempt without a mask.  The stance instants share the foot, so their
 heights are maxed before one transform.
 
-A sweep over sorted, NaN-free hip heights (pose evaluation) gives each cell
-the index range [a, b] of heights at which it passes.  TR and FC do not
-depend on the height, and LC passes from ``searchsorted`` of its threshold
-on.  A KF check (point height zk, planar squared distance p to its hip)
-passes in real numbers from zk + sqrt(r_min**2 - p), or zk - sqrt(r_max**2 -
-p) when p >= r_min**2, up to zk + sqrt(r_max**2 - p); a NaN end, out of
-reach, sorts past every height.  A height ``KF_DELTA`` or more from those
-ends misses or clears the shell by KF_DELTA**2, far above the rounding of
-(z - zk)**2 + p, so the float check agrees.  A cell with a height nearer an
-end, or with a check whose point is above the lowest height and clears r_min
-there (it may pass again below the point), is checked in float at every
-height.  Erosion is a 3x3 max of a and min of b, and a histogram of the
-eroded ranges gives the counts.  When a checked cell passes at heights
-apart, the ranges fill a stack of every height's conjunction instead, the
-checked cells' rows are written in, and the stack is eroded and counted.
+A KF check (point height zk, planar squared distance p to its hip) passes
+from zk + sqrt(max(r_min**2 - p, 0)) up to zk + sqrt(r_max**2 - p), so each
+cell's KF set is one interval [kf_lo, kf_hi], the intersection over its
+checks, built once; a cell out of reach, or of a NaN hip, has an empty one.
+A single height reads KF from the interval, and so does a sweep over sorted,
+NaN-free hip heights (pose evaluation): each cell passes on the index range
+[a, b] of heights from ``searchsorted`` of the larger of kf_lo and the LC
+threshold, gated by TR and FC, to that of kf_hi.  Erosion is a 3x3 max of a
+and min of b, and a histogram of the eroded ranges gives the counts.
 """
 
 from __future__ import annotations
@@ -78,7 +73,6 @@ LC_SEGMENT_SAMPLES = 20
 FC_CLEARANCE = 0.01
 FC_ARC_SAMPLES = 12
 EROSION_RADIUS = 1
-KF_DELTA = 1e-6  # m; swept heights this near a cell's KF range end are checked one by one
 FAR = 1e100  # m; a hip or foot this far off the map is out of reach of every cell
 
 # Sample fractions: the interior swing-arc samples of FC and KF, shape
@@ -239,10 +233,10 @@ class FecEvaluator:
     # -- static tables -------------------------------------------------
 
     def _build_arc_tables(self):
-        """FC, and KF's checks stacked on axis 0 with their planar squared
-        distances to the hip (``kf_planar2``) and heights (``kf_z``): the
-        candidate at touchdown and at the next lift-off, then the interior
-        swing-arc samples (the arc's ends are the current state and touchdown)."""
+        """FC, and the KF interval [``kf_lo``, ``kf_hi``] of each cell over
+        its checks stacked on axis 0: the candidate at touchdown and at the
+        next lift-off, then the interior swing-arc samples (the arc's ends
+        are the current state and touchdown)."""
         s = _ARC_S
         arc_x = self._lo_gx + (self.gx - self._lo_gx) * s
         arc_y = self._lo_gy + (self.gy - self._lo_gy) * s
@@ -253,8 +247,14 @@ class FecEvaluator:
         hips = np.vstack([self.hip_td, self.hip_lo2, self.hip_now + (self.hip_td - self.hip_now) * s[:, 0]])
         x = np.concatenate([np.broadcast_to(self.gx, (2,) + self.gx.shape), arc_x])
         y = np.concatenate([np.broadcast_to(self.gy, (2,) + self.gy.shape), arc_y])
-        self.kf_planar2 = (x - hips[:, :1, None]) ** 2 + (y - hips[:, 1:, None]) ** 2
-        self.kf_z = np.concatenate([[self.Z, self.Z], arc_z])
+        p = (x - hips[:, :1, None]) ** 2 + (y - hips[:, 1:, None]) ** 2
+        zk = np.concatenate([[self.Z, self.Z], arc_z])
+        # sqrt(r_max**2 - p) is NaN out of reach and for a NaN hip; maximum
+        # and min keep a NaN where fmax would drop it.
+        with np.errstate(invalid="ignore"):
+            hi = (zk + np.sqrt(self.model.r_max**2 - p)).min(axis=0)
+        self.kf_lo = (zk + np.sqrt(np.maximum(self.model.r_min**2 - p, 0.0))).max(axis=0)
+        self.kf_hi = np.where(np.isnan(hi), -np.inf, hi)
 
     def _build_lc_threshold(self):
         """Per-cell hip-height threshold above which the leg segment keeps
@@ -310,22 +310,8 @@ class FecEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
-    def kf_grid(self, z_h, cells=...) -> np.ndarray:
-        """KF at hip height ``z_h``, or at (n, 1) heights for the cells of a
-        mask ``cells``: one check at a time, in buffers the size of the result."""
-        lo2, hi2 = self.model.r_min**2, self.model.r_max**2
-        planar2s, heights = self.kf_planar2[:, cells], self.kf_z[:, cells]
-        ok = np.ones(np.broadcast_shapes(np.shape(z_h), heights.shape[1:]), dtype=bool)
-        d2, flag = np.empty(ok.shape), np.empty(ok.shape, dtype=bool)
-        for planar2, z in zip(planar2s, heights):
-            np.square(np.subtract(z_h, z, out=d2), out=d2)
-            d2 += planar2
-            ok &= np.greater_equal(d2, lo2, out=flag)
-            ok &= np.less_equal(d2, hi2, out=flag)
-        return ok
-
     def evaluate(self, z_h: float) -> SafetyGrid:
-        lc, kf = z_h >= self.lc_threshold, self.kf_grid(z_h)
+        lc, kf = z_h >= self.lc_threshold, (self.kf_lo <= z_h) & (z_h <= self.kf_hi)
         cells = erode_safe_set(self.tr & lc & kf & self.fc, EROSION_RADIUS)
         return SafetyGrid(cells=cells, tr=self.tr, lc=lc, kf=kf, fc=self.fc)
 
@@ -335,29 +321,9 @@ class FecEvaluator:
         z = np.asarray(z_values, dtype=np.float64)
         if np.isnan(z).any() or (z[1:] < z[:-1]).any():
             raise ValueError("swept hip heights must be sorted and free of NaN")
-        n, lo2, hi2 = z.size, self.model.r_min**2, self.model.r_max**2
-        p, zk = self.kf_planar2, self.kf_z
-        # sqrt(r**2 - p) is NaN where p > r**2 (out of reach) and for a NaN hip.
-        with np.errstate(invalid="ignore"):
-            outer, inner = np.sqrt(hi2 - p), np.sqrt(lo2 - p)
-        lo, hi = np.where(p < lo2, zk + inner, zk - outer).max(axis=0), (zk + outer).min(axis=0)
-        # Where no height lies within KF_DELTA of an end, KF passes from lo_b to hi_b - 1.
-        lo_a, lo_b, hi_a, hi_b = z.searchsorted([lo - KF_DELTA, lo + KF_DELTA, hi - KF_DELTA, hi + KF_DELTA])
-        tr_fc = self.tr & self.fc
-        a, b = np.where(tr_fc, np.maximum(lo_b, z.searchsorted(self.lc_threshold)), n), hi_b - 1
-        z0 = z[0] if n else np.inf
-        below = ((p < lo2) & (z0 < zk) & ((z0 - zk) ** 2 + p >= lo2)).any(axis=0)
-        slow = (lo_a != lo_b) | (hi_a != hi_b) | below
-        if slow.any():
-            raw = self.kf_grid(z[:, None], slow) & (z[:, None] >= self.lc_threshold[slow]) & tr_fc[slow]
-            first, last, count = raw.argmax(axis=0), n - 1 - raw[::-1].argmax(axis=0), raw.sum(axis=0)
-            a[slow], b[slow] = np.where(count > 0, first, n), last
-            if ((count > 0) & (count != last - first + 1)).any():
-                # A checked cell passes at heights apart: stack the ranges.
-                k = np.arange(n)[:, None, None]
-                stack = (a <= k) & (k <= b)
-                stack[:, slow] = raw
-                return np.count_nonzero(erode_safe_set(stack, EROSION_RADIUS), axis=(1, 2))
+        n = z.size
+        a = np.where(self.tr & self.fc, z.searchsorted(np.maximum(self.kf_lo, self.lc_threshold)), n)
+        b = z.searchsorted(self.kf_hi, side="right") - 1
         a, b = -erode_safe_set(-a, EROSION_RADIUS), erode_safe_set(b, EROSION_RADIUS)
         live = a <= b
         return np.cumsum(np.bincount(a[live], minlength=n + 1) - np.bincount(b[live] + 1, minlength=n + 1))[:n]

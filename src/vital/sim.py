@@ -84,7 +84,7 @@ DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
 # each leg's ground.
 ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
 TAU_TRACK = 0.15  # s, lag of the pose tracking
-SCALE_MAX = 10.0  # m or m/s, the bound on |vx|, step_height, terrain_rise and terrain_amplitude
+SCALE_MAX = 10.0  # m or m/s, the bound on |vx|, |terrain_start_x|, step_height, terrain_rise and terrain_amplitude
 ANGLE_MAX = math.pi  # rad, the bound on u_roll_max, u_pitch_max, du_roll and du_pitch
 # Fractions along the foot-to-hip segment at which detect_events samples the
 # terrain: the foot, then 8 shin points.
@@ -158,8 +158,11 @@ class Scenario:
             raise ConfigError(f"u_roll_max, u_pitch_max, du_roll and du_pitch must be <= {ANGLE_MAX} (pi rad)")
         if not (self.step_height > 0 or self.step_height == -1.0):
             raise ConfigError("step_height must be > 0, or -1 for the robot's default")
-        if max(abs(self.vx), self.step_height, self.terrain_rise, self.terrain_amplitude) > SCALE_MAX:
-            raise ConfigError(f"|vx|, step_height, terrain_rise and terrain_amplitude must be <= {SCALE_MAX}")
+        sizes = abs(self.vx), abs(self.terrain_start_x), self.step_height, self.terrain_rise, self.terrain_amplitude
+        if max(sizes) > SCALE_MAX:
+            raise ConfigError(
+                f"|vx|, |terrain_start_x|, step_height, terrain_rise and terrain_amplitude must be <= {SCALE_MAX}"
+            )
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.seed < 0:

@@ -51,9 +51,9 @@ class TerrainMap:
         if self.kind not in TERRAIN_KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
         if self.kind in ("stairs", "gapped_stairs", "composite"):
-            if self.rise <= 0 or self.going <= 0 or self.n_steps < 1:
-                raise ValueError("stairs need rise > 0, going > 0, n_steps >= 1")
-            # The composite's descent computes up to twice the stairs' height.
+            if self.rise <= 0 or self.going < MAP_RESOLUTION or self.n_steps < 1:
+                raise ValueError(f"stairs need rise > 0, going >= MAP_RESOLUTION ({MAP_RESOLUTION} m), n_steps >= 1")
+            # A composite climbs the stairs and descends them again.
             try:
                 span = 2.0 * max(self.rise, self.going) * self.n_steps
             except OverflowError:  # n_steps beyond every float
@@ -123,7 +123,8 @@ def _composite_height(t: TerrainMap, x: np.ndarray) -> np.ndarray:
     extent = t.n_steps * t.going
     top = t.rise * t.n_steps
     d = u - extent - PLATEAU
-    down = np.clip(top - t.rise * (1.0 + np.floor(d / t.going)), 0.0, top)
+    # The step index is clipped before the product, which stays in [0, top].
+    down = top - t.rise * np.clip(1.0 + np.floor(d / t.going), 0.0, t.n_steps)
     h = np.where(u < extent + PLATEAU, _stairs_height(t, x), down)
     return np.where(u >= 0.0, h, 0.0)
 

@@ -135,18 +135,18 @@ class NaiveFec:
         return True
 
     def kf_cell(self, i, j, z_h):
+        """KF: at touchdown, at the next lift-off and at each interior arc
+        sample, the hip is at or above the check point and within the shell."""
         lo2, hi2 = self.model.r_min**2, self.model.r_max**2
-        for hip in (self.hip_td, self.hip_lo2):
-            d2 = (self.GX[i, j] - hip[0]) ** 2 + (self.GY[i, j] - hip[1]) ** 2 + (z_h - self.Z[i, j]) ** 2
-            if not (d2 >= lo2 and d2 <= hi2):
-                return False
+        checks = [(self.GX[i, j], self.GY[i, j], self.Z[i, j], hip) for hip in (self.hip_td, self.hip_lo2)]
         fracs = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)
         for s in fracs[1:-1]:
-            ax, ay, az = self._arc_point(i, j, s)
             hx = self.hip_now[0] + (self.hip_td[0] - self.hip_now[0]) * s
             hy = self.hip_now[1] + (self.hip_td[1] - self.hip_now[1]) * s
-            d2 = (ax - hx) ** 2 + (ay - hy) ** 2 + (z_h - az) ** 2
-            if not (d2 >= lo2 and d2 <= hi2):
+            checks.append((*self._arc_point(i, j, s), (hx, hy)))
+        for px, py, pz, (hx, hy) in checks:
+            d2 = (px - hx) ** 2 + (py - hy) ** 2 + (z_h - pz) ** 2
+            if not (z_h >= pz and d2 >= lo2 and d2 <= hi2):
                 return False
         return True
 

@@ -4,6 +4,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from vital.fec import (
     EROSION_RADIUS,
+    FC_ARC_SAMPLES,
     LC_CLEARANCE,
     LC_SEGMENT_SAMPLES,
     LC_TIME_SAMPLES,
@@ -12,7 +13,7 @@ from vital.fec import (
     eval_fec,
     eval_tr,
 )
-from vital.robot import GaitParams, robot_preset
+from vital.robot import GaitParams, robot_preset, swing_arc_z
 from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, Heightmap, TerrainMap, extract_heightmap, sample_height
 
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_erode, naive_tr
@@ -145,10 +146,10 @@ class TestCriteriaOnFlat:
 
     def test_kf_under_hip_true(self, flat, model, zero_velocity, gait):
         mid = (model.r_min + model.r_max) / 2
-        assert origin_evaluator(flat, zero_velocity, gait, model).kf_grid(mid)[4, 4]
+        assert origin_evaluator(flat, zero_velocity, gait, model).evaluate(mid).kf[4, 4]
 
     def test_kf_beyond_shell_false(self, flat, model, zero_velocity, gait):
-        assert not origin_evaluator(flat, zero_velocity, gait, model).kf_grid(1.9).any()
+        assert not origin_evaluator(flat, zero_velocity, gait, model).evaluate(1.9).kf.any()
 
     def test_kf_sunken_tread_out_of_reach(self, model, zero_velocity, gait):
         # a gap 1 m below its tread pushes touchdown past r_max; the tread
@@ -159,7 +160,7 @@ class TestCriteriaOnFlat:
         assert len(low) > 0 and hm.cells[0, 4] == 0.10
         i, j = low[0]
         foot = np.array([-9.7, 0.0, 0.10])
-        kf = FecEvaluator(hm, (-9.64, 0.0), zero_velocity, gait, model, current_foot=foot).kf_grid(0.74)
+        kf = FecEvaluator(hm, (-9.64, 0.0), zero_velocity, gait, model, current_foot=foot).evaluate(0.74).kf
         assert not kf[i, j] and kf[0, 4]
 
     def test_kf_last_arc_sample_inside_r_min(self, flat, model, zero_velocity, gait):
@@ -168,7 +169,7 @@ class TestCriteriaOnFlat:
         # within r_min (0.2994 m), so it alone rejects the centre cell.
         foot = np.array([0.0, 0.0, -0.36])
         ev = origin_evaluator(flat, zero_velocity, gait, model, current_foot=foot)
-        assert not ev.kf_grid(0.3005)[4, 4]
+        assert not ev.evaluate(0.3005).kf[4, 4]
         naive = NaiveFec(ev.heightmap, (0.0, 0.0), zero_velocity, gait, model, current_foot=foot)
         assert not naive.kf_cell(4, 4, 0.3005)
 
@@ -180,7 +181,7 @@ class TestCriteriaOnFlat:
         # is 0.749 m at touchdown.  So the touchdown check alone decides.
         ev = origin_evaluator(flat, forward_velocity, gait, model, h=65)
         assert ev.gx[60, 0] == 0.56 and ev.gx[58, 0] == 0.52
-        kf = ev.kf_grid(0.6)
+        kf = ev.evaluate(0.6).kf
         assert not kf[60, 32] and kf[58, 32]
         naive = NaiveFec(ev.heightmap, (0.0, 0.0), forward_velocity, gait, model)
         assert not naive.kf_cell(60, 32, 0.6) and naive.kf_cell(58, 32, 0.6)
@@ -304,13 +305,17 @@ class TestOracleProperties:
         velocity=st.tuples(st.floats(-0.3, 0.5), st.floats(-0.2, 0.2)),
         t_remaining=st.floats(0.05, 0.4),
         hip_offset=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
-        dz_h=st.floats(0.3, 0.8),
+        # Hips from below the centre cell up, and risers up to 0.5 m, put
+        # some check points above the hip.
+        dz_h=st.floats(-0.2, 0.8),
+        rise=st.floats(0.05, 0.5),
         foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
     )
-    def test_matches_naive(self, kind, terrain_seed, center, yaw, velocity, t_remaining, hip_offset, dz_h, foot_offset):
+    def test_matches_naive(self, kind, terrain_seed, center, yaw, velocity, t_remaining, hip_offset, dz_h, rise,
+                           foot_offset):
         model = robot_preset("hyq-like")
         start_x = terrain_seed / 1000.0 - 0.2
-        terrain = TerrainMap(kind=kind, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
+        terrain = TerrainMap(kind=kind, rise=rise, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
         hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
         z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
         hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
@@ -397,7 +402,7 @@ def heights_apart_evaluator(model, velocity, gait):
 
 class TestRangeSweep:
     """The sweep of one index range of safe heights per cell against the
-    per-height loop, and each way it falls back to the float predicate."""
+    per-height loop."""
 
     HEIGHTS = {
         "grid": np.linspace(0.2, 0.8, 31),
@@ -440,70 +445,58 @@ class TestRangeSweep:
         np.testing.assert_array_equal(ev.sweep_counts(z), loop_sweep_counts(ev, z))
 
     def test_heights_on_float_kf_ends(self, flat, model, forward_velocity, gait):
-        # Bisect each cell's KF predicate down to the adjacent floats where
-        # it flips at the low and the high end, and sweep exactly those
-        # heights: each lies within rounding of the real-number ends.
+        # KF holds at each cell's range ends and fails at the adjacent floats
+        # outside them, and a sweep of exactly those heights counts as the loop.
         ev = origin_evaluator(flat, forward_velocity, gait, model)
-        ends = []
-        for fail, ok in [(0.0, 0.525), (1.9, 0.525)]:
-            fail, ok = np.full(ev.Z.shape, fail), np.full(ev.Z.shape, ok)
-            assert not ev.kf_grid(fail).any() and ev.kf_grid(ok).all()
-            while (np.nextafter(fail, ok) != ok).any():
-                mid = (fail + ok) / 2
-                passes = ev.kf_grid(mid)
-                fail, ok = np.where(passes, fail, mid), np.where(passes, mid, ok)
-            ends += [fail, ok]
-        z = np.sort(np.ravel(ends))
+        outside = np.nextafter(ev.kf_lo, -np.inf), np.nextafter(ev.kf_hi, np.inf)
+        for (i, j), lo in np.ndenumerate(ev.kf_lo):
+            hi = ev.kf_hi[i, j]
+            assert ev.evaluate(float(lo)).kf[i, j] and ev.evaluate(float(hi)).kf[i, j]
+            assert not ev.evaluate(float(outside[0][i, j])).kf[i, j]
+            assert not ev.evaluate(float(outside[1][i, j])).kf[i, j]
+        z = np.sort(np.concatenate([ev.kf_lo, ev.kf_hi, *outside], axis=None))
         counts = ev.sweep_counts(z)
         assert counts.any() and not counts.all()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
 
-    def test_hip_below_a_tall_riser(self):
-        # Every cell has a KF check whose point is above the lowest hip
-        # height and clears r_min there, so the cell may pass again below
-        # that point, in the shell's lower block.
-        ev = tall_riser_evaluator()
-        z = np.linspace(0.1, 0.7, 31)
-        r_min2 = ev.model.r_min**2
-        lower_block = (z[0] < ev.kf_z) & (ev.kf_planar2 < r_min2) & ((z[0] - ev.kf_z) ** 2 + ev.kf_planar2 >= r_min2)
-        assert lower_block.any(axis=0).all()
-        counts = ev.sweep_counts(z)
-        assert counts.any()
-        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
-
-    def test_cell_that_passes_at_heights_apart(self, model, zero_velocity, gait):
-        # LC exempts the edge cell (4, 8) at every height, and KF passes it
-        # with the hip below the ground as well as above it.
-        ev = heights_apart_evaluator(model, zero_velocity, gait)
-        z = np.linspace(-0.8, 0.8, 81)
-        passing = [ev.tr[4, 8] & (h >= ev.lc_threshold[4, 8]) & ev.kf_grid(h)[4, 8] & ev.fc[4, 8] for h in z]
-        k = np.flatnonzero(passing)
-        assert k.size and k.size < k[-1] - k[0] + 1
-        counts = ev.sweep_counts(z)
-        assert counts.any()
-        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
-
     @pytest.mark.parametrize("case", ["heights_apart", "tall_riser"])
-    def test_split_sweep_evaluates_kf_once(self, model, zero_velocity, gait, monkeypatch, case):
-        # A cell that passes at heights apart is counted from the stack of
-        # the ranges: KF runs once, at every height on the checked cells.
+    def test_each_cell_passes_on_one_run_of_heights(self, model, zero_velocity, gait, case):
+        # On both maps some KF checks clear r_min with the hip below their
+        # point (the tall riser's from under its tread up); KF needs the hip
+        # at or above every point, so each cell's conjunction holds on one
+        # run of the swept heights.
         if case == "heights_apart":
             ev, z = heights_apart_evaluator(model, zero_velocity, gait), np.linspace(-0.8, 0.8, 81)
         else:
-            ev, z = tall_riser_evaluator(), np.linspace(0.2, 0.8, 31)
-        raw = np.array([ev.tr & (h >= ev.lc_threshold) & ev.kf_grid(h) & ev.fc for h in z])
+            ev, z = tall_riser_evaluator(), np.linspace(0.1, 1.3, 61)
+        grids = [ev.evaluate(float(h)) for h in z]
+        raw = np.array([g.tr & g.lc & g.kf & g.fc for g in grids])
         first, last = raw.argmax(axis=0), z.size - 1 - raw[::-1].argmax(axis=0)
-        assert (raw.any(axis=0) & (raw.sum(axis=0) < last - first + 1)).any()
-        expected = loop_sweep_counts(ev, z)
-        calls, kf_grid = [], FecEvaluator.kf_grid
+        np.testing.assert_array_equal(raw.sum(axis=0), np.where(raw.any(axis=0), last - first + 1, 0))
+        counts = ev.sweep_counts(z)
+        assert counts.any()
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
 
-        def recording_kf_grid(self, z_h, cells=...):
-            calls.append((np.shape(z_h), np.shape(cells)))
-            return kf_grid(self, z_h, cells)
-
-        monkeypatch.setattr(FecEvaluator, "kf_grid", recording_kf_grid)
-        np.testing.assert_array_equal(ev.sweep_counts(z), expected)
-        assert calls == [((z.size, 1), ev.Z.shape)]
+    def test_shell_hits_only_below_a_check_point_fail_kf(self, model, zero_velocity, gait):
+        # The lift-off foot rests on the centre cell, so its swing arc rises
+        # straight above it, and the hip is w = 0.09 m short of r_max away in
+        # plan.  Every check then lies within the shell for hip heights from
+        # the arc's top less w up to w, below that top (0.119 m): those are
+        # the cell's only shell hits, and KF holds at no height.
+        w = 0.09
+        hip = (float(np.sqrt(model.r_max**2 - w**2)), 0.0)
+        hm = Heightmap(np.zeros((9, 9)), (0.0, 0.0))
+        foot = np.zeros(3)
+        ev = FecEvaluator(hm, hip, zero_velocity, gait, model, foot)
+        # The checks' heights: the candidate, then the interior arc samples.
+        points = np.append(0.0, swing_arc_z(0.0, 0.0, np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1], model.step_height))
+        hits = np.arange(0.031, w, 0.001)
+        dist = np.hypot(hip[0], hits[:, None] - points)
+        assert ((model.r_min <= dist) & (dist <= model.r_max)).all() and (hits < points.max()).all()
+        z = np.arange(-0.5, 1.0, 0.001)
+        assert not any(ev.evaluate(float(h)).kf[4, 4] for h in z)
+        naive = NaiveFec(hm, hip, zero_velocity, gait, model, current_foot=foot)
+        assert not any(naive.kf_cell(4, 4, float(h)) for h in hits)
 
 
 class _RecordingMap(np.ndarray):

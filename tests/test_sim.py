@@ -11,7 +11,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import vital.sim as sim
 from vital.cli import main as cli_main
 from vital.fec import FC_ARC_SAMPLES, FC_CLEARANCE, LC_CLEARANCE, FecEvaluator
-from vital.robot import STEP_FREQUENCY, swing_points
+from vital.robot import STEP_FREQUENCY, robot_preset, swing_points
 from vital.sim import (
     ANGLE_MAX,
     PLANNERS,
@@ -25,7 +25,7 @@ from vital.sim import (
     steplog_csv,
     track_pose,
 )
-from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, sample_height
+from vital.terrain import GAP_WIDTH, MAP_RESOLUTION, TERRAIN_KINDS, sample_height
 from vital.vfa import FALLBACK_NO_SAFE_CELL, FootholdDecision
 from vital.vpa import COST_KINDS
 
@@ -141,8 +141,10 @@ class TestRunScenario:
 
     def test_criteria_check_the_arc_the_feet_fly(self, monkeypatch):
         # A scenario step_height sets the apex of the swings the tick flies,
-        # and every FEC build, at lift-off and in pose evaluation, samples
-        # its swing arcs at that apex, not at the robot's default.
+        # and every FEC build, at lift-off and in pose evaluation, checks its
+        # swing arcs at that apex: rebuilt with a 0.3-m apex, each build
+        # gives the same criteria at every swept height, and rebuilt with the
+        # robot's default apex, some build does not.
         tick_apex, builds = set(), []
         swing_points, init = sim.swing_points, FecEvaluator.__init__
 
@@ -150,21 +152,32 @@ class TestRunScenario:
             tick_apex.add(apex)
             return swing_points(p_lo, p_td, s, apex)
 
-        def build(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            builds.append(self)
+        def build(self, heightmap, hip, velocity, gait, model, current_foot=None):
+            init(self, heightmap, hip, velocity, gait, model, current_foot)
+            # A copy: the simulator updates its foot arrays in place.
+            foot = None if current_foot is None else np.copy(current_foot)
+            builds.append((self, (heightmap, hip, velocity, gait), foot))
 
         monkeypatch.setattr(sim, "swing_points", tick)
         monkeypatch.setattr(FecEvaluator, "__init__", build)
         run_scenario(short_flat(step_height=0.3, duration=0.5))
+        monkeypatch.undo()
         assert tick_apex == {0.3} and builds
-        s = np.linspace(0.0, 1.0, FC_ARC_SAMPLES)[1:-1]
-        for ev in builds:
-            # The arc heights from the lift-off foot to the centre cell: KF's
-            # checks after the touchdown and next lift-off ones.
-            c = ev.heightmap.h_x // 2
-            flown = swing_points([0.0, 0.0, ev._lo_z], [0.0, 0.0, ev.Z[c, c]], s, 0.3)[:, 2]
-            np.testing.assert_array_equal(ev.kf_z[2:, c, c], flown)
+        default = robot_preset("hyq-like")
+        z = np.linspace(0.2, 0.8, 31)
+
+        def criteria(ev):
+            return [(g.lc, g.kf, g.fc) for g in map(ev.evaluate, z)]
+
+        moved = False
+        for ev, args, foot in builds:
+            flown, default_arc = (
+                criteria(FecEvaluator(*args, dataclasses.replace(default, step_height=apex), foot))
+                for apex in (0.3, default.step_height)
+            )
+            assert np.array_equal(criteria(ev), flown)
+            moved |= not np.array_equal(criteria(ev), default_arc)
+        assert moved
 
     def test_crawl_gait_runs(self):
         m = run_scenario(short_flat(gait="crawl", duration=3.0, vx=0.1))
@@ -601,6 +614,15 @@ class TestCli:
                 f"terrain_kind=composite\nterrain_rise={SCALE_MAX}\nterrain_steps={2 * STEPS_AT_BOUND}",
                 id="terrain_steps=2*STEPS_AT_BOUND",
             ),
+            # A start or a going that overflowed the stairs' step index: each
+            # is beyond SCALE_MAX or below MAP_RESOLUTION.
+            "terrain_kind=stairs\nterrain_start_x=1.7e308",
+            "terrain_kind=composite\nterrain_start_x=-1.7e308",
+            "terrain_kind=gapped_stairs\nterrain_start_x=1.7e308",
+            "terrain_kind=stairs\nterrain_start_x=-10.001",
+            "terrain_kind=stairs\nterrain_going=1e-310\nterrain_steps=1",
+            "terrain_kind=composite\nterrain_going=1e-310\nterrain_steps=1",
+            "terrain_kind=composite\nterrain_going=0.0199",
             *DELETED_KEY_VALUES,
         ],
     )
@@ -614,16 +636,20 @@ class TestCli:
             key = values.splitlines()[-1].split("=")[0]
             assert f"unknown scenario key {key!r}" in err
 
-    @pytest.mark.parametrize("kind", ["rough", "composite", "gapped_stairs"])
+    @pytest.mark.parametrize("kind", ["rough", "stairs", "composite", "gapped_stairs"])
     def test_magnitudes_at_their_bounds_run(self, tmp_path, kind):
         # The values above, at their bounds, run to the end with no numeric
-        # warning (the suite turns one into an error).
-        values = dict(vx=-SCALE_MAX, step_height=SCALE_MAX, terrain_rise=SCALE_MAX, terrain_steps=STEPS_AT_BOUND,
-                      terrain_amplitude=SCALE_MAX, terrain_cell=MAP_RESOLUTION, u_roll_max=ANGLE_MAX,
-                      u_pitch_max=ANGLE_MAX, du_roll=ANGLE_MAX, du_pitch=ANGLE_MAX, duration=1.0)
-        cfg = tmp_path / "bounds.cfg"
-        cfg.write_text(f"terrain_kind={kind}\n" + "".join(f"{key}={value}\n" for key, value in values.items()))
-        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
+        # warning (the suite turns one into an error), with the stairs
+        # starting at either bound.  A gapped_stairs going must exceed GAP_WIDTH.
+        going = np.nextafter(GAP_WIDTH, 1.0) if kind == "gapped_stairs" else MAP_RESOLUTION
+        for start_x in (-SCALE_MAX, SCALE_MAX):
+            values = dict(vx=-SCALE_MAX, step_height=SCALE_MAX, terrain_rise=SCALE_MAX, terrain_steps=STEPS_AT_BOUND,
+                          terrain_amplitude=SCALE_MAX, terrain_cell=MAP_RESOLUTION, terrain_start_x=start_x,
+                          terrain_going=going, u_roll_max=ANGLE_MAX, u_pitch_max=ANGLE_MAX, du_roll=ANGLE_MAX,
+                          du_pitch=ANGLE_MAX, duration=1.0)
+            cfg = tmp_path / "bounds.cfg"
+            cfg.write_text(f"terrain_kind={kind}\n" + "".join(f"{key}={value}\n" for key, value in values.items()))
+            assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
 
     def test_stairs_of_1e21_steps_run(self, tmp_path):
         cfg = tmp_path / "steps.cfg"
