@@ -40,12 +40,11 @@ heights are maxed before one transform.
 A KF check (point height zk, planar squared distance p to its hip) passes
 from zk + sqrt(max(r_min**2 - p, 0)) up to zk + sqrt(r_max**2 - p), so each
 cell's KF set is one interval [kf_lo, kf_hi], the intersection over its
-checks, built once; a cell out of reach, or of a NaN hip, has an empty one.
-A single height reads KF from the interval, and so does a sweep over sorted,
-NaN-free hip heights (pose evaluation): each cell passes on the index range
-[a, b] of heights from ``searchsorted`` of the larger of kf_lo and the LC
-threshold, gated by TR and FC, to that of kf_hi.  Erosion is a 3x3 max of a
-and min of b, and a histogram of the eroded ranges gives the counts.
+checks; a cell out of reach, or of a NaN hip, has an empty one.  Gated by TR
+and FC and raised to the LC threshold, it is the cell's safe interval, and
+the erosion's AND over a 3x3 window is the window's max of lower ends and
+min of upper ends: [safe_lo, safe_hi], built once.  A sweep counts, at each
+height, the sorted lower ends at or below it less the upper ends below it.
 """
 
 from __future__ import annotations
@@ -95,15 +94,15 @@ class SafetyGrid:
     fc: np.ndarray
 
 
-def erode_safe_set(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Chebyshev erosion over the last two axes, so a stack of grids erodes
-    grid by grid: a true cell within ``radius`` of a false cell becomes
-    false.  Cells outside the grid count as true, so they do not erode the
-    border.  The square is separable, so each of ``radius`` rounds takes the
-    minimum (AND on booleans) of a copy of the mask, in place, and itself
-    shifted one cell each way along rows, then along columns."""
-    out = mask.copy()
-    for _ in range(radius):
+def erode_safe_set(grid: np.ndarray) -> np.ndarray:
+    """Chebyshev erosion by ``EROSION_RADIUS`` over the last two axes, so a
+    stack of grids erodes grid by grid: each cell becomes the minimum (AND on
+    booleans, NaN if any is NaN) of the in-grid cells around it, so the
+    border is not eroded.  The square is separable, so each round takes the
+    minimum of a copy, in place, and itself shifted one cell each way along
+    rows, then along columns."""
+    out = grid.copy()
+    for _ in range(EROSION_RADIUS):
         np.minimum(out[..., 1:, :], out[..., :-1, :], out=out[..., 1:, :])
         np.minimum(out[..., :-1, :], out[..., 1:, :], out=out[..., :-1, :])
         np.minimum(out[..., 1:], out[..., :-1], out=out[..., 1:])
@@ -196,6 +195,9 @@ class FecEvaluator:
         self.tr = eval_tr(hm)
         self._build_arc_tables()
         self._build_lc_threshold()
+        # Each cell's eroded safe interval (module docstring).
+        lo = np.where(self.tr & self.fc, np.maximum(self.kf_lo, self.lc_threshold), np.inf)
+        self.safe_lo, self.safe_hi = -erode_safe_set(-lo), erode_safe_set(self.kf_hi)
 
     def _to_grid(self, p_xy) -> np.ndarray:
         """Grid-frame (x, y) of a world point; NaN for one at inf, NaN or
@@ -312,21 +314,15 @@ class FecEvaluator:
 
     def evaluate(self, z_h: float) -> SafetyGrid:
         lc, kf = z_h >= self.lc_threshold, (self.kf_lo <= z_h) & (z_h <= self.kf_hi)
-        cells = erode_safe_set(self.tr & lc & kf & self.fc, EROSION_RADIUS)
+        cells = (self.safe_lo <= z_h) & (z_h <= self.safe_hi)
         return SafetyGrid(cells=cells, tr=self.tr, lc=lc, kf=kf, fc=self.fc)
 
     def sweep_counts(self, z_values) -> np.ndarray:
-        """Safe-foothold count at each of the sorted, NaN-free hip heights
-        ``z_values``, from each cell's range of safe heights (module docstring)."""
-        z = np.asarray(z_values, dtype=np.float64)
-        if np.isnan(z).any() or (z[1:] < z[:-1]).any():
-            raise ValueError("swept hip heights must be sorted and free of NaN")
-        n = z.size
-        a = np.where(self.tr & self.fc, z.searchsorted(np.maximum(self.kf_lo, self.lc_threshold)), n)
-        b = z.searchsorted(self.kf_hi, side="right") - 1
-        a, b = -erode_safe_set(-a, EROSION_RADIUS), erode_safe_set(b, EROSION_RADIUS)
-        live = a <= b
-        return np.cumsum(np.bincount(a[live], minlength=n + 1) - np.bincount(b[live] + 1, minlength=n + 1))[:n]
+        """Safe-foothold count at each of the hip heights ``z_values``, in any
+        order; a NaN or infinite height counts 0 (module docstring)."""
+        live = self.safe_lo <= self.safe_hi
+        lo, hi = np.sort(self.safe_lo[live]), np.sort(self.safe_hi[live])
+        return lo.searchsorted(z_values, side="right") - hi.searchsorted(z_values, side="left")
 
 
 def eval_fec(

@@ -85,7 +85,7 @@ DELTA_H = MAP_CELLS * MAP_RESOLUTION / 2.0
 ZH_MIN, ZH_MAX, ZH_COUNT = 0.2, 0.8, 31
 TAU_TRACK = 0.15  # s, lag of the pose tracking
 SCALE_MAX = 10.0  # m or m/s, the bound on |vx|, |terrain_start_x|, step_height, terrain_rise and terrain_amplitude
-ANGLE_MAX = math.pi  # rad, the bound on u_roll_max, u_pitch_max, du_roll and du_pitch
+ANGLE_MAX = math.pi  # rad or rad/s, the bound on u_roll_max, u_pitch_max, du_roll, du_pitch and |yaw_rate|
 # Fractions along the foot-to-hip segment at which detect_events samples the
 # terrain: the foot, then 8 shin points.
 _SHIN_FRACTIONS = np.linspace(0.0, 1.0, 9)
@@ -154,8 +154,8 @@ class Scenario:
             raise ConfigError("du_z, du_roll and du_pitch must be >= 0")
         if min(self.u_roll_max, self.u_pitch_max) < 0:
             raise ConfigError("u_roll_max and u_pitch_max must be >= 0")
-        if max(self.u_roll_max, self.u_pitch_max, self.du_roll, self.du_pitch) > ANGLE_MAX:
-            raise ConfigError(f"u_roll_max, u_pitch_max, du_roll and du_pitch must be <= {ANGLE_MAX} (pi rad)")
+        if max(self.u_roll_max, self.u_pitch_max, self.du_roll, self.du_pitch, abs(self.yaw_rate)) > ANGLE_MAX:
+            raise ConfigError(f"u_roll_max, u_pitch_max, du_roll, du_pitch and |yaw_rate| must be <= {ANGLE_MAX} (pi)")
         if not (self.step_height > 0 or self.step_height == -1.0):
             raise ConfigError("step_height must be > 0, or -1 for the robot's default")
         sizes = abs(self.vx), abs(self.terrain_start_x), self.step_height, self.terrain_rise, self.terrain_amplitude

@@ -51,25 +51,18 @@ def naive_tr(heightmap):
     return out
 
 
-def naive_erode(raw, radius):
-    """Chebyshev erosion of one 2-D grid, cell by cell: a true cell stays
-    true only if no in-grid cell within ``radius`` is false."""
-    hx, hy = raw.shape
-    out = np.zeros_like(raw)
-    for i in range(hx):
-        for j in range(hy):
-            if not raw[i, j]:
-                continue
-            ok = True
-            for di in range(-radius, radius + 1):
-                for dj in range(-radius, radius + 1):
-                    ni, nj = i + di, j + dj
-                    if 0 <= ni < hx and 0 <= nj < hy and not raw[ni, nj]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            out[i, j] = ok
+def naive_erode(grid):
+    """Chebyshev erosion of one 2-D grid by ``EROSION_RADIUS``, one window
+    offset at a time: each cell becomes the minimum of the in-grid cells
+    within the radius of it (AND on booleans, NaN if any is NaN)."""
+    r = EROSION_RADIUS
+    hx, hy = grid.shape
+    out = grid.copy()
+    for di in range(-r, r + 1):
+        for dj in range(-r, r + 1):
+            # The cells whose neighbour at (di, dj) is in the grid, and those neighbours.
+            near = out[max(-di, 0) : hx - max(di, 0), max(-dj, 0) : hy - max(dj, 0)]
+            np.minimum(near, grid[max(di, 0) : hx + min(di, 0), max(dj, 0) : hy + min(dj, 0)], out=near)
     return out
 
 
@@ -194,7 +187,7 @@ class NaiveFec:
                 kf[i, j] = self.kf_cell(i, j, z_h)
                 fc[i, j] = self.fc_cell(i, j)
         raw = tr & lc & kf & fc
-        cells = naive_erode(raw, EROSION_RADIUS)
+        cells = naive_erode(raw)
         return dict(tr=tr, lc=lc, kf=kf, fc=fc, raw=raw, cells=cells)
 
 
@@ -262,5 +255,8 @@ def loop_lc_threshold(ev, skip=()):
 
 
 def loop_sweep_counts(ev, z_values):
-    """Safe-foothold count per hip height, one evaluation and erosion each."""
-    return np.array([np.count_nonzero(ev.evaluate(float(z)).cells) for z in z_values], dtype=np.int64)
+    """Safe-foothold count per hip height: the per-cell erosion of the
+    conjunction of the criterion grids at each height, not the evaluator's
+    safe intervals."""
+    grids = [ev.evaluate(float(z)) for z in z_values]
+    return np.array([np.count_nonzero(naive_erode(g.tr & g.lc & g.kf & g.fc)) for g in grids], dtype=np.int64)

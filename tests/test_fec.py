@@ -3,7 +3,6 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from vital.fec import (
-    EROSION_RADIUS,
     FC_ARC_SAMPLES,
     LC_CLEARANCE,
     LC_SEGMENT_SAMPLES,
@@ -65,49 +64,58 @@ class TestTerrainRoughness:
         np.testing.assert_array_equal(eval_tr(hm), naive_tr(hm))
 
 
-class TestErosion:
-    def test_radius_zero_identity(self):
-        rng = np.random.default_rng(3)
-        mask = rng.random((15, 15)) > 0.3
-        np.testing.assert_array_equal(erode_safe_set(mask, 0), mask)
+def random_grid(rng, shape, case, p):
+    """A random grid for the erosion tests, by case: 0 a mask with a share p
+    of false cells, 1 floats, 2 floats with a share p of +-inf, and 3 floats
+    with a share p of +-inf and NaN."""
+    if case == 0:
+        return rng.random(shape) >= p
+    grid = rng.normal(size=shape)
+    if case > 1:
+        pick = rng.random(shape) < p
+        grid[pick] = rng.choice([np.inf, -np.inf, np.nan][:case], size=np.count_nonzero(pick))
+    return grid
 
+
+class TestErosion:
     def test_single_false_becomes_block(self):
         mask = np.ones((9, 9), dtype=bool)
         mask[4, 4] = False
-        out = erode_safe_set(mask, 1)
+        out = erode_safe_set(mask)
         assert not out[3:6, 3:6].any()
         assert out.sum() == 81 - 9
 
     def test_anti_extensive(self):
         rng = np.random.default_rng(4)
         mask = rng.random((21, 21)) > 0.2
-        out = erode_safe_set(mask, 1)
+        out = erode_safe_set(mask)
         assert not np.any(out & ~mask)
 
     def test_all_true_border_preserved(self):
         mask = np.ones((7, 7), dtype=bool)
-        np.testing.assert_array_equal(erode_safe_set(mask, 1), mask)
+        np.testing.assert_array_equal(erode_safe_set(mask), mask)
 
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 5), (7, 12), (33, 33)])
-    def test_matches_cell_loop(self, shape, radius):
-        rng = np.random.default_rng([radius, *shape])
-        for p_true in (0.0, 0.5, 0.8, 0.95, 1.0):
-            mask = rng.random(shape) < p_true
-            before = mask.copy()
-            out = erode_safe_set(mask, radius)
-            assert out.dtype == bool and out.shape == shape
-            np.testing.assert_array_equal(out, naive_erode(mask, radius))
-            np.testing.assert_array_equal(mask, before)
+    def test_matches_cell_loop(self, shape, case):
+        rng = np.random.default_rng([case, *shape])
+        for p in (0.0, 0.05, 0.2, 0.5, 1.0):
+            grid = random_grid(rng, shape, case, p)
+            before = grid.copy()
+            out = erode_safe_set(grid)
+            assert out.dtype == grid.dtype and out.shape == shape
+            # assert_array_equal takes NaN as equal to NaN.
+            np.testing.assert_array_equal(out, naive_erode(grid))
+            np.testing.assert_array_equal(grid, before)
 
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    def test_stack_erodes_grid_by_grid(self, radius):
-        rng = np.random.default_rng(50 + radius)
+    @pytest.mark.parametrize("case", range(4))
+    def test_stack_erodes_grid_by_grid(self, case):
+        rng = np.random.default_rng(50 + case)
         for shape in [(3, 1, 1), (4, 1, 6), (4, 6, 1), (6, 9, 11)]:
-            stack = rng.random(shape) < rng.uniform(0.6, 0.97, (shape[0], 1, 1))
-            out = erode_safe_set(stack, radius)
-            assert out.dtype == bool and out.shape == shape
-            np.testing.assert_array_equal(out, np.array([naive_erode(grid, radius) for grid in stack]))
+            stack = np.array([random_grid(rng, shape[1:], case, p) for p in rng.uniform(0.03, 0.4, shape[0])])
+            out = erode_safe_set(stack)
+            assert out.dtype == stack.dtype and out.shape == shape
+            np.testing.assert_array_equal(out, np.array([naive_erode(grid) for grid in stack]))
 
 
 class TestCriteriaOnFlat:
@@ -218,7 +226,7 @@ class TestEvalFec:
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
         grid = eval_fec(hm, (0.3, 0.0, 0.6), forward_velocity, gait, model)
         raw = grid.tr & grid.lc & grid.kf & grid.fc
-        np.testing.assert_array_equal(grid.cells, erode_safe_set(raw, EROSION_RADIUS))
+        np.testing.assert_array_equal(grid.cells, erode_safe_set(raw))
         # erosion only removes
         assert not np.any(grid.cells & ~raw)
 
@@ -235,7 +243,7 @@ class TestEvalFec:
         assert np.count_nonzero(grid.cells) == 1089
         forced = grid.tr & grid.lc & grid.kf & grid.fc
         forced[10, 10] = False
-        eroded = erode_safe_set(forced, 1)
+        eroded = erode_safe_set(forced)
         assert int(eroded.sum()) == 1089 - 9
 
     def test_sweep_matches_individual_evaluations(self, stairs, model, forward_velocity, gait):
@@ -245,18 +253,25 @@ class TestEvalFec:
         counts = ev.sweep_counts(zs)
         for z, n in zip(zs, counts):
             assert np.count_nonzero(ev.evaluate(float(z)).cells) == n
-        # Heights out of reach of the map count 0, in a sweep as one by one;
-        # a sweep takes sorted heights, so the NaN one is evaluated alone.
+        # Heights out of reach of the map count 0, in a sweep as one by one.
         far = np.array([0.0, 2.1, -0.3, np.nan])
-        np.testing.assert_array_equal(ev.sweep_counts(np.sort(far[:3])), 0)
+        np.testing.assert_array_equal(ev.sweep_counts(far), 0)
         assert [np.count_nonzero(ev.evaluate(z).cells) for z in far] == [0] * 4
 
-    @pytest.mark.parametrize("heights", [[0.5, 0.3, 0.7], [0.3, np.nan, 0.7], [np.nan]])
-    def test_sweep_takes_sorted_finite_heights(self, stairs, model, forward_velocity, gait, heights):
+    @pytest.mark.parametrize("heights", [
+        [0.7, 0.55, 0.8],
+        [0.6, np.nan, 0.75],
+        [np.nan],
+        [0.7, -np.inf, 0.65, 0.65, np.inf, 0.6, 0.65, np.nan, 0.7],
+    ])
+    def test_sweep_takes_any_heights(self, stairs, model, forward_velocity, gait, heights):
+        # Unsorted, repeated, NaN and infinite heights sweep as one by one;
+        # the NaN and infinite ones count 0, the others some cells.
         hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
         ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model)
-        with pytest.raises(ValueError, match="sorted and free of NaN"):
-            ev.sweep_counts(heights)
+        counts = ev.sweep_counts(heights)
+        np.testing.assert_array_equal(counts, loop_sweep_counts(ev, heights))
+        np.testing.assert_array_equal(counts > 0, np.isfinite(heights))
 
     def test_deterministic(self, stairs, model, forward_velocity, gait):
         hm = extract_heightmap(stairs, (0.41, 0.07), 0.3)
@@ -401,14 +416,16 @@ def heights_apart_evaluator(model, velocity, gait):
 
 
 class TestRangeSweep:
-    """The sweep of one index range of safe heights per cell against the
-    per-height loop."""
+    """The sweep of each cell's eroded safe interval against the per-height
+    loop."""
 
     HEIGHTS = {
         "grid": np.linspace(0.2, 0.8, 31),
         "mm": np.arange(0.0, 0.4, 0.001),
         "repeated": np.repeat(np.linspace(0.2, 0.8, 7), 3),
         "empty": np.array([]),
+        "unsorted": np.random.default_rng(0).permutation(np.linspace(0.2, 0.8, 31)),
+        "non_finite": np.array([0.5, np.nan, -np.inf, 0.3, np.inf]),
         "out_of_reach": np.array([-2.0, -0.6, 0.0, 0.3, 0.5, 1.7, 3.0]),
     }
 
@@ -454,10 +471,28 @@ class TestRangeSweep:
             assert ev.evaluate(float(lo)).kf[i, j] and ev.evaluate(float(hi)).kf[i, j]
             assert not ev.evaluate(float(outside[0][i, j])).kf[i, j]
             assert not ev.evaluate(float(outside[1][i, j])).kf[i, j]
-        z = np.sort(np.concatenate([ev.kf_lo, ev.kf_hi, *outside], axis=None))
+        z = np.concatenate([ev.kf_lo, ev.kf_hi, *outside], axis=None)
         counts = ev.sweep_counts(z)
         assert counts.any() and not counts.all()
         np.testing.assert_array_equal(counts, loop_sweep_counts(ev, z))
+
+    def test_heights_on_float_safe_ends(self, stairs, model, forward_velocity, gait):
+        # Each cell with a safe interval is safe at both of its ends and not
+        # at the adjacent floats outside them, as the erosion of the criterion
+        # grids says, and a sweep of exactly those heights counts as the loop.
+        hm = extract_heightmap(stairs, (0.3, 0.0), 0.0)
+        ev = FecEvaluator(hm, (0.3, 0.0), forward_velocity, gait, model)
+        live = ev.safe_lo <= ev.safe_hi
+        assert live.any() and not live.all()
+        heights = []
+        for end, away in ((ev.safe_lo, -np.inf), (ev.safe_hi, np.inf)):
+            for i, j in np.argwhere(live):
+                for z, safe in ((end[i, j], True), (np.nextafter(end[i, j], away), False)):
+                    grid = ev.evaluate(float(z))
+                    np.testing.assert_array_equal(grid.cells, naive_erode(grid.tr & grid.lc & grid.kf & grid.fc))
+                    assert grid.cells[i, j] == safe
+                    heights.append(z)
+        np.testing.assert_array_equal(ev.sweep_counts(heights), loop_sweep_counts(ev, heights))
 
     @pytest.mark.parametrize("case", ["heights_apart", "tall_riser"])
     def test_each_cell_passes_on_one_run_of_heights(self, model, zero_velocity, gait, case):

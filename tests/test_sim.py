@@ -608,6 +608,9 @@ class TestCli:
             "u_roll_max=1e300\ndu_roll=1e300",
             "u_roll_max=3.15",
             "du_pitch=3.15",
+            # A yaw rate above ANGLE_MAX overflowed the heading.
+            "yaw_rate=1e308\nduration=3",
+            "yaw_rate=-1e308\nduration=3",
             # Step counts whose stairs, doubled, are beyond every float.
             pytest.param(f"terrain_kind=stairs\nterrain_steps={10**330}", id="terrain_steps=10**330"),
             pytest.param(
@@ -640,13 +643,14 @@ class TestCli:
     def test_magnitudes_at_their_bounds_run(self, tmp_path, kind):
         # The values above, at their bounds, run to the end with no numeric
         # warning (the suite turns one into an error), with the stairs
-        # starting at either bound.  A gapped_stairs going must exceed GAP_WIDTH.
+        # starting at either bound and the yaw rate at either sign.  A
+        # gapped_stairs going must exceed GAP_WIDTH.
         going = np.nextafter(GAP_WIDTH, 1.0) if kind == "gapped_stairs" else MAP_RESOLUTION
-        for start_x in (-SCALE_MAX, SCALE_MAX):
+        for start_x, yaw_rate in ((-SCALE_MAX, -ANGLE_MAX), (SCALE_MAX, ANGLE_MAX)):
             values = dict(vx=-SCALE_MAX, step_height=SCALE_MAX, terrain_rise=SCALE_MAX, terrain_steps=STEPS_AT_BOUND,
                           terrain_amplitude=SCALE_MAX, terrain_cell=MAP_RESOLUTION, terrain_start_x=start_x,
                           terrain_going=going, u_roll_max=ANGLE_MAX, u_pitch_max=ANGLE_MAX, du_roll=ANGLE_MAX,
-                          du_pitch=ANGLE_MAX, duration=1.0)
+                          du_pitch=ANGLE_MAX, yaw_rate=yaw_rate, duration=1.0)
             cfg = tmp_path / "bounds.cfg"
             cfg.write_text(f"terrain_kind={kind}\n" + "".join(f"{key}={value}\n" for key, value in values.items()))
             assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
