@@ -19,7 +19,9 @@ class RobotModel:
 
     hip_offsets are base-frame (x, y, z) positions of the LF, RF, LH, RH
     hips.  The leg workspace is a spherical shell [r_min, r_max] about
-    the hip.  ``step_height`` is the apex of every swing arc.
+    the hip.  ``step_height`` is the apex of every swing arc.  A model
+    comes from :func:`robot_preset`, a scenario changing at most its
+    ``step_height`` to a value > 0, so it checks no field.
     """
 
     hip_offsets: np.ndarray
@@ -29,21 +31,7 @@ class RobotModel:
     step_height: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "hip_offsets", np.asarray(self.hip_offsets, dtype=np.float64)
-        )
-        if self.hip_offsets.shape != (4, 3):
-            raise ValueError("hip_offsets must be a 4x3 array (LF, RF, LH, RH)")
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("workspace shell needs 0 < r_min < r_max")
-        if self.foot_radius <= 0:
-            raise ValueError("foot_radius must be > 0")
-        y = self.hip_offsets[:, 1]
-        if not (
-            math.isclose(abs(y[0]), abs(y[1]), abs_tol=1e-9)
-            and math.isclose(abs(y[2]), abs(y[3]), abs_tol=1e-9)
-        ):
-            raise ValueError("hip offsets must be left/right symmetric in y")
+        object.__setattr__(self, "hip_offsets", np.asarray(self.hip_offsets, dtype=np.float64))
 
 
 _PRESETS = {
@@ -92,12 +80,6 @@ class GaitParams:
 
     duty_factor: float = 0.5
     t_remaining: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.duty_factor < 1):
-            raise ValueError("duty_factor must be in (0, 1)")
-        if self.t_remaining < 0:
-            raise ValueError("t_remaining must be >= 0")
 
     @property
     def stance_duration(self) -> float:
@@ -157,8 +139,6 @@ def swing_points(p_lo, p_td, s, apex_height: float) -> np.ndarray:
     ``p_lo`` -> touchdown ``p_td`` (stacked (..., 3) rows) at swing phases
     ``s`` (shape (...)), clipped to [0, 1].  The ends are p_lo and p_td
     exactly."""
-    if apex_height < 0:
-        raise ValueError("apex_height must be >= 0")
     p_lo = np.asarray(p_lo, dtype=np.float64)
     p_td = np.asarray(p_td, dtype=np.float64)
     s = np.clip(s, 0.0, 1.0)[..., None]

@@ -193,7 +193,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":
-        values = {}
+        values, first = {}, {}
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
@@ -202,8 +202,10 @@ class Scenario:
                         continue
                     if "=" not in line:
                         raise ConfigError(f"{path}:{lineno}: expected key=value")
-                    key, val = line.split("=", 1)
-                    values[key.strip()] = val.strip()
+                    key, val = (part.strip() for part in line.split("=", 1))
+                    if key in first:
+                        raise ConfigError(f"{path}:{lineno}: key {key!r} given again, first at line {first[key]}")
+                    first[key], values[key] = lineno, val
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         return cls.from_dict(values)
@@ -617,8 +619,8 @@ def write_outputs(metrics: RunMetrics, out_dir: str, dump_criteria: bool, dump_r
     and criteria ``grid``.
     """
     for pattern in ("fec_*.csv", "rbf.csv"):
-        for path in glob.glob(os.path.join(out_dir, pattern)):
-            os.remove(path)
+        for name in glob.glob(pattern, root_dir=out_dir):
+            os.remove(os.path.join(out_dir, name))
     for name, text in (
         ("steplog.csv", steplog_csv(metrics)),
         ("metrics.csv", csv_text(("metric", "value"), metrics.aggregates().items())),

@@ -19,12 +19,10 @@ def tbr_pose(footholds) -> np.ndarray:
 
     Roll/pitch come from the upward plane normal under the roll-pitch-yaw
     Cardan convention; the height reference is the foothold centroid height
-    plus ``D_REF`` (parallel to gravity).  Raises on degenerate
-    (collinear) footholds.
+    plus ``D_REF`` (parallel to gravity).  Raises on a degenerate
+    support: fewer than 3 footholds, or collinear ones.
     """
     pts = np.asarray(footholds, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise ValueError("need at least 3 footholds as (x, y, z) rows")
     design = np.column_stack([pts[:, 0], pts[:, 1], np.ones(pts.shape[0])])
     if np.linalg.matrix_rank(design, tol=1e-9) < 3:
         raise ValueError("degenerate support polygon")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TERRAIN_KINDS = ("flat", "stairs", "gapped_stairs", "rough", "composite")
-MAP_CELLS = 33  # default heightmap cells per side
+MAP_CELLS = 33  # heightmap cells per side; odd, because the centre cell is the nominal foothold
 MAP_RESOLUTION = 0.02  # m, the cell size of every heightmap
 GAP_WIDTH = 0.08  # m, the gap at the end of each gapped_stairs tread
 GAP_DEPTH = 1.0  # m, how far below its tread a gap reads
@@ -141,10 +141,8 @@ def sample_height(terrain: TerrainMap, x, y):
         h = _gapped_stairs_height(terrain, xa)
     elif terrain.kind == "rough":
         h = _rough_height(terrain, xa, ya)
-    elif terrain.kind == "composite":
+    else:  # composite
         h = _composite_height(terrain, xa)
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(terrain.kind)
     out = np.empty(np.broadcast(xa, ya).shape)
     np.copyto(out, h)
     if np.isscalar(x) and np.isscalar(y):
@@ -168,8 +166,6 @@ class Heightmap:
 
     def __post_init__(self):
         self.cells = np.asarray(self.cells, dtype=np.float64)
-        if self.cells.ndim != 2 or self.cells.size == 0:
-            raise ValueError("heightmap cells must be a non-empty 2-D array")
 
     @property
     def h_x(self) -> int:
@@ -195,18 +191,10 @@ class Heightmap:
         return wx, wy
 
 
-def extract_heightmap(
-    terrain: TerrainMap,
-    center: tuple[float, float],
-    yaw: float = 0.0,
-    h_x: int = MAP_CELLS,
-    h_y: int = MAP_CELLS,
-) -> Heightmap:
-    """Sample a (h_x, h_y) patch around ``center``, rotated by ``yaw``; the
-    sides must be odd, and the center cell equals sample_height(center)."""
-    if min(h_x, h_y) < 1 or h_x % 2 == 0 or h_y % 2 == 0:
-        raise ValueError("heightmap dimensions must be odd and >= 1")
-    hm = Heightmap(np.zeros((h_x, h_y)), (float(center[0]), float(center[1])), yaw)
+def extract_heightmap(terrain: TerrainMap, center: tuple[float, float], yaw: float) -> Heightmap:
+    """Sample the ``MAP_CELLS`` x ``MAP_CELLS`` patch around ``center``,
+    rotated by ``yaw``; its centre cell equals sample_height(center)."""
+    hm = Heightmap(np.zeros((MAP_CELLS, MAP_CELLS)), (float(center[0]), float(center[1])), yaw)
     wx, wy = hm.world_points()
     hm.cells = sample_height(terrain, wx, wy)
     return hm

@@ -11,11 +11,11 @@ single-step problem.
 
 Every cost is one stencil over a leg's model F at its hip height z above
 the leg's ground g: s = sum_k w_k F(z - g + o_k).  The stage cost is s^2
-summed over the legs, or multiplied over the legs for ``prod``:
+summed over the legs for ``int``, or multiplied over the legs for ``prod``:
 
-    cost         offsets o_k (m)    weights w_k
-    sum, prod    0                  1
-    int          -m, +m             m, m          (m: MARGIN)
+    cost    offsets o_k (m)    weights w_k
+    prod    0                  1
+    int     -m, +m             m, m          (m: MARGIN)
 
 Over a horizon the objective subtracts ``SMOOTH_WEIGHT`` times the squared
 change between consecutive poses.  ``MARGIN``, ``SMOOTH_WEIGHT`` and the
@@ -39,7 +39,7 @@ import numpy as np
 from .fec import FecEvaluator
 from .robot import GaitParams, RobotModel, hip_height_from
 
-COST_KINDS = ("sum", "prod", "int")
+COST_KINDS = ("prod", "int")
 MARGIN = 0.025  # m, half-width of the int cost
 SMOOTH_WEIGHT = 10.0  # weight of the squared change between consecutive horizon poses
 RBF_COUNT = 30  # Gaussians per model
@@ -137,9 +137,9 @@ class PoseOptProblem:
     ``u_prev`` +- ``du``.
 
     ``cost`` picks the per-leg stencil s = sum_k w_k F(z + o_k) at the hip
-    height z above ground, given as (offsets o_k in m; weights w_k): sum
-    and prod (0; 1), int (-MARGIN, +MARGIN; MARGIN, MARGIN).  The stage
-    cost is s^2 summed over the legs, or multiplied over them for prod;
+    height z above ground, given as (offsets o_k in m; weights w_k): prod
+    (0; 1), int (-MARGIN, +MARGIN; MARGIN, MARGIN).  The stage cost is s^2
+    summed over the legs for int, or multiplied over them for prod;
     ``SMOOTH_WEIGHT`` weighs the consecutive-pose deviation against it.
     """
 
@@ -157,8 +157,6 @@ class PoseOptProblem:
             raise ValueError(f"unknown cost kind {self.cost!r}")
         for name in ("ground", "hip_offsets", "u_prev", "u_min", "u_max", "du"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if np.any(self.u_min > self.u_max):
-            raise ValueError("u_min must be <= u_max")
 
     @property
     def n_horizons(self) -> int:

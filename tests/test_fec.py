@@ -15,12 +15,13 @@ from vital.fec import (
 from vital.robot import GaitParams, robot_preset, swing_arc_z
 from vital.terrain import MAP_RESOLUTION, TERRAIN_KINDS, Heightmap, TerrainMap, extract_heightmap, sample_height
 
+from maps import sampled_map
 from naive_fec import NaiveFec, loop_fc, loop_lc_threshold, loop_sweep_counts, naive_erode, naive_tr
 
 
 def origin_evaluator(terrain, velocity, gait, model, h=9, current_foot=None):
     """An evaluator on an h x h map centred at the origin, hip above it."""
-    hm = extract_heightmap(terrain, (0.0, 0.0), 0.0, h_x=h, h_y=h)
+    hm = sampled_map(terrain, (0.0, 0.0), 0.0, h, h)
     return FecEvaluator(hm, (0.0, 0.0), velocity, gait, model, current_foot=current_foot)
 
 
@@ -60,7 +61,7 @@ class TestTerrainRoughness:
     def test_matches_naive(self, kind, rise, going, cell, terrain_seed, center, yaw, half):
         terrain = TerrainMap(kind=kind, rise=rise, going=going, start_x=terrain_seed / 1000.0 - 0.2,
                              seed=terrain_seed, amplitude=rise, cell=cell)
-        hm = extract_heightmap(terrain, center, yaw, h_x=2 * half + 1, h_y=2 * half + 1)
+        hm = sampled_map(terrain, center, yaw, 2 * half + 1, 2 * half + 1)
         np.testing.assert_array_equal(eval_tr(hm), naive_tr(hm))
 
 
@@ -131,7 +132,7 @@ class TestCriteriaOnFlat:
         stairs = TerrainMap(kind="stairs", rise=0.10, going=0.25, n_steps=3, start_x=0.1)
         velocity = np.array([0.6, 0.0])
         gait = GaitParams(duty_factor=0.6, t_remaining=0.2)
-        hm = extract_heightmap(stairs, (0.06, 0.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(stairs, (0.06, 0.0), 0.0, 9, 9)
         # candidate: the center cell (x = 0.06, base of the riser at 0.10)
         assert hm.cells[4, 4] == 0.0
         ev = FecEvaluator(hm, (-0.15, 0.0), velocity, gait, model, current_foot=np.array([-0.2, 0.0, 0.0]))
@@ -163,7 +164,7 @@ class TestCriteriaOnFlat:
         # a gap 1 m below its tread pushes touchdown past r_max; the tread
         # cell of the first row, beside the lift-off foot, stays in reach
         terrain = TerrainMap(kind="gapped_stairs", rise=0.10, going=0.4, n_steps=2, start_x=-10.0)
-        hm = extract_heightmap(terrain, (-9.64, 0.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(terrain, (-9.64, 0.0), 0.0, 9, 9)
         low = np.argwhere(hm.cells < -0.5)
         assert len(low) > 0 and hm.cells[0, 4] == 0.10
         i, j = low[0]
@@ -294,7 +295,7 @@ class TestOracleEquivalence:
         z_h = rng.uniform(0.4, 0.75)
         velocity = np.array([rng.uniform(-0.3, 0.5), rng.uniform(-0.2, 0.2)])
         gait = GaitParams(duty_factor=0.5, t_remaining=rng.uniform(0.05, 0.4))
-        hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
+        hm = sampled_map(terrain, center, yaw, 9, 9)
         hip = (center[0] + rng.uniform(-0.05, 0.05), center[1] + rng.uniform(-0.05, 0.05))
         fast = eval_fec(hm, (*hip, z_h), velocity, gait, model)
         naive = NaiveFec(hm, hip, velocity, gait, model).evaluate(z_h)
@@ -331,7 +332,7 @@ class TestOracleProperties:
         model = robot_preset("hyq-like")
         start_x = terrain_seed / 1000.0 - 0.2
         terrain = TerrainMap(kind=kind, rise=rise, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
-        hm = extract_heightmap(terrain, center, yaw, h_x=9, h_y=9)
+        hm = sampled_map(terrain, center, yaw, 9, 9)
         z_h = max(float(hm.cells[4, 4]), 0.0) + dz_h
         hip = (center[0] + hip_offset[0], center[1] + hip_offset[1])
         gait = GaitParams(duty_factor=0.5, t_remaining=t_remaining)
@@ -450,7 +451,7 @@ class TestRangeSweep:
         terrain = TerrainMap(kind=kind, rise=rise, start_x=terrain_seed / 1000.0 - 0.2, seed=terrain_seed,
                              amplitude=0.1, cell=0.2)
         center = (0.4, 0.0)
-        hm = extract_heightmap(terrain, center, yaw, h_x=size, h_y=size)
+        hm = sampled_map(terrain, center, yaw, size, size)
         foot = None
         if foot_offset is not None:
             xy = (center[0] + foot_offset[0], center[1] + foot_offset[1])
@@ -570,7 +571,7 @@ class TestIndexing:
         assert not ev.evaluate(0.5 + hm.cells[16, 16]).cells.any()
 
     def test_extreme_points_index_the_border(self, stairs, model, zero_velocity, gait):
-        hm = extract_heightmap(stairs, (0.3, 0.05), 0.7, h_x=7, h_y=11)
+        hm = sampled_map(stairs, (0.3, 0.05), 0.7, 7, 11)
         ev = FecEvaluator(hm, (0.3, 0.05), zero_velocity, gait, model)
         far = np.array([-np.inf, -1e9, -0.2, 0.2, 1e9, np.inf, np.nan])
         values = np.concatenate([far, [-0.05, 0.0, 0.03]])
@@ -588,7 +589,7 @@ class TestIndexing:
         ((np.nan, 0.05), (0.3, np.nan, 0.0)),
     ])
     def test_every_lookup_in_range(self, stairs, model, forward_velocity, gait, hip, foot):
-        hm = extract_heightmap(stairs, (0.3, 0.05), 0.7, h_x=7, h_y=11)
+        hm = sampled_map(stairs, (0.3, 0.05), 0.7, 7, 11)
         ev = FecEvaluator(hm, hip, forward_velocity, gait, model, foot)
         lc, fc = ev.lc_threshold, ev.fc
         ev._bordered = ev._bordered.view(_RecordingMap)
@@ -605,7 +606,7 @@ class TestIndexing:
         # The bordered copy of a 9 x 8191 map has 11 * 8193 > 65535 cells,
         # so a 16-bit index would wrap and read the wrong heights.
         terrain = TerrainMap(kind="rough", cell=0.2, amplitude=0.15, seed=4)
-        hm = extract_heightmap(terrain, (0.4, 0.0), 0.2, h_x=9, h_y=8191)
+        hm = sampled_map(terrain, (0.4, 0.0), 0.2, 9, 8191)
         foot = np.array([0.34, 0.03, sample_height(terrain, 0.34, 0.03)])
         gait = GaitParams(duty_factor=0.5, t_remaining=0.3)
         ev = FecEvaluator(hm, (0.42, 0.02), np.array([0.3, 0.08]), gait, model, foot)

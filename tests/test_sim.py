@@ -87,6 +87,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             Scenario.from_file("/nonexistent/path.cfg")
 
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("planner=tbr\n# a comment\nvx=0.3\n planner = vpa\n")
+        with pytest.raises(ConfigError, match=r"s\.cfg:4: key 'planner' given again, first at line 1"):
+            Scenario.from_file(str(cfg))
+
     def test_run_setup_defaults(self):
         setup = sim.RunSetup(Scenario())
         assert len(setup.heights) == 31
@@ -572,6 +578,7 @@ class TestCli:
         [
             "cost=max",
             "cost=smooth",
+            "cost=sum",
             "robot=spot",
             "terrain_kind=lava",
             "duration=nan",
@@ -660,8 +667,10 @@ class TestCli:
         cfg.write_text(f"terrain_kind=stairs\nterrain_steps={10**21}\nduration=1\n")
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
 
-    def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys):
-        out = tmp_path / "o"
+    # A directory name is no glob pattern: "o[1]" matched only "o1".
+    @pytest.mark.parametrize("name", ["o", "o[1]"])
+    def test_run_removes_dumps_of_an_earlier_run(self, tmp_path, capsys, name):
+        out = tmp_path / name
         cfg = tmp_path / "flat.cfg"
         cfg.write_text("terrain_kind=flat\nplanner=none\nduration=0.6\n")
         assert cli_main(["run", str(cfg), "--out", str(out), "--dump-rbf", "--dump-criteria"]) == 0

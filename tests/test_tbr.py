@@ -86,7 +86,8 @@ class TestTbrPose:
         collinear = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.0], [0.2, 0.2, 0.0], [0.3, 0.3, 0.0]])
         with pytest.raises(ValueError, match="degenerate support polygon"):
             tbr_pose(collinear)
-        with pytest.raises(ValueError):
+        # two footholds leave the plane fit's design matrix rank 2 at most
+        with pytest.raises(ValueError, match="degenerate support polygon"):
             tbr_pose(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
     def test_height_is_centroid_plus_offset(self):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from vital.terrain import GAP_WIDTH, MAP_RESOLUTION, TERRAIN_KINDS, TerrainMap, extract_heightmap, sample_height
+from vital.terrain import (
+    GAP_WIDTH,
+    MAP_CELLS,
+    MAP_RESOLUTION,
+    TERRAIN_KINDS,
+    Heightmap,
+    TerrainMap,
+    extract_heightmap,
+    sample_height,
+)
 
 
 class TestSampleHeight:
@@ -99,14 +108,15 @@ class TestExtractHeightmap:
         for kind in TERRAIN_KINDS:
             terrain = TerrainMap(kind=kind, start_x=0.3)
             for yaw in (0.0, 1.1):
-                hm = extract_heightmap(terrain, (0.37, 0.013), yaw, h_x=21, h_y=13)
+                hm = Heightmap(np.zeros((21, 13)), (0.37, 0.013), yaw)
                 gx, gy = hm.grid_offsets()
                 assert gx.shape == (21, 1) and gy.shape == (1, 13)
                 np.testing.assert_array_equal(gx[:, 0], (np.arange(21) - 10) * MAP_RESOLUTION)
                 np.testing.assert_array_equal(gy[0], (np.arange(13) - 6) * MAP_RESOLUTION)
                 wx, wy = hm.world_points()
                 assert wx.shape == wy.shape == (21, 13)
-                np.testing.assert_array_equal(hm.cells, sample_height(terrain, wx, wy))
+                full = extract_heightmap(terrain, (0.37, 0.013), yaw)
+                np.testing.assert_array_equal(full.cells, sample_height(terrain, *full.world_points()))
 
     def test_gradient_along_plus_x_at_zero_yaw(self, stairs):
         hm = extract_heightmap(stairs, (0.25, 0.0), 0.0)
@@ -128,6 +138,7 @@ class TestExtractHeightmap:
         b = extract_heightmap(flat, (12.3, -4.5), 2.1)
         np.testing.assert_array_equal(a.cells, b.cells)
 
-    def test_even_dimensions_rejected(self, flat):
-        with pytest.raises(ValueError):
-            extract_heightmap(flat, (0, 0), 0.0, h_x=32, h_y=33)
+    def test_map_cells_odd(self, flat):
+        # An odd side gives the map a centre cell: the nominal foothold.
+        assert MAP_CELLS % 2 == 1
+        assert extract_heightmap(flat, (0, 0), 0.0).cells.shape == (MAP_CELLS, MAP_CELLS)

@@ -12,6 +12,8 @@ from vital.vfa import (
     select_closest_safe,
 )
 
+from maps import sampled_map
+
 
 def grid_from_mask(mask):
     return SafetyGrid(mask, mask, mask, mask, mask)
@@ -26,7 +28,7 @@ def cell_of(hm, point):
 
 class TestSelection:
     def test_nominal_cell_when_all_safe(self, flat):
-        hm = extract_heightmap(flat, (1.0, 2.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(flat, (1.0, 2.0), 0.0, 9, 9)
         mask = np.ones((9, 9), dtype=bool)
         nominal = np.array([1.0, 2.0, 0.0])
         d = select_closest_safe(grid_from_mask(mask), hm, nominal)
@@ -35,7 +37,7 @@ class TestSelection:
         np.testing.assert_allclose(d.optimal, nominal, atol=1e-12)
 
     def test_single_safe_column_one_cell_left(self, flat):
-        hm = extract_heightmap(flat, (0.0, 0.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(flat, (0.0, 0.0), 0.0, 9, 9)
         mask = np.zeros((9, 9), dtype=bool)
         mask[3, :] = True  # one cell toward -x of the nominal
         nominal = np.array([0.0, 0.0, 0.0])
@@ -45,7 +47,7 @@ class TestSelection:
 
     def test_exhaustive_scan_optimality(self, flat):
         rng = np.random.default_rng(17)
-        hm = extract_heightmap(flat, (0.3, -0.2), 0.5, h_x=11, h_y=11)
+        hm = sampled_map(flat, (0.3, -0.2), 0.5, 11, 11)
         wx, wy = hm.world_points()
         nominal = np.array([0.33, -0.18, 0.0])
         for _ in range(20):
@@ -64,7 +66,7 @@ class TestSelection:
             assert got == pytest.approx(best, abs=1e-15)
 
     def test_tie_breaking_deterministic(self, flat):
-        hm = extract_heightmap(flat, (0.0, 0.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(flat, (0.0, 0.0), 0.0, 9, 9)
         mask = np.zeros((9, 9), dtype=bool)
         # four cells equidistant from the nominal at the center
         mask[3, 4] = mask[5, 4] = mask[4, 3] = mask[4, 5] = True
@@ -81,7 +83,7 @@ class TestSelection:
         assert cell_of(hm, d3.optimal) == (3, 4)
 
     def test_all_false_keeps_nominal(self, flat):
-        hm = extract_heightmap(flat, (0.0, 0.0), 0.0, h_x=9, h_y=9)
+        hm = sampled_map(flat, (0.0, 0.0), 0.0, 9, 9)
         mask = np.zeros((9, 9), dtype=bool)
         nominal = np.array([0.01, -0.01, 0.0])
         d = select_closest_safe(grid_from_mask(mask), hm, nominal)
