@@ -8,8 +8,9 @@ Four boolean per-cell criteria are evaluated for every candidate foothold:
 * LC (leg collision): the leg, approximated as the hip-to-foot segment,
   keeps a vertical clearance of at least ``LC_CLEARANCE`` above the
   heightmap at sampled instants of the coming swing and the following
-  stance.  Segment points within ``foot_radius`` (planar) of the foot
-  endpoint are exempt, as are points outside the heightmap.
+  stance.  The segment point a fraction g of the way from foot to hip is
+  exempt when dx*dx + dy*dy <= (foot_radius / g)**2, (dx, dy) the planar
+  hip-to-foot offset, as are points off the heightmap.
 * KF (kinematic feasibility): the candidate is inside the spherical-shell
   leg workspace at touchdown and at the next lift-off, and every swing-arc
   sample stays inside the shell of the hip interpolated over swing time,
@@ -24,18 +25,18 @@ four criteria, shrunk by a Chebyshev erosion of ``EROSION_RADIUS`` cells as
 an uncertainty margin, done with numpy slices like the rest of the
 module, which needs no scipy.
 
-The evaluator caches everything that does not depend on the hip height.
-The LC clearance grows with the hip height, which reduces LC to a per-cell
-hip-height threshold grid.  Grid x depends only on the row and grid y only
-on the column, so the segment points of all samples, and the row and column
-parts of their cell indices, are computed per row and per column in one
-call.  Each segment sample then makes a few full-size passes over the
-stacked swing and stance instants: the parts summed into one narrow-int
-index buffer, the foot-radius exemption in place, a lookup into a buffer and
-the transform to a threshold.  The lookups read a copy of the map with a
-one-cell -inf border that every index is clamped into, so points off the map
-are exempt without a mask.  The stance instants share the foot, so their
-heights are maxed before one transform.
+The evaluator caches everything that does not depend on the hip height.  The
+LC clearance grows with the hip height, which reduces LC to a per-cell
+hip-height threshold grid.  Grid x depends only on the row and grid y only on
+the column, so the segment points of all samples and the row and column parts
+of their cell indices are computed per row and per column in one call, and
+each instant's dx*dx + dy*dy is a row part plus a column part.  Each segment
+sample then makes a few full-size passes over the stacked swing and stance
+instants: the parts summed into one narrow-int index buffer, the exemption
+compare in place, a lookup and the transform to a threshold.  The lookups
+read a copy of the map with a one-cell -inf border that every index is
+clamped into, so points off the map are exempt without a mask.  The stance
+instants share the foot, so their heights are maxed before one transform.
 
 A KF check (point height zk, planar squared distance p to its hip) passes
 from zk + sqrt(max(r_min**2 - p, 0)) up to zk + sqrt(r_max**2 - p), so each
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,18 +129,6 @@ def eval_tr(heightmap: Heightmap) -> np.ndarray:
     var = np.add.reduce(np.multiply(slope, slope, out=slope), axis=0) / count - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
     return (mean <= TR_MEAN_MAX) & (std <= TR_STD_MAX)
-
-
-@lru_cache(maxsize=8)
-def _radius_cutoffs(r: float) -> np.ndarray:
-    """Per segment sample g of ``_LC_G``, the largest float c_g whose rounded
-    product with g is at most the foot radius ``r``: rounding is monotone
-    in the span, so span * g > r exactly when span > c_g."""
-    gs = _LC_G
-    c_g = np.where(r / gs * gs > r, np.nextafter(r / gs, 0.0), r / gs)
-    c_g = np.where(np.nextafter(c_g, np.inf) * gs > r, c_g, np.nextafter(c_g, np.inf))
-    c_g.flags.writeable = False
-    return c_g
 
 
 class FecEvaluator:
@@ -263,11 +251,11 @@ class FecEvaluator:
         the required clearance at every sampled instant and segment point.
         The clearance grows with the hip height, so LC reduces to this
         threshold comparison.  One :meth:`_index_parts` call indexes every
-        segment sample; each sample sums its parts into one buffer, zeroes
-        exempt indices in place and takes the heights into another.  The
-        stance instants share the foot, so z* = ((h + clear) + g Z) / g is
-        one non-decreasing map of their looked-up heights h, and the max of
-        z* is that map of the max h."""
+        segment sample; each sample g sums its parts into one buffer, zeroes
+        in place those of instants with dx*dx + dy*dy <= (foot_radius / g)**2
+        and takes the heights into another.  The stance instants share the
+        foot, so z* = ((h + clear) + g Z) / g is one non-decreasing map of
+        their looked-up heights h, and the max of z* is that map of the max h."""
         n_t, frac = LC_TIME_SAMPLES, _LC_FRAC
         s = frac[1:, None, None]
         # The instants, stacked on axis 0: n_t - 1 of the swing (foot on the
@@ -284,22 +272,20 @@ class FecEvaluator:
         fy = np.concatenate([self._lo_gy + (gy - self._lo_gy) * s, np.broadcast_to(gy, (n_t,) + gy.shape)])
         dhx = hip[0] - fx
         dhy = hip[1] - fy
-        span = np.hypot(dhx, dhy)
+        span2 = dhx * dhx + dhy * dhy
         # Foot heights of the swing instants, then one slot for the stance.
         fz = np.concatenate([swing_arc_z(self._lo_z, self.Z, s, self.model.step_height), self.Z[None]])
         clear = LC_CLEARANCE - fz
         thresh = np.full(self.Z.shape, -np.inf)
         gs = _LC_G
         rows, cols = self._index_parts(fx + dhx * gs[:, None, None, None], fy + dhy * gs[:, None, None, None])
-        idx, near, h = np.empty(span.shape, rows.dtype), np.empty(span.shape, bool), np.empty(span.shape)
+        idx, near, h = np.empty(span2.shape, rows.dtype), np.empty(span2.shape, bool), np.empty(span2.shape)
         gfz, top = np.empty(fz.shape), np.empty(self.Z.shape)
         z_star, stance, z_stance = h[:n_t], h[n_t - 1 :], h[n_t - 1]
-        for g, c, i_part, j_part in zip(gs, _radius_cutoffs(self.model.foot_radius), rows, cols):
+        for g, c, i_part, j_part in zip(gs, (self.model.foot_radius / gs) ** 2, rows, cols):
             np.add(i_part, j_part, out=idx)
-            # Points within the foot radius (planar) of the foot are exempt:
-            # index 0 is a border cell, so they read -inf like the points
-            # off the map, and their z* is -inf.
-            idx *= np.greater(span, c, out=near)
+            # Exempt points take index 0, a border cell, so their z* is -inf.
+            idx *= np.greater(span2, c, out=near)
             self._bordered.take(idx, out=h, mode="wrap")
             np.maximum.reduce(stance, axis=0, out=z_stance)
             z_star += clear

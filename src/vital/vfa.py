@@ -31,7 +31,8 @@ class FootholdDecision:
 def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> FootholdDecision:
     """Among the safe cells, pick the one with the smallest planar distance
     to the nominal.  Ties break on smaller |dx|, then smaller |dy|, then the
-    lower row-major grid index, so selection is deterministic."""
+    lower row-major grid index, so selection is deterministic: ``np.nonzero``
+    lists the tied cells in row-major order and ``np.lexsort`` is stable."""
     nominal = np.asarray(nominal, dtype=np.float64)
     mu = grid.cells
     n_safe = int(np.count_nonzero(mu))
@@ -44,7 +45,7 @@ def select_closest_safe(grid: SafetyGrid, heightmap: Heightmap, nominal) -> Foot
     d2_masked = np.where(mu, d2, np.inf)
     best = d2_masked.min()
     ti, tj = np.nonzero(d2_masked == best)
-    order = np.lexsort((ti * heightmap.h_y + tj, dy[ti, tj], dx[ti, tj]))
+    order = np.lexsort((dy[ti, tj], dx[ti, tj]))
     i, j = int(ti[order[0]]), int(tj[order[0]])
     optimal = np.array([wx[i, j], wy[i, j], heightmap.cells[i, j]])
     return FootholdDecision(optimal, n_safe, FALLBACK_SELECTED, grid)

@@ -145,9 +145,10 @@ class NaiveFec:
 
     def lc_cell(self, i, j, z_h):
         d_min = LC_CLEARANCE
-        r_f = self.model.foot_radius
         t_fracs = np.linspace(0.0, 1.0, LC_TIME_SAMPLES)
         g_fracs = np.linspace(0.0, 1.0, LC_SEGMENT_SAMPLES)[1:]
+        # Sample g is exempt where the squared planar span is at most this.
+        cutoffs = (self.model.foot_radius / g_fracs) ** 2
         configs = []
         for s in t_fracs[1:]:
             hip = (
@@ -162,9 +163,10 @@ class NaiveFec:
             )
             configs.append((hip, (self.GX[i, j], self.GY[i, j], self.Z[i, j])))
         for (hx, hy), (fx, fy, fz) in configs:
-            span = math.hypot(hx - fx, hy - fy)
-            for g in g_fracs:
-                if g * span <= r_f:
+            dx, dy = hx - fx, hy - fy
+            span2 = dx * dx + dy * dy
+            for g, cutoff in zip(g_fracs, cutoffs):
+                if span2 <= cutoff:
                     continue  # the foot's own exemption zone
                 qx = fx + (hx - fx) * g
                 qy = fy + (hy - fy) * g
@@ -245,11 +247,11 @@ def loop_lc_threshold(ev, skip=()):
             continue
         dhx = hip[0] - fx
         dhy = hip[1] - fy
-        planar = np.hypot(dhx, dhy) * g
+        span2 = dhx * dhx + dhy * dhy
         hq, ingrid = _heights_in_grid(ev, fx + dhx * g, fy + dhy * g)
         z_star = hq + (LC_CLEARANCE - fz) + g * fz
         z_star /= g
-        z_star[~(ingrid & (planar > ev.model.foot_radius))] = -np.inf
+        z_star[~(ingrid & (span2 > (ev.model.foot_radius / g) ** 2))] = -np.inf
         np.maximum(thresh, z_star.max(axis=0), out=thresh)
     return thresh
 

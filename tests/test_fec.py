@@ -140,10 +140,12 @@ class TestCriteriaOnFlat:
         # oracle: densely sample the final stance instant's segment
         hip_end = np.array([-0.15 + 0.6 * (0.2 + gait.stance_duration), 0.0, 0.42])
         foot = np.array([0.06, 0.0, 0.0])
+        dx, dy = hip_end[:2] - foot[:2]
         grazed = False
-        for s in np.linspace(0, 1, 2001):
+        # s = 0 is the foot itself, always exempt.
+        for s in np.linspace(0, 1, 2001)[1:]:
             q = foot + (hip_end - foot) * s
-            if np.hypot(q[0] - foot[0], q[1] - foot[1]) <= model.foot_radius:
+            if dx * dx + dy * dy <= (model.foot_radius / s) ** 2:
                 continue
             # nearest cell of the yaw-0 map centred at (0.06, 0)
             i = int(np.floor((q[0] - 0.06) / MAP_RESOLUTION + 0.5 + 4))
@@ -326,10 +328,12 @@ class TestOracleProperties:
         dz_h=st.floats(-0.2, 0.8),
         rise=st.floats(0.05, 0.5),
         foot_offset=st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        # The presets differ in foot radius and shell.
+        robot=st.sampled_from(["hyq-like", "hyqreal-like"]),
     )
     def test_matches_naive(self, kind, terrain_seed, center, yaw, velocity, t_remaining, hip_offset, dz_h, rise,
-                           foot_offset):
-        model = robot_preset("hyq-like")
+                           foot_offset, robot):
+        model = robot_preset(robot)
         start_x = terrain_seed / 1000.0 - 0.2
         terrain = TerrainMap(kind=kind, rise=rise, start_x=start_x, seed=terrain_seed, amplitude=0.1, cell=0.2)
         hm = sampled_map(terrain, center, yaw, 9, 9)
